@@ -73,7 +73,7 @@ PRESETS = {
                    max_len=64, leaves_per_doc=3,
                    joined_docs={"train": 2048, "dev": 256, "test": 256},
                    lr=(3e-3, 6e-3), epochs=6),
-        probes=100, check_docs=16, setup_reps=5, f1_floor=(0.95, 0.90)),
+        probes=100, check_docs=16, setup_reps=6, f1_floor=(0.95, 0.90)),
     "tiny": Preset(
         desk=Shape(synth=dict(depth=2, branching=3, vocab_size=200, docs_per_leaf=12,
                               noise_rate=0.3, signal_strength=3),
@@ -193,18 +193,29 @@ def fixture_dir(kind: str, preset_name: str) -> Path:
 
 def ensure_models(preset_name: str) -> dict[str, Path]:
     """Build every missing cached model, each in its own process, so that
-    training does not count toward the benchmark process's peak memory."""
-    dirs = {}
-    for kind in KINDS:
-        final = fixture_dir(kind, preset_name)
-        if not (final / "fixture.json").is_file():
-            tmp = final.with_name(f"{final.name}.tmp{os.getpid()}")
+    training does not count toward the benchmark process's peak memory.
+    The (at most two) builds run at once, one BLAS thread each."""
+    dirs = {kind: fixture_dir(kind, preset_name) for kind in KINDS}
+    builds = {}  # kind -> (process, temporary directory)
+    try:
+        for kind, final in dirs.items():
+            if not (final / "fixture.json").is_file():
+                tmp = final.with_name(f"{final.name}.tmp{os.getpid()}")
+                shutil.rmtree(tmp, ignore_errors=True)
+                builds[kind] = (subprocess.Popen(
+                    [sys.executable, str(Path(__file__).resolve()), kind, str(tmp),
+                     "--preset", preset_name], stdout=subprocess.DEVNULL), tmp)
+        for kind, (proc, tmp) in builds.items():
+            if proc.wait() != 0:
+                raise subprocess.CalledProcessError(proc.returncode, proc.args)
+            shutil.rmtree(dirs[kind], ignore_errors=True)
+            os.replace(tmp, dirs[kind])
+    finally:
+        for proc, tmp in builds.values():
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
             shutil.rmtree(tmp, ignore_errors=True)
-            subprocess.run([sys.executable, str(Path(__file__).resolve()), kind, str(tmp),
-                            "--preset", preset_name], check=True, stdout=subprocess.DEVNULL)
-            shutil.rmtree(final, ignore_errors=True)
-            os.replace(tmp, final)
-        dirs[kind] = final
     return dirs
 
 

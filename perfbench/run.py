@@ -30,6 +30,7 @@ BENCHMARK_JSON = env.ROOT / "BENCHMARK.json"
 
 def run(workload: str, seed: int, seconds: float, trace: bool, preset_name: str) -> dict:
     import data
+    import hostspeed
     from tracing import Tracer, span_cost_s
     from workloads import WORKLOADS
 
@@ -39,16 +40,27 @@ def run(workload: str, seed: int, seconds: float, trace: bool, preset_name: str)
     shutil.rmtree(workdir, ignore_errors=True)
     tracer = Tracer() if trace else None
     work = WORKLOADS[workload](preset, seed, models, workdir, tracer)
+    # Half the set-ups run before the measured phase, the other half after
+    # the result is computed, so that their median spans the whole run and
+    # not one moment of the host's speed drift. Each is scaled by the host
+    # speed reference timed just before and just after it.
+    before = (preset.setup_reps + 1) // 2
+    setup_s, raw_setup_s = [], []
+
+    def set_up(rep: int) -> None:
+        gc.collect()  # each set-up starts from the same heap state
+        ref = hostspeed.reference()
+        start = time.perf_counter()
+        work.setup(workdir / f"setup{rep}")
+        raw_setup_s.append(time.perf_counter() - start)
+        ref = (ref + hostspeed.reference()) / 2
+        setup_s.append(hostspeed.scaled(raw_setup_s[-1], ref))
+
     try:
-        setup_s = []
-        for rep in range(preset.setup_reps):
-            if tracer is not None and rep == preset.setup_reps - 1:
+        for rep in range(before):
+            if tracer is not None and rep == before - 1:
                 tracer.install()  # trace the last set-up and the measured phase
-            rep_dir = workdir / f"setup{rep}"
-            gc.collect()  # each set-up starts from the same heap state
-            start = time.perf_counter()
-            work.setup(rep_dir)
-            setup_s.append(time.perf_counter() - start)
+            set_up(rep)
         gc.collect()
         start = time.perf_counter()
         work.measure(seconds)
@@ -57,16 +69,19 @@ def run(workload: str, seed: int, seconds: float, trace: bool, preset_name: str)
             tracer.uninstall()
         work.epilogue()
         e2e = work.finish()
+        e2e["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        for rep in range(before, preset.setup_reps):
+            set_up(rep)
     finally:
         if tracer is not None:
             tracer.uninstall()
         shutil.rmtree(workdir, ignore_errors=True)
 
     e2e["setup_s"] = statistics.median(setup_s)
-    e2e["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     ops = work.ops
     fail_share = ops.failed / max(ops.attempted, 1)
     work.note("setup_s", e2e["setup_s"], "s")
+    work.note("raw.setup_s", statistics.median(raw_setup_s), "s")
     work.note("setup_reps", len(setup_s), "count")
     work.note("peak_rss_mb", e2e["peak_rss_mb"], "MB")
     work.note("fail_share", fail_share, "share")
@@ -79,7 +94,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, preset_name: str)
         layers["trace.overhead_share"] = len(tracer.spans) * span_cost_s() / main_s
         work.note("trace.spans", len(tracer.spans), "count")
     return {"work": work, "e2e": e2e, "layers": layers, "tracer": tracer,
-            "setup_samples": setup_s}
+            "setup_samples": setup_s, "raw_setup_samples": raw_setup_s}
 
 
 def main(argv=None) -> int:
@@ -124,6 +139,10 @@ def main(argv=None) -> int:
               "checks": work.checks, "errors": work.ops.errors[:20],
               "report": {k: v for k, (v, _) in work.report.items()},
               "setup_s_samples": out["setup_samples"],
+              "raw_setup_s_samples": out["raw_setup_samples"],
+              "greedy_s_samples": work.greedy_s, "beam4_s_samples": work.beam_s,
+              "raw_greedy_s_samples": work.greedy_raw_s,
+              "raw_beam4_s_samples": work.beam_raw_s, "ref_s_samples": work.ref_s,
               "end_to_end": out["e2e"], "per_layer": out["layers"]}
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}-{args.preset}"
     results = env.BUILD / "results"

@@ -11,7 +11,9 @@
   alternating greedy and beam-4 requests, on capacity-21 multi-leaf
   documents. Batch-1 latency where the decode loop dominates.
 
-Every workload reports the same end-to-end metrics. The desk workloads
+Every workload reports the same end-to-end metrics. Their timings are
+scaled to the nominal host speed with ``hostspeed``; the raw ones are
+reported under ``raw.``. The desk workloads
 also send untraced batch-1 greedy and beam-4 requests to their model,
 spread over the measured phase, so greedy and beam-4 latency exist at
 capacity 8 as well as at capacity 21. Spreading matters: on a shared
@@ -39,6 +41,7 @@ from taxseq.model import ModelBundle
 from taxseq.trainer import AdamW
 
 import data
+import hostspeed
 
 PREDICT_BATCH = 128
 BEAM_WIDTH = 4
@@ -85,8 +88,11 @@ class Workload:
         self.ops = Ops()
         self.checks: dict[str, bool] = {}
         self.report: dict[str, tuple[float, str]] = {}  # name -> (value, unit)
-        self.greedy_s: list[float] = []
+        self.greedy_s: list[float] = []  # scaled to the nominal host speed
         self.beam_s: list[float] = []
+        self.greedy_raw_s: list[float] = []
+        self.beam_raw_s: list[float] = []
+        self.ref_s: list[float] = []  # every host speed reference timed
         self.gen_ids: list[list[int]] = []  # every greedy sequence generated
         self.gen_hit: list[bool] = []
         self.beam_ids: list[list[int]] = []
@@ -134,6 +140,11 @@ class Workload:
         codec.decode(np.asarray(out, dtype=np.int32), b.vocab, b.hierarchy, b.ordering)
         return out
 
+    def scaled(self, raw_s: float) -> float:
+        """Time the host speed reference now and scale ``raw_s`` by it."""
+        self.ref_s.append(hostspeed.reference())
+        return hostspeed.scaled(raw_s, self.ref_s[-1])
+
     def untraced(self):
         return self.tracer.paused() if self.tracer is not None else nullcontext()
 
@@ -145,13 +156,15 @@ class Workload:
         t0 = time.perf_counter()
         if i % 2 == 0:
             pred = self.ops.run(self.greedy_request, req.text)
-            self.greedy_s.append(time.perf_counter() - t0)
+            self.greedy_raw_s.append(time.perf_counter() - t0)
+            self.greedy_s.append(self.scaled(self.greedy_raw_s[-1]))
             if pred is not None:
                 self.answered.append((req, pred))
                 self.record_predictions([pred])
         else:
             out = self.ops.run(self.beam_request, req.text)
-            self.beam_s.append(time.perf_counter() - t0)
+            self.beam_raw_s.append(time.perf_counter() - t0)
+            self.beam_s.append(self.scaled(self.beam_raw_s[-1]))
             if out is not None:
                 self.beam_ids.append(out)
 
@@ -186,14 +199,17 @@ class Workload:
         self.note("output.hit_cap_share", float(np.mean(self.gen_hit)), "share")
         self.note("output.not_closed_share", float(np.mean(
             [b.hierarchy.closure(s) != set(s) for s in pred_sets])), "share")
-        self.note("greedy_ms_n", len(self.greedy_s), "count")
-        self.note("beam4_ms_n", len(self.beam_s), "count")
-        greedy_p50, greedy_p90 = p50_p90_ms(self.greedy_s)
-        beam_p50, beam_p90 = p50_p90_ms(self.beam_s)
-        return {"docs_per_s": self.docs_per_s,
-                "greedy_ms_p50": greedy_p50, "greedy_ms_p90": greedy_p90,
-                "beam4_ms_p50": beam_p50, "beam4_ms_p90": beam_p90,
-                "dev_loss": dev_loss, "micro_f1": micro, "macro_f1": macro}
+        self.note("host.ref_ms_p50", 1000.0 * float(np.median(self.ref_s)), "ms")
+        metrics = {"docs_per_s": self.docs_per_s}
+        for kind, samples, raw in (("greedy", self.greedy_s, self.greedy_raw_s),
+                                   ("beam4", self.beam_s, self.beam_raw_s)):
+            self.note(f"{kind}_ms_n", len(samples), "count")
+            metrics[f"{kind}_ms_p50"], metrics[f"{kind}_ms_p90"] = p50_p90_ms(samples)
+            raw_p50, raw_p90 = p50_p90_ms(raw)
+            self.note(f"raw.{kind}_ms_p50", raw_p50, "ms")
+            self.note(f"raw.{kind}_ms_p90", raw_p90, "ms")
+        metrics.update(dev_loss=dev_loss, micro_f1=micro, macro_f1=macro)
+        return metrics
 
 
 class TrainDesk(Workload):
@@ -218,7 +234,10 @@ class TrainDesk(Workload):
         # non-finite window loss stops train() and is one failed op. One
         # untraced batch-1 request follows each window, so that latency is
         # sampled across the whole run; its time is excluded from training.
+        # The host speed reference timed after that request scales the
+        # window; the training time is scaled by the windows' mean factor.
         windows: list[float] = []
+        scaled_windows: list[float] = []
         mark = [0.0]
         epochs = [0]
         request_s = [0.0]
@@ -230,6 +249,7 @@ class TrainDesk(Workload):
             windows.append(now - mark[0])
             with self.untraced():
                 self.request()
+            scaled_windows.append(hostspeed.scaled(windows[-1], self.ref_s[-1]))
             mark[0] = time.perf_counter()
             request_s[0] += mark[0] - now
 
@@ -254,7 +274,9 @@ class TrainDesk(Workload):
             AdamW.step = inner_step
         train_s = time.perf_counter() - start - request_s[0]
         self.ops.attempted += len(windows)
-        self.docs_per_s = epochs[0] * self.prep_train.n / train_s
+        raw_docs_per_s = epochs[0] * self.prep_train.n / train_s
+        self.docs_per_s = raw_docs_per_s * sum(windows) / sum(scaled_windows)
+        self.note("raw.docs_per_s", raw_docs_per_s, "docs/s")
         p50, p90 = p50_p90_ms(windows)
         self.note("train.docs_per_s", self.docs_per_s, "docs/s")
         self.note("train.window_ms_p50", p50, "ms")
@@ -301,7 +323,8 @@ class PredictDesk(Workload):
         texts = [r.text for r in self.requests]
         starts = range(0, len(texts), PREDICT_BATCH)
         n_requests = 2 * self.preset.probes
-        batch_s: list[float] = []
+        batch_s: list[float] = []  # scaled to the nominal host speed
+        raw_batch_s: list[float] = []
         docs = 0
         first_pass: dict[int, list] = {}  # batch start -> its predictions
         start = time.perf_counter()
@@ -311,7 +334,8 @@ class PredictDesk(Workload):
             t0 = time.perf_counter()
             preds = self.ops.run(inference.predict_texts, self.bundle,
                                  texts[lo:lo + PREDICT_BATCH], None, PREDICT_BATCH)
-            batch_s.append(time.perf_counter() - t0)
+            raw_batch_s.append(time.perf_counter() - t0)
+            batch_s.append(self.scaled(raw_batch_s[-1]))
             if preds is not None:
                 docs += len(preds)
                 if len(batch_s) <= len(starts):
@@ -325,6 +349,7 @@ class PredictDesk(Workload):
                         for lo, preds in sorted(first_pass.items())
                         for i, p in enumerate(preds)]
         self.docs_per_s = docs / sum(batch_s)
+        self.note("raw.docs_per_s", docs / sum(raw_batch_s), "docs/s")
         self.note("predict.docs_per_s", self.docs_per_s, "docs/s")
         self.note("predict.batches", len(batch_s), "count")
 
@@ -352,8 +377,9 @@ class ServeDeep(Workload):
         start = time.perf_counter()
         while time.perf_counter() - start < seconds or self.requests_short():
             self.request()
-        self.docs_per_s = (len(self.greedy_s) + len(self.beam_s)) / (
-            time.perf_counter() - start)
+        n = len(self.greedy_s) + len(self.beam_s)
+        self.docs_per_s = n / (sum(self.greedy_s) + sum(self.beam_s))
+        self.note("raw.docs_per_s", n / (time.perf_counter() - start), "docs/s")
 
     def finish(self) -> dict[str, float]:
         # Criterion 10: beam search of width 1 equals greedy.
