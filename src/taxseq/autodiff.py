@@ -82,9 +82,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -517,60 +514,20 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def smoothed_nll_sum(
-    logits: Tensor,
-    targets: np.ndarray,
-    smoothing: float = 0.0,
-    ignore_id: int | None = None,
-) -> tuple[Tensor, int]:
-    """Sum over non-ignored positions of the smoothed negative log-likelihood.
-
-    Per position: (1-s) * nll(target) + s * mean-over-classes nll. Returns
-    the float64 scalar sum and the number of positions kept, so callers can
-    average across accumulation windows without losing count information.
-    Raises AllIgnored when nothing is left to score.
-    """
-    if not 0.0 <= smoothing < 1.0:
-        raise InvalidProbability(f"smoothing must be in [0, 1), got {smoothing}")
-    targets = np.asarray(targets)
-    if logits.data.shape[:-1] != targets.shape:
-        raise ShapeMismatch(f"logits {logits.data.shape} vs targets {targets.shape}")
-    vsize = logits.data.shape[-1]
-    flat = logits.data.reshape(-1, vsize)
-    tgt = targets.reshape(-1)
-    keep = np.ones(tgt.shape, dtype=bool) if ignore_id is None else tgt != ignore_id
-    n = int(keep.sum())
-    if n == 0:
-        raise AllIgnored("every target position is ignored")
-
-    logp = _log_softmax(flat[keep].astype(np.float64))
-    rows = np.arange(n)
-    safe_tgt = tgt[keep]
-    nll_target = -logp[rows, safe_tgt]
-    nll_uniform = -logp.mean(axis=-1)
-    total = ((1.0 - smoothing) * nll_target + smoothing * nll_uniform).sum()
-
-    def bwd(g, acc):
-        if not logits.requires_grad:
-            return
-        gflat = np.zeros_like(flat)
-        p = np.exp(logp)
-        target_dist = np.full_like(p, smoothing / vsize)
-        target_dist[rows, safe_tgt] += 1.0 - smoothing
-        gscalar = float(np.asarray(g).reshape(-1)[0])
-        gflat[keep] = (gscalar * (p - target_dist)).astype(flat.dtype)
-        acc(logits, gflat.reshape(logits.data.shape))
-
-    return _node(np.float64(total), (logits,), bwd), n
-
-
 def smoothed_nll_per_position(
     logits: Tensor,
     targets: np.ndarray,
     smoothing: float = 0.0,
     ignore_id: int | None = None,
 ) -> tuple[Tensor, int]:
-    """Vector of per-position smoothed NLLs over the non-ignored positions."""
+    """Vector of per-position smoothed NLLs over the non-ignored positions.
+
+    Per position: (1-s) * nll(target) + s * mean-over-classes nll, in
+    float64. Returns the vector and the number of positions kept, so
+    callers can sum it (``tsum``) and average across accumulation windows
+    without losing count information. Raises AllIgnored when nothing is
+    left to score.
+    """
     if not 0.0 <= smoothing < 1.0:
         raise InvalidProbability(f"smoothing must be in [0, 1), got {smoothing}")
     targets = np.asarray(targets)
@@ -601,13 +558,3 @@ def smoothed_nll_per_position(
 
     return _node(vals, (logits,), bwd), n
 
-
-def cross_entropy_smoothed(
-    logits: Tensor,
-    targets: np.ndarray,
-    smoothing: float = 0.0,
-    ignore_id: int | None = None,
-) -> Tensor:
-    """Mean smoothed negative log-likelihood over non-ignored positions."""
-    total, n = smoothed_nll_sum(logits, targets, smoothing=smoothing, ignore_id=ignore_id)
-    return scale(total, 1.0 / n)

@@ -62,9 +62,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "weight_decay": "0.01",
         "val_plain_ce": "false",
     },
-    "eval": {
-        "macro_all_labels": "false",
-    },
     "data": {
         "precomputed_dir": "",
     },
@@ -154,9 +151,6 @@ class RunConfig:
         if section not in DEFAULTS or key not in DEFAULTS[section]:
             raise ConfigError(f"unknown config entry {section}.{key}")
         self.values[section][key] = value
-
-    def copy(self) -> "RunConfig":
-        return RunConfig({s: dict(kv) for s, kv in self.values.items()})
 
     def to_ini(self) -> str:
         parser = configparser.ConfigParser()

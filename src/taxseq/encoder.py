@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -208,13 +209,6 @@ def encode_tokens(
     return x
 
 
-def encode_sample(ids, mask, cfg, params) -> EncodedText:
-    """Single-sample eval-mode convenience wrapper around ``encode_tokens``."""
-    with ad.no_grad():
-        h = encode_tokens(ids, mask, cfg, params, train_mode=False)
-    return EncodedText(hidden=h.data[0], mask=np.asarray(mask).reshape(-1))
-
-
 # ---------------------------------------------------------------------------
 # precomputed hidden-state store
 # ---------------------------------------------------------------------------
@@ -253,6 +247,10 @@ class PrecomputedStates:
         return cls(root, int(meta["d_model"]), int(meta["max_len"]))
 
     def _path(self, sample_id: str) -> Path:
+        if sample_id in ("", ".", "..") or any(
+                sep and sep in sample_id for sep in ("/", os.sep, os.altsep)):
+            raise MissingPrecomputed(
+                f"sample id {sample_id!r} cannot name a file inside {self.root}")
         return self.root / f"{sample_id}.bin"
 
     def write(self, sample_id: str, hidden: np.ndarray, mask: np.ndarray) -> None:

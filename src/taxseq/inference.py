@@ -150,10 +150,8 @@ def predict_prepared(bundle: ModelBundle, data: PreparedData,
     preds: list[Prediction] = []
     for lo in range(0, data.n, batch_size):
         idx = np.arange(lo, min(lo + batch_size, data.n))
-        hidden, enc_mask = data.encoder_inputs(idx)
-        if hidden is None:
-            with ad.no_grad():
-                hidden = bundle.encode_batch(data.text_ids[idx], enc_mask)
+        with ad.no_grad():
+            hidden, enc_mask = bundle.encoder_states(data, idx)
         preds.extend(greedy_decode(bundle, hidden, enc_mask,
                                    sample_ids=[data.ids[i] for i in idx]))
     return preds

@@ -66,11 +66,11 @@ def loss_pieces(logits: Tensor, targets, cfg: LossConfig) -> tuple[Tensor, int]:
     summed smoothed negative log likelihood; for the per-token variant
     each position is modulated before summation.
     """
+    per_pos, n = ad.smoothed_nll_per_position(
+        logits, targets, cfg.smoothing, cfg.ignore_id)
     if cfg.variant is LossVariant.FOCAL_PER_TOKEN:
-        per_pos, n = ad.smoothed_nll_per_position(
-            logits, targets, cfg.smoothing, cfg.ignore_id)
-        return ad.tsum(_modulate(per_pos, cfg.gamma)), n
-    return ad.smoothed_nll_sum(logits, targets, cfg.smoothing, cfg.ignore_id)
+        per_pos = _modulate(per_pos, cfg.gamma)
+    return ad.tsum(per_pos), n
 
 
 def combine_pieces(pieces: list[tuple[Tensor, int]], cfg: LossConfig) -> Tensor:

@@ -9,7 +9,7 @@ all operate on this one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,15 +47,18 @@ class ModelBundle:
         text_vocab: TextVocab | None = None,
         label_init=None,
     ) -> "ModelBundle":
-        """Initialize fresh parameters for the given taxonomy and layout."""
+        """Initialize fresh parameters for the given taxonomy and layout.
+
+        The bundle holds copies of the configs with the vocabulary sizes and
+        position count resolved; the caller's objects are left unchanged.
+        """
         vocab = build_vocab(hierarchy)
-        dec_cfg.vocab_size = vocab.size
-        if dec_cfg.max_positions < capacity:
-            dec_cfg.max_positions = capacity
+        dec_cfg = replace(dec_cfg, vocab_size=vocab.size,
+                          max_positions=max(dec_cfg.max_positions, capacity))
         if enc_cfg.mode == "trainable":
             if text_vocab is None:
                 raise ConfigError("trainable encoder requires a text vocabulary")
-            enc_cfg.vocab_size = text_vocab.size
+            enc_cfg = replace(enc_cfg, vocab_size=text_vocab.size)
         if enc_cfg.d_model != dec_cfg.d_model:
             raise ConfigError(
                 f"encoder d_model {enc_cfg.d_model} != decoder d_model {dec_cfg.d_model}")
@@ -79,6 +82,17 @@ class ModelBundle:
                               "precomputed runs read states from the store")
         return encode_tokens(text_ids, text_mask, self.enc_cfg, self.enc_params,
                              train_mode, rng)
+
+    def encoder_states(self, data, idx, train_mode=False, rng=None) -> tuple[Tensor, np.ndarray]:
+        """Encoder states and key mask for rows ``idx`` of a ``PreparedData``.
+
+        Precomputed splits carry their states; tokenized ones run through
+        ``encode_batch``.
+        """
+        if data.enc_hidden is not None:
+            return Tensor(data.enc_hidden[idx]), data.enc_mask[idx]
+        mask = data.text_mask[idx]
+        return self.encode_batch(data.text_ids[idx], mask, train_mode, rng), mask
 
     def decoder_logits(self, label_ids, label_mask, enc_hidden, enc_mask,
                        train_mode=False, rng=None, capture_cross=None) -> Tensor:

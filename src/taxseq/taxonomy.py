@@ -33,9 +33,9 @@ class LabelHierarchy:
         labels: all label names, in order of first appearance in the source.
         parent: child -> parent map; top-level labels are absent.
         level: label -> depth, top-level = 1.
-        children: label -> children in source order (used for deterministic
+        children: label -> children in label order (used for deterministic
             tie-breaking downstream).
-        top: top-level labels in source order.
+        top: top-level labels in label order.
     """
 
     def __init__(
@@ -57,67 +57,40 @@ class LabelHierarchy:
     def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "LabelHierarchy":
         """Build and validate a hierarchy from (parent, child) pairs.
 
-        A parent equal to ``ROOT`` declares a top-level label. Raises
-        MultipleParents, UnknownParent, CycleDetected, or EmptyHierarchy on
-        invalid input.
+        A parent equal to ``ROOT`` declares a top-level label. Labels are
+        enumerated in order of first appearance; the tree itself is built
+        by ``from_parts``. Raises MultipleParents, UnknownParent,
+        CycleDetected, or EmptyHierarchy on invalid input.
         """
-        labels: list[str] = []
-        seen: set[str] = set()
+        labels: dict[str, None] = {}  # insertion-ordered set
         parent: dict[str, str] = {}
-        children: dict[str, list[str]] = {}
-        top: list[str] = []
-
-        def note(name: str) -> None:
-            if name not in seen:
-                seen.add(name)
-                labels.append(name)
-                children[name] = []
-
+        top: set[str] = set()
         for p, c in edges:
             if p != ROOT:
-                note(p)
-            note(c)
+                labels.setdefault(p)
+            labels.setdefault(c)
             if p == ROOT:
                 if c in parent:
                     raise MultipleParents(f"label {c!r} declared both top-level and under {parent[c]!r}")
-                if c not in top:
-                    top.append(c)
+                top.add(c)
                 continue
             if c in top:
                 raise MultipleParents(f"label {c!r} declared both top-level and under {p!r}")
-            if c in parent:
-                if parent[c] != p:
-                    raise MultipleParents(f"label {c!r} has parents {parent[c]!r} and {p!r}")
-                continue  # duplicate edge, ignore
-            parent[c] = p
-            children[p].append(c)
+            if parent.setdefault(c, p) != p:  # a repeated edge is ignored
+                raise MultipleParents(f"label {c!r} has parents {parent[c]!r} and {p!r}")
 
-        if not labels:
-            raise EmptyHierarchy("no labels declared")
         for c, p in parent.items():
             # a parent must itself be attached somewhere (as a child or top-level)
             if p not in parent and p not in top:
                 raise UnknownParent(f"label {c!r} attached to {p!r}, which is never declared")
-
-        level: dict[str, int] = {}
-        queue = deque((t, 1) for t in top)
-        while queue:
-            name, lvl = queue.popleft()
-            level[name] = lvl
-            for ch in children[name]:
-                queue.append((ch, lvl + 1))
-        if len(level) != len(labels):
-            missing = [l for l in labels if l not in level]
-            raise CycleDetected(f"labels unreachable from the root (cycle or orphan): {missing[:5]}")
-
-        return cls(labels, parent, level, children, top)
+        return cls.from_parts(list(labels), parent)
 
     @classmethod
     def from_parts(cls, labels: Sequence[str], parent: dict[str, str]) -> "LabelHierarchy":
-        """Rebuild a hierarchy from an explicit label order plus child->parent
-        map (top-level labels absent from the map). Unlike ``from_edges`` this
-        preserves the given enumeration order exactly, which keeps symbolic
-        token ids stable across serialization round-trips.
+        """Build a hierarchy from an explicit label order plus child->parent
+        map (top-level labels absent from the map). The given enumeration
+        order is kept exactly, and ``children`` and ``top`` follow it, which
+        keeps symbolic token ids stable across serialization round-trips.
         """
         labels = list(labels)
         if not labels:
@@ -156,13 +129,6 @@ class LabelHierarchy:
     @property
     def max_depth(self) -> int:
         return max(self.level.values())
-
-    def index_of(self, label: str) -> int:
-        """Position of a label in the stable enumeration order."""
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownLabel(label) from None
 
     def check_known(self, labels: Iterable[str]) -> None:
         for l in labels:
@@ -204,12 +170,12 @@ class LabelHierarchy:
         ``closure(minimize(S)) == S`` whenever S is closed under ancestors.
         """
         s = set(labels)
-        self.check_known(s)
+        leaves = self.leaf_labels(s)
         for l in s:
             p = self.parent.get(l)
             if p is not None and p not in s:
                 raise NotClosureConsistent(f"parent {p!r} of {l!r} missing from the set")
-        return {l for l in s if not any(c in s for c in self.children[l])}
+        return leaves
 
     def leaf_labels(self, labels: Iterable[str]) -> set[str]:
         """Labels with no child inside the given set (no closure check)."""

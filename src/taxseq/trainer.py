@@ -191,12 +191,6 @@ class PreparedData:
     def n(self) -> int:
         return len(self.ids)
 
-    def encoder_inputs(self, idx: np.ndarray):
-        """(hidden-or-ids, mask) for a batch index; hidden for precomputed."""
-        if self.enc_hidden is not None:
-            return self.enc_hidden[idx], self.enc_mask[idx]
-        return None, self.text_mask[idx]
-
 
 def make_targets(seq_ids: np.ndarray) -> np.ndarray:
     """Next-token targets: ids shifted left, final column PAD (ignored)."""
@@ -258,11 +252,7 @@ def prepare_data(
 
 def _micro_logits(bundle: ModelBundle, data: PreparedData, idx: np.ndarray,
                   train_mode: bool, rng) -> Tensor:
-    hidden, enc_mask = data.encoder_inputs(idx)
-    if hidden is None:
-        h = bundle.encode_batch(data.text_ids[idx], enc_mask, train_mode, rng)
-    else:
-        h = Tensor(hidden)
+    h, enc_mask = bundle.encoder_states(data, idx, train_mode, rng)
     return bundle.decoder_logits(data.seq_ids[idx], data.seq_mask[idx],
                                  h, enc_mask, train_mode, rng)
 
@@ -334,6 +324,8 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
     """Rebuild a ModelBundle (and manifest) from a checkpoint directory."""
     out = Path(ckpt_dir)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    if manifest.get("format") != 1:
+        raise ConfigError(f"{out}: unsupported checkpoint format {manifest.get('format')!r}")
     h = LabelHierarchy.from_parts(manifest["taxonomy"]["labels"],
                                   manifest["taxonomy"]["parents"])
     enc_cfg = EncoderConfig(**manifest["enc_cfg"])
@@ -346,10 +338,18 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
     if _vocab_hash(bundle) != manifest["vocab_hash"]:
         raise ConfigError("checkpoint vocabulary does not match its taxonomy")
     for k, p in bundle.all_params().items():
-        blob = (out / "params" / f"{k}.bin").read_bytes()
-        arr = np.frombuffer(blob, dtype="<f4").reshape(manifest["param_shapes"][k])
-        p.data = arr.copy()
+        p.data = _read_blob(out / "params" / f"{k}.bin", manifest["param_shapes"][k])
     return bundle, manifest
+
+
+def _read_blob(path: Path, shape) -> np.ndarray:
+    """A raw float32 little-endian blob as a fresh array of ``shape``."""
+    blob = path.read_bytes()
+    want = 4 * int(np.prod(shape))
+    if len(blob) != want:
+        raise ShapeMismatch(f"{path}: {len(blob)} bytes, expected {want} "
+                            f"for shape {tuple(shape)}")
+    return np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
 
 
 def _load_moments(ckpt_dir, manifest: dict, optimizer: AdamW) -> None:
@@ -361,10 +361,9 @@ def _load_moments(ckpt_dir, manifest: dict, optimizer: AdamW) -> None:
             mfile = mdir / f"{stem}.m.bin"
             if not mfile.exists():
                 continue
-            m = np.frombuffer(mfile.read_bytes(), dtype="<f4").reshape(p.data.shape)
-            v = np.frombuffer((mdir / f"{stem}.v.bin").read_bytes(),
-                              dtype="<f4").reshape(p.data.shape)
-            moments[f"{g['name']}/{pname}"] = {"m": m.copy(), "v": v.copy()}
+            moments[f"{g['name']}/{pname}"] = {
+                "m": _read_blob(mfile, p.data.shape),
+                "v": _read_blob(mdir / f"{stem}.v.bin", p.data.shape)}
     optimizer.load_state_dict({"groups": manifest["optimizer"]}, moments)
 
 

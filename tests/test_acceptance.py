@@ -149,10 +149,8 @@ def test_criterion_01_gradient_correctness():
 
     ce_x = p64(arr(2, 3, 6))
     ce_t = np.array([[4, 0, 2], [1, 2, 5]])
-    assert fd_check(
-        lambda: ad.cross_entropy_smoothed(ce_x, ce_t, smoothing=0.1,
-                                          ignore_id=2),
-        [ce_x]) < GRAD_TOL
+    ce_cfg = LossConfig(variant=LossVariant.PLAIN_CE, smoothing=0.1, ignore_id=2)
+    assert fd_check(lambda: compute_loss(ce_x, ce_t, ce_cfg), [ce_x]) < GRAD_TOL
     assert fd_check(
         lambda: ad.tsum(ad.smoothed_nll_per_position(ce_x, ce_t, 0.1, 2)[0]),
         [ce_x]) < GRAD_TOL

@@ -12,6 +12,7 @@ from taxseq import autodiff as ad
 from taxseq.autodiff import Parameter, Tensor, backward, no_grad
 from taxseq.errors import (AllIgnored, DetachedGraph, IndivisibleHeads,
                            InvalidProbability, ShapeMismatch)
+from taxseq.loss import LossConfig, LossVariant, compute_loss
 
 TOL = 1e-4
 
@@ -193,34 +194,38 @@ class TestLossGrads:
         logits = arr(rng, 2, 5, 7)
         targets = rng.integers(0, 7, size=(2, 5))
         targets[0, 3] = 99
-        total, n = ad.smoothed_nll_sum(Tensor(logits), targets, smoothing=0.1,
-                                       ignore_id=99)
+        vec, n = ad.smoothed_nll_per_position(Tensor(logits), targets, smoothing=0.1,
+                                              ignore_id=99)
         want_mean, want_n = smoothed_ce_reference(logits, targets, 0.1, 99)
         assert n == want_n == 9
-        assert total.item() / n == pytest.approx(want_mean, abs=1e-12)
+        assert ad.tsum(vec).item() / n == pytest.approx(want_mean, abs=1e-12)
 
     def test_cross_entropy_gradcheck(self, rng):
         targets = np.array([[1, 3, 0], [2, 2, 5]])
-        fn = lambda t: ad.cross_entropy_smoothed(t["x"], targets, smoothing=0.1)
+        cfg = LossConfig(variant=LossVariant.PLAIN_CE, smoothing=0.1, ignore_id=99)
+        fn = lambda t: compute_loss(t["x"], targets, cfg)
         assert gradcheck(fn, {"x": arr(rng, 2, 3, 6)}) < TOL
 
     def test_ignored_positions_get_zero_grad(self, rng):
         logits = Tensor(arr(rng, 2, 3, 5), requires_grad=True)
         targets = np.array([[1, 9, 2], [9, 9, 0]])
-        total, n = ad.smoothed_nll_sum(logits, targets, smoothing=0.1, ignore_id=9)
+        vec, n = ad.smoothed_nll_per_position(logits, targets, smoothing=0.1, ignore_id=9)
         assert n == 3
-        backward(total)
+        backward(ad.tsum(vec))
         assert np.allclose(logits.grad[0, 1], 0)
         assert np.allclose(logits.grad[1, :2], 0)
         assert not np.allclose(logits.grad[0, 0], 0)
 
     def test_per_position_matches_sum(self, rng):
+        # entry i is the smoothed NLL of the i-th kept position, row-major
+        from oracles import smoothed_ce_reference
         logits = arr(rng, 3, 4, 6)
         targets = rng.integers(0, 6, size=(3, 4))
         vec, n = ad.smoothed_nll_per_position(Tensor(logits), targets, smoothing=0.1)
-        total, n2 = ad.smoothed_nll_sum(Tensor(logits), targets, smoothing=0.1)
-        assert n == n2 == 12 and vec.data.shape == (12,)
-        assert float(vec.data.sum()) == pytest.approx(total.item(), rel=1e-12)
+        assert n == 12 and vec.data.shape == (12,)
+        for i, (b, t) in enumerate(np.ndindex(3, 4)):
+            want, _ = smoothed_ce_reference(logits[b, t], targets[b, t], 0.1, None)
+            assert vec.data[i] == pytest.approx(want, abs=1e-12)
 
     def test_per_position_gradcheck(self, rng):
         targets = np.array([[1, 0], [2, 3]])
@@ -231,13 +236,13 @@ class TestLossGrads:
 
     def test_all_ignored_raises(self, rng):
         with pytest.raises(AllIgnored):
-            ad.smoothed_nll_sum(Tensor(arr(rng, 1, 2, 4)), np.array([[7, 7]]),
-                                ignore_id=7)
+            ad.smoothed_nll_per_position(Tensor(arr(rng, 1, 2, 4)), np.array([[7, 7]]),
+                                         ignore_id=7)
 
     def test_bad_smoothing(self, rng):
         with pytest.raises(InvalidProbability):
-            ad.smoothed_nll_sum(Tensor(arr(rng, 1, 1, 4)), np.array([[0]]),
-                                smoothing=1.0)
+            ad.smoothed_nll_per_position(Tensor(arr(rng, 1, 1, 4)), np.array([[0]]),
+                                         smoothing=1.0)
 
 
 class TestEngine:

@@ -3,6 +3,7 @@
 import configparser
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -100,15 +101,9 @@ class TestRunConfig:
         again = RunConfig.from_file(path)
         assert again.values == cfg.values
 
-    def test_copy_is_independent(self):
-        cfg = RunConfig.defaults()
-        dup = cfg.copy()
-        dup.set("train", "seed", 99)
-        assert cfg.get("train", "seed") == 0
-
     def test_defaults_table_covers_every_section(self):
         for section in ("encoder", "decoder", "codec", "loss", "train",
-                        "eval", "data"):
+                        "data"):
             assert section in DEFAULTS
 
 
@@ -159,6 +154,18 @@ class TestEvaluateCommand:
         assert code == 0
         capsys.readouterr()
         assert (workdir["run"] / "best" / "eval_dev.txt").exists()
+
+    def test_truncated_blob_exits_2(self, workdir, tmp_path, capsys):
+        ck = tmp_path / "ck"
+        shutil.copytree(workdir["run"] / "best", ck)
+        blob = ck / "params" / "dec.out.b.bin"
+        blob.write_bytes(blob.read_bytes()[:-4])
+        code = main(["evaluate", "--checkpoint", str(ck),
+                     "--data", str(workdir["data"])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "dec.out.b.bin" in err
+        assert "Traceback" not in err
 
     def test_missing_checkpoint_exits_1(self, workdir, tmp_path, capsys):
         code = main(["evaluate", "--checkpoint", str(tmp_path / "nowhere"),

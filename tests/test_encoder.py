@@ -6,7 +6,7 @@ import pytest
 from taxseq import autodiff as ad
 from taxseq.encoder import (TEXT_PAD, TEXT_PAD_ID, TEXT_UNK, TEXT_UNK_ID,
                             EncodedText, EncoderConfig, PrecomputedStates,
-                            TextVocab, encode_sample, encode_tokens,
+                            TextVocab, encode_tokens,
                             init_encoder_params, tokenize_text, trunc_normal,
                             words_of)
 from taxseq.errors import ConfigError, MissingPrecomputed, ShapeMismatch
@@ -151,13 +151,6 @@ class TestEncodeTokens:
         for name, p in params.items():
             assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 
-    def test_encode_sample_wrapper(self, rng):
-        cfg = small_cfg()
-        params = init_encoder_params(cfg, rng)
-        enc = encode_sample(np.array([2, 3, 0]), np.array([1, 1, 0]), cfg, params)
-        assert isinstance(enc, EncodedText)
-        assert enc.hidden.shape == (3, 16) and enc.mask.tolist() == [1, 1, 0]
-
     def test_encoded_text_needs_a_real_token(self):
         with pytest.raises(ShapeMismatch):
             EncodedText(hidden=np.zeros((3, 4)), mask=np.zeros(3, dtype=np.int8))
@@ -191,3 +184,13 @@ class TestPrecomputedStates:
         (tmp_path / "enc" / "bad.bin").write_bytes(b"\x00" * 12)
         with pytest.raises(ShapeMismatch):
             store.read("bad")
+
+    @pytest.mark.parametrize("bad_id", ["../x", "", ".", "..", "sub/x", "/abs"])
+    def test_ids_stay_under_the_root(self, tmp_path, bad_id):
+        store = PrecomputedStates.create(tmp_path / "enc", d_model=4, max_len=2)
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(MissingPrecomputed):
+            store.write(bad_id, np.zeros((2, 4)), np.ones(2))
+        with pytest.raises(MissingPrecomputed):
+            store.read(bad_id)
+        assert sorted(tmp_path.rglob("*")) == before

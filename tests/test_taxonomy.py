@@ -63,6 +63,20 @@ class TestConstruction:
         assert rebuilt.level == h.level
         assert rebuilt.top == h.top
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fresh_and_rebuilt_agree(self, data):
+        # node i hangs off ROOT (-1) or an earlier node; edges arrive shuffled
+        n = data.draw(st.integers(1, 12))
+        parents = [data.draw(st.integers(-1, i - 1)) for i in range(n)]
+        edges = [(ROOT if p < 0 else f"n{p}", f"n{i}") for i, p in enumerate(parents)]
+        edges = data.draw(st.permutations(edges))
+        h = LabelHierarchy.from_edges(edges)
+        assert h.parent == {f"n{i}": f"n{p}" for i, p in enumerate(parents) if p >= 0}
+        rebuilt = LabelHierarchy.from_parts(h.labels, h.parent)
+        for attr in ("labels", "parent", "level", "children", "top"):
+            assert getattr(rebuilt, attr) == getattr(h, attr), attr
+
 
 class TestStructureQueries:
     def test_ancestors_nearest_first(self, tiny_tree, news_tree):

@@ -1,6 +1,7 @@
 """Optimizer, scheduler, accumulation, checkpointing, and resume."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from taxseq.codec import PAD_ID, Ordering, capacity_for
 from taxseq.corpus import Sample
 from taxseq.decoder import DecoderConfig
 from taxseq.encoder import EncoderConfig, PrecomputedStates, TextVocab
-from taxseq.errors import ConfigError, EmptyCorpus, NonFiniteLoss
+from taxseq.errors import ConfigError, EmptyCorpus, NonFiniteLoss, ShapeMismatch
 from taxseq.loss import LossConfig, LossVariant
 from taxseq.model import ModelBundle
 from taxseq.taxonomy import ROOT, LabelHierarchy
@@ -193,8 +194,18 @@ class TestDataPreparation:
         data = prepare_data(bundle, SAMPLES, seed=0, store=store)
         assert data.enc_hidden.shape == (8, 6, 16)
         assert data.text_ids is None
-        hidden, mask = data.encoder_inputs(np.array([2, 5]))
-        assert hidden.shape == (2, 6, 16) and mask.shape == (2, 6)
+        hidden, mask = bundle.encoder_states(data, np.array([2, 5]))
+        assert hidden.data.shape == (2, 6, 16) and mask.shape == (2, 6)
+        assert np.array_equal(hidden.data, data.enc_hidden[[2, 5]])
+
+    def test_encoder_states_encode_tokenized_rows(self):
+        bundle = tiny_bundle()
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        idx = np.array([1, 4])
+        hidden, mask = bundle.encoder_states(data, idx)
+        want = bundle.encode_batch(data.text_ids[idx], data.text_mask[idx])
+        assert np.array_equal(mask, data.text_mask[idx])
+        assert np.array_equal(hidden.data, want.data)
 
     def test_precomputed_mode_errors(self, tmp_path):
         bundle = tiny_bundle(mode="precomputed")
@@ -395,6 +406,20 @@ class TestTrainLoop:
             TrainConfig(micro_batch=0)
 
 
+class TestModelBuild:
+    def test_build_leaves_caller_configs_unchanged(self):
+        enc_cfg = EncoderConfig(d_model=16, layers=1, heads=2, max_len=6)
+        dec_cfg = DecoderConfig(d_model=16, layers=1, heads=2, max_positions=2)
+        enc_before, dec_before = asdict(enc_cfg), asdict(dec_cfg)
+        tv = TextVocab.build([s.text for s in SAMPLES])
+        bundle = ModelBundle.build(tiny_hierarchy(), Ordering.CHILD_TO_PARENT, 8,
+                                   enc_cfg, dec_cfg, text_vocab=tv)
+        assert asdict(enc_cfg) == enc_before and asdict(dec_cfg) == dec_before
+        assert bundle.dec_cfg.vocab_size == bundle.vocab.size
+        assert bundle.dec_cfg.max_positions == 8
+        assert bundle.enc_cfg.vocab_size == tv.size
+
+
 class TestCheckpointing:
     def test_save_load_round_trip(self, tmp_path):
         bundle = tiny_bundle(seed=4)
@@ -424,6 +449,41 @@ class TestCheckpointing:
         loaded, _ = load_checkpoint(tmp_path / "ck")
         assert loaded.hierarchy.labels == ["B", "C", "A"]
         assert loaded.vocab.id_of("B") == 4 and loaded.vocab.id_of("A") == 6
+
+    def test_children_order_survives(self, tmp_path):
+        h = LabelHierarchy.from_edges([("X", "x1"), (ROOT, "A"), ("A", "Y"), ("A", "X")])
+        enc_cfg = EncoderConfig(d_model=16, layers=1, heads=2, max_len=4)
+        dec_cfg = DecoderConfig(d_model=16, layers=1, heads=2, max_positions=8)
+        bundle = ModelBundle.build(h, Ordering.CHILD_TO_PARENT, 8, enc_cfg,
+                                   dec_cfg, text_vocab=TextVocab.build(["x"]))
+        save_checkpoint(tmp_path / "ck", bundle)
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        assert loaded.hierarchy.children == bundle.hierarchy.children
+        assert loaded.hierarchy.top == bundle.hierarchy.top
+
+    def test_unknown_format_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", tiny_bundle())
+        mf = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(mf.read_text())
+        manifest["format"] = 2
+        mf.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="format"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_truncated_blobs_rejected(self, tmp_path):
+        bundle = tiny_bundle(seed=2)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        train(bundle, data, data, quick_cfg(max_epochs=1), out_dir=tmp_path / "run")
+        last = tmp_path / "run" / "last"
+        moment = last / "moments" / "dec.out.b.m.bin"
+        moment.write_bytes(moment.read_bytes()[:-4])
+        with pytest.raises(ShapeMismatch, match="dec.out.b.m.bin"):
+            train(tiny_bundle(seed=2), data, data, quick_cfg(max_epochs=2),
+                  resume=last)
+        param = last / "params" / "dec.out.b.bin"
+        param.write_bytes(param.read_bytes()[:-4])
+        with pytest.raises(ShapeMismatch, match="dec.out.b.bin"):
+            load_checkpoint(last)
 
     def test_corrupted_taxonomy_rejected(self, tmp_path):
         bundle = tiny_bundle()
