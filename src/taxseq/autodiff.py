@@ -283,7 +283,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inv = np.argsort(axes)
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def bwd(g, acc):
         acc(a, g.transpose(inv))
@@ -493,12 +493,36 @@ def multi_head_attention(
     ``params`` holds wq/bq, wk/bk, wv/bv, wo/bo. The additive ``mask``
     must broadcast to (..., heads, T_q, T_k).
     """
+    k, v = kv_heads(x_k, x_v, heads, params)
+    return attend(x_q, k, v, mask, heads, params, capture=capture)
+
+
+def kv_heads(x_k: Tensor, x_v: Tensor, heads: int,
+             params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """Keys and values of one attention block, split into heads."""
+    k = split_heads(linear(x_k, params["wk"], params["bk"]), heads)
+    v = split_heads(linear(x_v, params["wv"], params["bv"]), heads)
+    return k, v
+
+
+def attend(
+    x_q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    mask: np.ndarray | None,
+    heads: int,
+    params: dict[str, Tensor],
+    capture: list | None = None,
+) -> Tensor:
+    """Queries projected from ``x_q`` attend over split-head ``k``/``v``.
+
+    The other half of ``multi_head_attention``: the keys and values come
+    from ``kv_heads``, now or on an earlier call.
+    """
     d = x_q.data.shape[-1]
     if d % heads != 0:
         raise IndivisibleHeads(f"model dim {d} not divisible by {heads} heads")
     q = split_heads(linear(x_q, params["wq"], params["bq"]), heads)
-    k = split_heads(linear(x_k, params["wk"], params["bk"]), heads)
-    v = split_heads(linear(x_v, params["wv"], params["bv"]), heads)
     ctx = scaled_dot_attention(q, k, v, mask=mask, capture=capture)
     return linear(merge_heads(ctx), params["wo"], params["bo"])
 

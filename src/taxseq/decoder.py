@@ -6,6 +6,11 @@ over the encoder states (keys and values), followed by a feedforward
 sublayer. Normalization is applied after each residual sum and dropout is
 applied to every sublayer output before it joins the residual stream. A
 final linear projection produces logits over the label token vocabulary.
+
+Training runs the whole label sequence at once (teacher forcing).
+Inference runs the same layers one step at a time over a ``DecodeCache``,
+which keeps the keys and values of the positions already consumed and
+the cross-attention keys and values of the encoder states.
 """
 
 from __future__ import annotations
@@ -18,12 +23,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .codec import SymbolicVocab
-from .encoder import _ffn_init, _mha_init, _norm_init, _sub, expand_mask, trunc_normal
+from .codec import PAD_ID, SymbolicVocab
+from .encoder import _ffn_init, _mha_init, _mha_params, _norm_init, expand_mask, trunc_normal
 from .errors import ConfigError, InitDimensionMismatch, ShapeMismatch
 
 __all__ = [
-    "DecoderConfig", "init_decoder_params", "decoder_forward",
+    "DecoderConfig", "DecodeCache", "init_decoder_params", "decoder_forward",
     "write_label_embeddings", "read_label_embeddings", "self_attention_mask",
 ]
 
@@ -117,13 +122,82 @@ def init_decoder_params(
     return params
 
 
-def self_attention_mask(label_mask: np.ndarray) -> np.ndarray:
-    """Additive (B, 1, n, n) mask blocking future positions and pad keys."""
+def self_attention_mask(label_mask: np.ndarray, queries: int | None = None) -> np.ndarray:
+    """Additive (B, 1, q, n) mask blocking future positions and pad keys.
+
+    ``label_mask`` marks the n key positions; the queries are the last
+    ``queries`` of them, all n by default.
+    """
     label_mask = np.atleast_2d(np.asarray(label_mask))
     b, n = label_mask.shape
-    causal = np.tril(np.ones((n, n), dtype=bool))
+    q = n if queries is None else queries
+    causal = np.tri(q, n, n - q, dtype=bool)
     allowed = causal[None, :, :] & (label_mask[:, None, :] != 0)
-    return np.where(allowed, 0.0, ad.NEG_INF).astype(np.float32).reshape(b, 1, n, n)
+    return np.where(allowed, 0.0, ad.NEG_INF).astype(np.float32).reshape(b, 1, q, n)
+
+
+class DecodeCache:
+    """What incremental decoding keeps between calls; inference only.
+
+    ``ids`` are the label ids consumed so far, (B, t). Per layer,
+    ``self_kv`` holds the split-head self-attention keys and values of
+    those t positions, and ``cross_kv`` the ones projected from the
+    encoder states on the first call; ``cross_mask`` is the additive
+    encoder key mask. All are plain arrays with the batch on axis 0, so
+    nothing here is on the tape.
+    """
+
+    def __init__(self):
+        self.ids: np.ndarray | None = None
+        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.cross_mask: np.ndarray | None = None
+
+    @property
+    def length(self) -> int:
+        return 0 if self.ids is None else self.ids.shape[1]
+
+    def consume(self, label_ids: np.ndarray) -> np.ndarray:
+        """Append (B, n) new ids and return every id consumed so far."""
+        label_ids = np.atleast_2d(np.asarray(label_ids))
+        self.ids = (label_ids.copy() if self.ids is None
+                    else np.concatenate([self.ids, label_ids], axis=1))
+        return self.ids
+
+    def extend_self(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append new positions' keys and values to a layer's; return all."""
+        if layer == len(self.self_kv):
+            self.self_kv.append((k.data, v.data))
+            return k, v
+        pk, pv = self.self_kv[layer]
+        self.self_kv[layer] = (np.concatenate([pk, k.data], axis=2),
+                               np.concatenate([pv, v.data], axis=2))
+        return Tensor(self.self_kv[layer][0]), Tensor(self.self_kv[layer][1])
+
+    def select(self, rows) -> None:
+        """Keep batch rows ``rows``, in that order; a row may repeat."""
+        rows = np.asarray(rows, dtype=np.intp)
+        self.ids = self.ids[rows]
+        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+        self.cross_kv = [(k[rows], v[rows]) for k, v in self.cross_kv]
+        if self.cross_mask is not None:
+            self.cross_mask = self.cross_mask[rows]
+
+
+def _encoder_side(enc_hidden, enc_mask, cfg: DecoderConfig) -> tuple[Tensor, np.ndarray]:
+    """Checked (B, T, d) encoder states and their additive (B, 1, 1, T) key mask."""
+    if not isinstance(enc_hidden, Tensor):
+        enc_hidden = Tensor(np.asarray(enc_hidden, dtype=np.float32))
+    if enc_hidden.data.ndim == 2:
+        enc_hidden = ad.reshape(enc_hidden, (1,) + enc_hidden.data.shape)
+    if enc_hidden.data.shape[-1] != cfg.d_model:
+        raise InitDimensionMismatch(
+            f"encoder width {enc_hidden.data.shape[-1]} != decoder d_model {cfg.d_model}")
+    enc_mask = np.atleast_2d(np.asarray(enc_mask))
+    if enc_mask.shape != enc_hidden.data.shape[:2]:
+        raise ShapeMismatch(
+            f"encoder mask {enc_mask.shape} vs hidden {enc_hidden.data.shape[:2]}")
+    return enc_hidden, expand_mask(enc_mask).reshape(enc_mask.shape[0], 1, 1, enc_mask.shape[1])
 
 
 def decoder_forward(
@@ -136,11 +210,23 @@ def decoder_forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     capture_cross: list | None = None,
+    cache: DecodeCache | None = None,
 ) -> Tensor:
-    """Teacher-forced forward pass: (B, n) label ids -> (B, n, V) logits.
+    """(B, n) label ids -> (B, n, V) logits, teacher-forced or incremental.
 
     ``enc_hidden`` may be a Tensor (joint training) or a plain array
     (precomputed states); ``enc_mask`` marks real encoder positions.
+
+    Without ``cache`` this is the teacher-forced pass over whole
+    sequences. With one, ``label_ids`` holds only the positions after
+    those the cache has consumed: they take the next position indices,
+    their self-attention reads the cached keys and values plus their own,
+    and the cache keeps them. Cross-attention keys and values are
+    projected from ``enc_hidden`` on the first call with a cache and read
+    from it afterwards, when ``enc_hidden`` and ``enc_mask`` are not read.
+    The self-attention key mask then comes from the consumed ids
+    (``!= PAD_ID``), so ``label_mask`` only has to match ``label_ids`` in
+    shape.
     """
     label_ids = np.atleast_2d(np.asarray(label_ids))
     label_mask = np.atleast_2d(np.asarray(label_mask))
@@ -148,36 +234,41 @@ def decoder_forward(
         raise ShapeMismatch(
             f"label ids {label_ids.shape} vs mask {label_mask.shape}")
     b, n = label_ids.shape
-    if n > cfg.max_positions:
-        raise ShapeMismatch(f"prefix length {n} exceeds max_positions {cfg.max_positions}")
-
-    if not isinstance(enc_hidden, Tensor):
-        enc_hidden = Tensor(np.asarray(enc_hidden, dtype=np.float32))
-    if enc_hidden.data.ndim == 2:
-        enc_hidden = ad.reshape(enc_hidden, (1,) + enc_hidden.data.shape)
-    if enc_hidden.data.shape[-1] != cfg.d_model:
-        raise InitDimensionMismatch(
-            f"encoder width {enc_hidden.data.shape[-1]} != decoder d_model {cfg.d_model}")
-    enc_mask = np.atleast_2d(np.asarray(enc_mask))
-    if enc_mask.shape != enc_hidden.data.shape[:2]:
+    offset = 0 if cache is None else cache.length
+    if offset + n > cfg.max_positions:
         raise ShapeMismatch(
-            f"encoder mask {enc_mask.shape} vs hidden {enc_hidden.data.shape[:2]}")
+            f"prefix length {offset + n} exceeds max_positions {cfg.max_positions}")
 
-    self_mask = self_attention_mask(label_mask)
-    cross_mask = expand_mask(enc_mask).reshape(enc_mask.shape[0], 1, 1, enc_mask.shape[1])
+    if cache is None:
+        enc_hidden, cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
+        self_mask = self_attention_mask(label_mask)
+    else:
+        if cache.cross_mask is None:  # first call: project the encoder side once
+            enc_hidden, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
+            for i in range(cfg.layers):
+                k, v = ad.kv_heads(enc_hidden, enc_hidden, cfg.heads,
+                                   _mha_params(params, f"l{i}.cross"))
+                cache.cross_kv.append((k.data, v.data))
+        cross_mask = cache.cross_mask
+        self_mask = self_attention_mask(cache.consume(label_ids) != PAD_ID, queries=n)
 
     le = ad.add(ad.embed(params["word_embed"], label_ids),
-                ad.embed(params["pos_embed"], np.arange(n)))
+                ad.embed(params["pos_embed"], np.arange(offset, offset + n)))
     le = ad.dropout(le, cfg.dropout, train_mode, rng)
     for i in range(cfg.layers):
-        att = ad.multi_head_attention(le, le, le, self_mask, cfg.heads,
-                                      _sub(params, f"l{i}.self"))
+        self_p, cross_p = _mha_params(params, f"l{i}.self"), _mha_params(params, f"l{i}.cross")
+        k, v = ad.kv_heads(le, le, cfg.heads, self_p)
+        if cache is not None:
+            k, v = cache.extend_self(i, k, v)
+        att = ad.attend(le, k, v, self_mask, cfg.heads, self_p)
         q = ad.layer_norm(ad.add(att, le),
                           params[f"l{i}.norm_q.g"], params[f"l{i}.norm_q.b"])
         q = ad.dropout(q, cfg.dropout, train_mode, rng)
-        cross = ad.multi_head_attention(q, enc_hidden, enc_hidden, cross_mask, cfg.heads,
-                                        _sub(params, f"l{i}.cross"),
-                                        capture=capture_cross)
+        if cache is None:
+            k, v = ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, cross_p)
+        else:
+            k, v = (Tensor(a) for a in cache.cross_kv[i])
+        cross = ad.attend(q, k, v, cross_mask, cfg.heads, cross_p, capture=capture_cross)
         x = ad.layer_norm(ad.add(q, ad.dropout(cross, cfg.dropout, train_mode, rng)),
                           params[f"l{i}.norm_c.g"], params[f"l{i}.norm_c.b"])
         ff = ad.linear(ad.gelu(ad.linear(x, params[f"l{i}.ff.w1"], params[f"l{i}.ff.b1"])),

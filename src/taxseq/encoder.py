@@ -128,10 +128,13 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
     return x.astype(np.float32)
 
 
+_MHA_WEIGHTS, _MHA_BIASES = ("wq", "wk", "wv", "wo"), ("bq", "bk", "bv", "bo")
+
+
 def _mha_init(rng, d: int, prefix: str, out: dict) -> None:
-    for part in ("wq", "wk", "wv", "wo"):
+    for part in _MHA_WEIGHTS:
         out[f"{prefix}.{part}"] = Parameter(trunc_normal(rng, (d, d)), name=f"{prefix}.{part}")
-    for part in ("bq", "bk", "bv", "bo"):
+    for part in _MHA_BIASES:
         out[f"{prefix}.{part}"] = Parameter(np.zeros(d, dtype=np.float32), name=f"{prefix}.{part}")
 
 
@@ -165,9 +168,9 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[st
     return params
 
 
-def _sub(params: dict[str, Parameter], prefix: str) -> dict[str, Parameter]:
-    n = len(prefix) + 1
-    return {k[n:]: v for k, v in params.items() if k.startswith(prefix + ".")}
+def _mha_params(params: dict[str, Parameter], prefix: str) -> dict[str, Parameter]:
+    """The attention block ``prefix``'s projections, keyed wq/bq ... wo/bo."""
+    return {part: params[f"{prefix}.{part}"] for part in _MHA_WEIGHTS + _MHA_BIASES}
 
 
 def expand_mask(mask: np.ndarray) -> np.ndarray:
@@ -199,7 +202,8 @@ def encode_tokens(
     x = ad.add(ad.embed(params["embed"], ids), ad.embed(params["pos_embed"], np.arange(t)))
     x = ad.dropout(x, cfg.dropout, train_mode, rng)
     for i in range(cfg.layers):
-        att = ad.multi_head_attention(x, x, x, key_mask, cfg.heads, _sub(params, f"l{i}.attn"))
+        att = ad.multi_head_attention(x, x, x, key_mask, cfg.heads,
+                                      _mha_params(params, f"l{i}.attn"))
         x = ad.layer_norm(ad.add(x, ad.dropout(att, cfg.dropout, train_mode, rng)),
                           params[f"l{i}.norm1.g"], params[f"l{i}.norm1.b"])
         ff = ad.linear(ad.gelu(ad.linear(x, params[f"l{i}.ff.w1"], params[f"l{i}.ff.b1"])),

@@ -1,9 +1,15 @@
-"""Greedy autoregressive generation of label sequences.
+"""Greedy and beam generation of label sequences.
 
-Decoding is cache-free: each step reruns the decoder over the whole
-prefix, so the logits used at step t always match a full forward pass
-truncated to t. Batched decoding stops per sample: finished rows emit PAD
-and take no further part in argmax selection.
+Decoding is incremental. Both searches advance through one step function,
+which feeds each row's newest token to ``ModelBundle.decoder_logits`` with
+a ``DecodeCache``: the cache holds the self-attention keys and values of
+every position consumed so far, plus cross-attention keys and values
+projected from the encoder states once, so a step computes one position
+per row and its logits match a teacher-forced pass truncated to that
+position, to float32 rounding. Batched greedy decoding stops per sample:
+a row that emits EOS leaves the batch, its cache rows with it. Beam search
+stacks its live beams into one batch and moves the cache rows to follow
+their parents after each selection.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .codec import BOS_ID, EOS_ID, PAD_ID, decode
+from .decoder import DecodeCache
 from .encoder import tokenize_text
 from .errors import ConfigError
 from .model import ModelBundle
@@ -35,44 +42,45 @@ class Prediction:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _enc_tensor(enc_hidden) -> ad.Tensor:
-    if isinstance(enc_hidden, ad.Tensor):
-        return enc_hidden
-    return ad.Tensor(np.asarray(enc_hidden, dtype=np.float32))
+def _step(bundle: ModelBundle, tokens: np.ndarray, enc_hidden, enc_mask,
+          cache: DecodeCache) -> np.ndarray:
+    """Feed one token per cached row -> (rows, V) next-token logits."""
+    ids = tokens[:, None]
+    logits = bundle.decoder_logits(ids, (ids != PAD_ID).astype(np.int8), enc_hidden,
+                                   enc_mask, train_mode=False, cache=cache)
+    return logits.data[:, -1, :]
 
 
 def greedy_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask) -> tuple[list[list[int]], list[bool]]:
     """Batched greedy decode -> (per-sample token ids BOS..EOS, hit-cap flags).
 
     Ties in the argmax resolve to the lowest token id. A sample is finished
-    once it emits EOS; finished samples keep emitting PAD internally, which
-    is stripped from the returned ids.
+    once it emits EOS and then leaves the batch. PAD tokens the model
+    emits stay in its prefix, masked as keys, and are stripped from the
+    returned ids.
     """
-    h = _enc_tensor(enc_hidden)
-    if h.data.ndim == 2:
-        h = ad.reshape(h, (1,) + h.data.shape)
-    enc_mask = np.atleast_2d(np.asarray(enc_mask))
-    b = h.data.shape[0]
+    b = np.atleast_2d(enc_mask).shape[0]
     cap = bundle.capacity
 
-    seq = np.full((b, 1), BOS_ID, dtype=np.int32)
-    finished = np.zeros(b, dtype=bool)
+    seq = np.full((b, cap), PAD_ID, dtype=np.int32)
+    seq[:, 0] = BOS_ID
+    live = np.arange(b)  # rows still generating; the cache holds these, in order
+    cache = DecodeCache()
     with ad.no_grad():
-        while seq.shape[1] < cap and not finished.all():
-            mask = (seq != PAD_ID).astype(np.int8)
-            logits = bundle.decoder_logits(seq, mask, h, enc_mask,
-                                           train_mode=False)
-            nxt = np.argmax(logits.data[:, -1, :], axis=-1).astype(np.int32)
-            nxt[finished] = PAD_ID
-            seq = np.concatenate([seq, nxt[:, None]], axis=1)
-            finished |= nxt == EOS_ID
+        for t in range(1, cap):
+            if live.size == 0:
+                break
+            nxt = np.argmax(_step(bundle, seq[live, t - 1], enc_hidden, enc_mask, cache), axis=-1)
+            seq[live, t] = nxt
+            going = nxt != EOS_ID
+            if not going.all():
+                live = live[going]
+                cache.select(np.flatnonzero(going))
 
-    out_ids, hit = [], []
-    for i in range(b):
-        row = [int(t) for t in seq[i] if t != PAD_ID]
-        out_ids.append(row)
-        hit.append(not finished[i])
-    return out_ids, hit
+    hit = np.zeros(b, dtype=bool)
+    hit[live] = True
+    out_ids = [[int(t) for t in row if t != PAD_ID] for row in seq]
+    return out_ids, hit.tolist()
 
 
 def _to_prediction(bundle: ModelBundle, sample_id: str, ids: list[int],
@@ -105,41 +113,41 @@ def beam_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask,
                     beam_width: int = 1) -> list[int]:
     """Length-normalized beam search over one sample; width 1 equals greedy.
 
+    The live beams run as one stacked batch through the same cached step
+    as greedy decoding, and after each selection the cache rows follow the
+    parents of the surviving beams. Each beam proposes its ``beam_width``
+    best tokens (float64 log-softmax, stable argsort); candidates rank by
+    log-probability over generated length, ties broken by their ids.
     Emitted PAD tokens are masked out of later steps and stripped from the
     returned ids, matching the greedy contract.
     """
     if beam_width < 1:
         raise ConfigError("beam_width must be >= 1")
-    h = _enc_tensor(enc_hidden)
-    if h.data.ndim == 2:
-        h = ad.reshape(h, (1,) + h.data.shape)
-    enc_mask = np.atleast_2d(np.asarray(enc_mask))
     cap = bundle.capacity
 
     beams: list[tuple[list[int], float]] = [([BOS_ID], 0.0)]
     done: list[tuple[list[int], float]] = []
+    cache = DecodeCache()
     with ad.no_grad():
         while beams and len(beams[0][0]) < cap:
-            candidates: list[tuple[list[int], float]] = []
-            for ids, score in beams:
-                seq = np.asarray([ids], dtype=np.int32)
-                logits = bundle.decoder_logits(
-                    seq, (seq != PAD_ID).astype(np.int8), h, enc_mask,
-                    train_mode=False)
-                row = logits.data[0, -1, :].astype(np.float64)
+            tokens = np.asarray([ids[-1] for ids, _ in beams], dtype=np.int32)
+            logits = _step(bundle, tokens, enc_hidden, enc_mask, cache).astype(np.float64)
+            candidates: list[tuple[list[int], float, int]] = []
+            for parent, ((ids, score), row) in enumerate(zip(beams, logits)):
                 logp = row - (np.log(np.sum(np.exp(row - row.max()))) + row.max())
                 order = np.argsort(-logp, kind="stable")[:beam_width]
                 for tok in order:
-                    candidates.append((ids + [int(tok)], score + float(logp[tok])))
+                    candidates.append((ids + [int(tok)], score + float(logp[tok]), parent))
             candidates.sort(key=lambda c: (-c[1] / (len(c[0]) - 1), c[0]))
-            beams = []
-            for ids, score in candidates[:beam_width]:
+            beams, parents = [], []
+            for ids, score, parent in candidates[:beam_width]:
                 if ids[-1] == EOS_ID:
                     done.append((ids, score))
                 else:
                     beams.append((ids, score))
-        for ids, score in beams:
-            done.append((ids, score))
+                    parents.append(parent)
+            cache.select(parents)
+        done.extend(beams)
     done.sort(key=lambda c: (-c[1] / max(len(c[0]) - 1, 1), c[0]))
     return [t for t in done[0][0] if t != PAD_ID]
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor
 from .codec import Ordering, SymbolicVocab, build_vocab
-from .decoder import DecoderConfig, decoder_forward, init_decoder_params
+from .decoder import DecodeCache, DecoderConfig, decoder_forward, init_decoder_params
 from .encoder import EncoderConfig, TextVocab, encode_tokens, init_encoder_params
 from .errors import ConfigError
 from .taxonomy import LabelHierarchy
@@ -95,7 +95,10 @@ class ModelBundle:
         return self.encode_batch(data.text_ids[idx], mask, train_mode, rng), mask
 
     def decoder_logits(self, label_ids, label_mask, enc_hidden, enc_mask,
-                       train_mode=False, rng=None, capture_cross=None) -> Tensor:
+                       train_mode=False, rng=None, capture_cross=None,
+                       cache: DecodeCache | None = None) -> Tensor:
+        """Decoder logits; with ``cache``, for the new positions only (see
+        ``decoder_forward``)."""
         return decoder_forward(label_ids, label_mask, enc_hidden, enc_mask,
                                self.dec_cfg, self.dec_params, train_mode, rng,
-                               capture_cross=capture_cross)
+                               capture_cross=capture_cross, cache=cache)

@@ -321,24 +321,47 @@ def save_checkpoint(out_dir, bundle: ModelBundle, train_state: dict | None = Non
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
-    """Rebuild a ModelBundle (and manifest) from a checkpoint directory."""
+    """Rebuild a ModelBundle (and manifest) from a checkpoint directory.
+
+    A manifest that is not JSON, lacks a key or carries a field the
+    configs do not know raises ``ConfigError``; a parameter whose recorded
+    shape or blob size differs from what the configs build raises
+    ``ShapeMismatch``. Both name the file.
+    """
     out = Path(ckpt_dir)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    if manifest.get("format") != 1:
-        raise ConfigError(f"{out}: unsupported checkpoint format {manifest.get('format')!r}")
-    h = LabelHierarchy.from_parts(manifest["taxonomy"]["labels"],
-                                  manifest["taxonomy"]["parents"])
-    enc_cfg = EncoderConfig(**manifest["enc_cfg"])
-    dec_cfg = DecoderConfig(**manifest["dec_cfg"])
-    text_vocab = (TextVocab.from_json(manifest["text_vocab"])
-                  if manifest.get("text_vocab") else None)
-    bundle = ModelBundle.build(
-        h, Ordering(manifest["ordering"]), manifest["capacity"],
-        enc_cfg, dec_cfg, seed=0, text_vocab=text_vocab)
-    if _vocab_hash(bundle) != manifest["vocab_hash"]:
+    mf = out / "manifest.json"
+    try:
+        manifest = json.loads(mf.read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"{mf}: not a JSON manifest ({e})") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != 1:
+        fmt = manifest.get("format") if isinstance(manifest, dict) else None
+        raise ConfigError(f"{out}: unsupported checkpoint format {fmt!r}")
+    try:
+        h = LabelHierarchy.from_parts(manifest["taxonomy"]["labels"],
+                                      manifest["taxonomy"]["parents"])
+        enc_cfg = EncoderConfig(**manifest["enc_cfg"])
+        dec_cfg = DecoderConfig(**manifest["dec_cfg"])
+        text_vocab = (TextVocab.from_json(manifest["text_vocab"])
+                      if manifest.get("text_vocab") else None)
+        ordering, capacity = Ordering(manifest["ordering"]), int(manifest["capacity"])
+        vocab_hash = manifest["vocab_hash"]
+        shapes = {k: tuple(v) for k, v in manifest["param_shapes"].items()}
+    except KeyError as e:
+        raise ConfigError(f"{mf}: missing key {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"{mf}: {e}") from None
+    bundle = ModelBundle.build(h, ordering, capacity, enc_cfg, dec_cfg, seed=0,
+                               text_vocab=text_vocab)
+    if _vocab_hash(bundle) != vocab_hash:
         raise ConfigError("checkpoint vocabulary does not match its taxonomy")
     for k, p in bundle.all_params().items():
-        p.data = _read_blob(out / "params" / f"{k}.bin", manifest["param_shapes"][k])
+        if k not in shapes:
+            raise ConfigError(f"{mf}: no shape recorded for parameter {k}")
+        if shapes[k] != p.data.shape:
+            raise ShapeMismatch(f"{mf}: parameter {k} has shape {shapes[k]}, "
+                                f"the configs give {p.data.shape}")
+        p.data = _read_blob(out / "params" / f"{k}.bin", p.data.shape)
     return bundle, manifest
 
 
@@ -420,6 +443,9 @@ def train(
 
     if resume is not None:
         loaded, manifest = load_checkpoint(resume)
+        if not manifest.get("train_state") or "optimizer" not in manifest:
+            raise ConfigError(f"{resume}: no training state to resume from; "
+                              "resume from a run's last/ checkpoint")
         for k, p in bundle.all_params().items():
             p.data = loaded.all_params()[k].data
         state = manifest["train_state"]

@@ -4,10 +4,13 @@ import configparser
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import taxseq
 from taxseq.cli import ABLATION_VARIANTS, main
 from taxseq.config import DEFAULTS, RunConfig
 from taxseq.errors import ConfigError
@@ -31,6 +34,16 @@ accumulation_steps = 1
 max_epochs = 2
 early_stop_patience = 100
 """
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with no thread-count variables set."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(taxseq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout.strip()
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +180,29 @@ class TestEvaluateCommand:
         assert err.startswith("error:") and "dec.out.b.bin" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: "{not json",
+        lambda m: {k: v for k, v in m.items() if k != "param_shapes"},
+        lambda m: {**m, "enc_cfg": {**m["enc_cfg"], "depth": 3}},
+        lambda m: {**m, "dec_cfg": {**m["dec_cfg"], "depth": 3}},
+        lambda m: {**m, "param_shapes": {
+            **m["param_shapes"],
+            "dec.l0.ff.w1": m["param_shapes"]["dec.l0.ff.w1"][::-1]}},
+    ], ids=["not-json", "missing-key", "unknown-enc-field", "unknown-dec-field",
+            "reversed-shape"])
+    def test_corrupt_manifest_exits_2(self, workdir, tmp_path, capsys, corrupt):
+        ck = tmp_path / "ck"
+        shutil.copytree(workdir["run"] / "best", ck)
+        mf = ck / "manifest.json"
+        bad = corrupt(json.loads(mf.read_text()))
+        mf.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        code = main(["evaluate", "--checkpoint", str(ck),
+                     "--data", str(workdir["data"])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "manifest.json" in err
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_exits_1(self, workdir, tmp_path, capsys):
         code = main(["evaluate", "--checkpoint", str(tmp_path / "nowhere"),
                      "--data", str(workdir["data"])])
@@ -271,6 +307,29 @@ class TestStatsAndGlobals:
                      "--data", str(workdir["data"])]) == 0
         capsys.readouterr()
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_cli_import_loads_no_numpy(self):
+        out = run_python("import sys, taxseq.cli\nprint('numpy' in sys.modules)")
+        assert out == "False"
+
+    def test_threads_flag_is_set_before_numpy_loads(self, workdir):
+        script = f"""
+import os, sys
+seen = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Watch())
+from taxseq.cli import main
+code = main(["--threads", "3", "stats", "--data", {str(workdir["data"])!r}])
+print(code, seen)
+"""
+        out = run_python(script)
+        assert out.splitlines()[-1] == "0 ['3']"
 
     def test_bad_override_exits_2(self, workdir, tmp_path, capsys):
         code = main(["train", "--data", str(workdir["data"]),

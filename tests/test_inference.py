@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from taxseq.autodiff import Tensor
+from taxseq.autodiff import Tensor, no_grad
 from taxseq.codec import BOS_ID, EOS_ID, PAD_ID, SEP_ID, Ordering, capacity_for
 from taxseq.corpus import Sample
-from taxseq.decoder import DecoderConfig
+from taxseq.decoder import DecodeCache, DecoderConfig
 from taxseq.encoder import EncoderConfig, TextVocab
-from taxseq.errors import ConfigError
+from taxseq.errors import ConfigError, ShapeMismatch
 from taxseq.inference import (Prediction, beam_decode_ids, greedy_decode,
                               greedy_decode_ids, predict_prepared,
                               predict_texts)
@@ -50,14 +50,19 @@ def rig_constant_logits(bundle, favored_id, margin=5.0):
 
 
 def script_decoder(bundle, table):
-    """Replace the decoder with a prefix->log-prob lookup table."""
+    """Replace the decoder step with a prefix->log-prob lookup table.
+
+    The prefix of each row is read from the ids the step's cache has
+    consumed, PADs stripped.
+    """
     vsize = bundle.vocab.size
 
     def fake_logits(label_ids, label_mask, enc_hidden, enc_mask,
-                    train_mode=False, rng=None, capture_cross=None):
+                    train_mode=False, rng=None, capture_cross=None, cache=None):
         label_ids = np.atleast_2d(label_ids)
+        consumed = cache.consume(label_ids)
         out = np.full((label_ids.shape[0], label_ids.shape[1], vsize), -30.0)
-        for i, row in enumerate(label_ids):
+        for i, row in enumerate(consumed):
             prefix = tuple(int(t) for t in row if t != PAD_ID)
             probs = np.full(vsize, 1e-9)
             for tok, p in table.get(prefix, {EOS_ID: 1.0}).items():
@@ -195,6 +200,92 @@ class TestBeam:
             assert ids[0] == BOS_ID and len(ids) <= bundle.capacity
         with pytest.raises(ConfigError):
             beam_decode_ids(bundle, hidden, mask, beam_width=0)
+
+
+def step_inputs(rng, bundle, b=3, t=5):
+    """Random full-length label rows with a PAD inside one prefix, plus
+    encoder states with padded positions in two rows."""
+    n = bundle.dec_cfg.max_positions
+    ids = rng.integers(0, bundle.vocab.size, size=(b, n)).astype(np.int32)
+    ids[:, 0] = BOS_ID
+    ids[1, 2] = PAD_ID
+    hidden = rng.standard_normal((b, t, 16)).astype(np.float32)
+    emask = np.ones((b, t), dtype=np.int8)
+    emask[0, 3:] = 0
+    emask[2, 1:] = 0
+    return ids, (ids != PAD_ID).astype(np.int8), hidden, emask
+
+
+def count_decoder_calls(bundle):
+    """Wrap ``decoder_logits`` to record the (rows, positions) of each call."""
+    calls = []
+    real = bundle.decoder_logits
+
+    def counting(label_ids, label_mask, *args, **kwargs):
+        calls.append(np.shape(label_ids))
+        return real(label_ids, label_mask, *args, **kwargs)
+
+    bundle.decoder_logits = counting
+    return calls
+
+
+class TestCachedStep:
+    def test_step_logits_equal_truncated_teacher_forced_pass(self, rng):
+        for seed in range(6):
+            bundle = tiny_bundle(seed=seed)
+            ids, mask, hidden, emask = step_inputs(rng, bundle)
+            cache = DecodeCache()
+            with no_grad():
+                for t in range(ids.shape[1]):
+                    step = bundle.decoder_logits(ids[:, t:t + 1], mask[:, t:t + 1],
+                                                 hidden, emask, cache=cache).data
+                    full = bundle.decoder_logits(ids[:, :t + 1], mask[:, :t + 1],
+                                                 hidden, emask).data
+                    np.testing.assert_allclose(step[:, 0], full[:, t], atol=1e-5,
+                                               err_msg=f"seed {seed} t {t}")
+            assert np.array_equal(cache.ids, ids)
+
+    def test_chunks_and_reordered_rows_match_teacher_forced_pass(self, rng):
+        bundle = tiny_bundle(seed=7)
+        ids, mask, hidden, emask = step_inputs(rng, bundle)
+        rows = np.array([2, 0, 0, 1])
+        with no_grad():
+            cache = DecodeCache()
+            first = bundle.decoder_logits(ids[:, :3], mask[:, :3], hidden, emask,
+                                          cache=cache).data
+            cache.select(rows)
+            rest = bundle.decoder_logits(ids[rows, 3:], mask[rows, 3:], hidden, emask,
+                                         cache=cache).data
+            full = bundle.decoder_logits(ids, mask, hidden, emask).data
+        np.testing.assert_allclose(first, full[:, :3], atol=1e-5)
+        np.testing.assert_allclose(rest, full[rows, 3:], atol=1e-5)
+
+    def test_cache_cannot_pass_max_positions(self, rng):
+        bundle = tiny_bundle()
+        ids, mask, hidden, emask = step_inputs(rng, bundle)
+        cache = DecodeCache()
+        with no_grad():
+            bundle.decoder_logits(ids, mask, hidden, emask, cache=cache)
+            with pytest.raises(ShapeMismatch):
+                bundle.decoder_logits(ids[:, :1], mask[:, :1], hidden, emask, cache=cache)
+
+    def test_greedy_passes_one_position_per_live_row(self, rng):
+        bundle = tiny_bundle(seed=3)
+        calls = count_decoder_calls(bundle)
+        hidden, mask = fake_encoding(rng, b=5)
+        ids, _ = greedy_decode_ids(bundle, hidden, mask)
+        assert calls[0] == (5, 1)
+        assert all(n == 1 and 1 <= rows <= 5 for rows, n in calls)
+        assert len(calls) == max(len(row) for row in ids) - 1
+
+    def test_beam_stacks_beams_one_position_each(self, rng):
+        bundle = tiny_bundle(seed=4)
+        calls = count_decoder_calls(bundle)
+        hidden, mask = fake_encoding(rng)
+        beam_decode_ids(bundle, hidden, mask, beam_width=3)
+        assert calls[0] == (1, 1)
+        assert all(n == 1 and 1 <= rows <= 3 for rows, n in calls)
+        assert max(rows for rows, _ in calls) == 3
 
 
 class TestEndToEnd:

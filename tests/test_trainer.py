@@ -470,6 +470,32 @@ class TestCheckpointing:
         with pytest.raises(ConfigError, match="format"):
             load_checkpoint(tmp_path / "ck")
 
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda m: "{not json", "not a JSON manifest"),
+        (lambda m: {k: v for k, v in m.items() if k != "param_shapes"}, "param_shapes"),
+        (lambda m: {**m, "enc_cfg": {**m["enc_cfg"], "depth": 3}}, "depth"),
+        (lambda m: {**m, "dec_cfg": {**m["dec_cfg"], "depth": 3}}, "depth"),
+    ], ids=["not-json", "missing-key", "unknown-enc-field", "unknown-dec-field"])
+    def test_corrupt_manifest_rejected(self, tmp_path, corrupt, match):
+        save_checkpoint(tmp_path / "ck", tiny_bundle())
+        mf = tmp_path / "ck" / "manifest.json"
+        bad = corrupt(json.loads(mf.read_text()))
+        mf.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        with pytest.raises(ConfigError, match=match) as info:
+            load_checkpoint(tmp_path / "ck")
+        assert "manifest.json" in str(info.value)
+
+    def test_reversed_param_shape_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", tiny_bundle())
+        mf = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(mf.read_text())
+        shape = manifest["param_shapes"]["dec.l0.ff.w1"]
+        manifest["param_shapes"]["dec.l0.ff.w1"] = shape[::-1]
+        mf.write_text(json.dumps(manifest))
+        with pytest.raises(ShapeMismatch, match="dec.l0.ff.w1") as info:
+            load_checkpoint(tmp_path / "ck")
+        assert "manifest.json" in str(info.value)
+
     def test_truncated_blobs_rejected(self, tmp_path):
         bundle = tiny_bundle(seed=2)
         data = prepare_data(bundle, SAMPLES, seed=0)
@@ -484,6 +510,14 @@ class TestCheckpointing:
         param.write_bytes(param.read_bytes()[:-4])
         with pytest.raises(ShapeMismatch, match="dec.out.b.bin"):
             load_checkpoint(last)
+
+    def test_resume_from_best_rejected(self, tmp_path):
+        bundle = tiny_bundle(seed=2)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        train(bundle, data, data, quick_cfg(max_epochs=1), out_dir=tmp_path / "run")
+        with pytest.raises(ConfigError, match="last"):
+            train(tiny_bundle(seed=2), data, data, quick_cfg(max_epochs=2),
+                  resume=tmp_path / "run" / "best")
 
     def test_corrupted_taxonomy_rejected(self, tmp_path):
         bundle = tiny_bundle()
