@@ -310,7 +310,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
+    """Matrix product over the last two axes; leading axes broadcast.
+
+    When ``b`` is a 2-d (d_in, d_out) matrix, as in every ``linear``, the
+    backward pass folds the leading axes of ``a`` into rows and runs two
+    plain GEMMs: ``a_rows.T @ g_rows`` for ``b``'s gradient and
+    ``g_rows @ b.T`` for ``a``'s; a batched product would build a
+    (B, d_in, d_out) gradient only to sum it over B. Batched operands
+    (attention's 4-d @ 4-d) keep the broadcast path, and so does the
+    forward pass, which measured slower flattened at the model's shapes.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeMismatch("matmul needs at least 2-d operands")
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -318,6 +327,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g, acc):
+        if b.data.ndim == 2:
+            d_in, d_out = b.data.shape
+            g2 = g.reshape(-1, d_out)
+            if a.requires_grad:
+                acc(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                acc(b, a.data.reshape(-1, d_in).T @ g2)
+            return
         ga = g @ b.data.swapaxes(-1, -2)
         gb = a.data.swapaxes(-1, -2) @ g
         acc(a, _unbroadcast(ga, a.data.shape))
@@ -362,16 +379,21 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift.
+
+    Row means are ``sum(axis=-1) * (1 / d)`` rather than ``mean``, whose
+    Python-level wrapper costs more than the reduction at these widths.
+    """
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeMismatch(f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
                             f"do not match feature dim {d}")
     if eps <= 0:
         raise InvalidProbability(f"layer_norm eps must be positive, got {eps}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    inv_d = 1.0 / d
+    mu = x.data.sum(axis=-1, keepdims=True) * inv_d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_d
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     out = y * gain.data + bias.data
@@ -381,8 +403,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         acc(bias, g.sum(axis=lead))
         acc(gain, (g * y).sum(axis=lead))
         gy = g * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * y).mean(axis=-1, keepdims=True)
+        m1 = gy.sum(axis=-1, keepdims=True) * inv_d
+        m2 = (gy * y).sum(axis=-1, keepdims=True) * inv_d
         acc(x, inv * (gy - m1 - y * m2))
 
     return _node(out, (x, gain, bias), bwd)
@@ -404,14 +426,20 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Smooth nonlinearity (tanh approximation)."""
-    u = _GELU_C * (x.data + 0.044715 * x.data ** 3)
+    """Smooth nonlinearity (tanh approximation).
+
+    The cube and the square are products (``v * v * v``, ``v * v``): a
+    float32 ``v ** 3`` goes through the generic ``pow`` loop, which is two
+    orders of magnitude slower.
+    """
+    v = x.data
+    u = _GELU_C * (v + 0.044715 * (v * v * v))
     th = np.tanh(u)
-    out = 0.5 * x.data * (1.0 + th)
+    out = 0.5 * v * (1.0 + th)
 
     def bwd(g, acc):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
-        acc(x, g * (0.5 * (1.0 + th) + 0.5 * x.data * (1.0 - th * th) * du))
+        du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
+        acc(x, g * (0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * du))
 
     return _node(out, (x,), bwd)
 

@@ -247,8 +247,20 @@ class PrecomputedStates:
         mf = root / cls.MANIFEST
         if not mf.exists():
             raise MissingPrecomputed(f"no manifest at {mf}")
-        meta = json.loads(mf.read_text(encoding="utf-8"))
-        return cls(root, int(meta["d_model"]), int(meta["max_len"]))
+        try:
+            meta = json.loads(mf.read_text(encoding="utf-8"))
+            d_model, max_len = meta["d_model"], meta["max_len"]
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise MissingPrecomputed(f"{mf}: not a JSON manifest ({e})") from None
+        except KeyError as e:
+            raise MissingPrecomputed(f"{mf}: missing key {e}") from None
+        except TypeError:
+            raise MissingPrecomputed(f"{mf}: manifest is not a JSON object") from None
+        for key, value in (("d_model", d_model), ("max_len", max_len)):
+            if type(value) is not int or value < 1:
+                raise MissingPrecomputed(
+                    f"{mf}: {key} must be a positive integer, got {value!r}")
+        return cls(root, d_model, max_len)
 
     def _path(self, sample_id: str) -> Path:
         if sample_id in ("", ".", "..") or any(

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
 import time
+import uuid
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -286,9 +289,32 @@ def _vocab_hash(bundle: ModelBundle) -> str:
 
 def save_checkpoint(out_dir, bundle: ModelBundle, train_state: dict | None = None,
                     optimizer: AdamW | None = None) -> Path:
-    """Write a self-contained checkpoint directory."""
+    """Write a self-contained checkpoint directory, atomically.
+
+    The files go to a sibling temporary directory that then takes
+    ``out_dir``'s place by ``os.replace``; an existing ``out_dir`` is moved
+    aside first and deleted after the swap. A write that fails part way
+    leaves the previous checkpoint as it was.
+    """
     out = Path(out_dir)
-    (out / "params").mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        _write_checkpoint(tmp, bundle, train_state, optimizer)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    old = tmp.with_suffix(".old")
+    if out.exists():
+        os.replace(out, old)
+    os.replace(tmp, out)
+    shutil.rmtree(old, ignore_errors=True)
+    return out
+
+
+def _write_checkpoint(out: Path, bundle: ModelBundle, train_state: dict | None,
+                      optimizer: AdamW | None) -> None:
+    (out / "params").mkdir(parents=True)
     params = bundle.all_params()
     manifest = {
         "format": 1,
@@ -317,7 +343,6 @@ def save_checkpoint(out_dir, bundle: ModelBundle, train_state: dict | None = Non
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
     for k, p in params.items():
         (out / "params" / f"{k}.bin").write_bytes(p.data.astype("<f4").tobytes())
-    return out
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
@@ -420,6 +445,11 @@ def train(
     ``on_epoch_end(epoch, row, bundle)`` may return True to request a stop
     after the current epoch. With ``resume`` pointing at a ``last``
     checkpoint directory the run continues exactly where it left off.
+
+    Each history row (also appended to ``train_log.jsonl``) carries
+    ``grad_norm``, the mean over the epoch's windows of the gradient norm
+    taken before the optimizer step, and ``docs_per_s``, training documents
+    over the time spent in the windows, evaluation and checkpoints excluded.
     """
     if train_data.n == 0:
         raise EmptyCorpus("empty training split")
@@ -434,6 +464,7 @@ def train(
     opt = AdamW(cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
     opt.add_group("enc", dict(bundle.enc_params), cfg.lr_encoder)
     opt.add_group("dec", dict(bundle.dec_params), cfg.lr_decoder)
+    params = bundle.all_params()
 
     rng = np.random.default_rng(cfg.seed)
     history: list[dict] = []
@@ -462,10 +493,11 @@ def train(
     epoch = start_epoch - 1
 
     for epoch in range(start_epoch, cfg.max_epochs + 1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         frozen_now = opt.group("enc")["frozen"]
         perm = rng.permutation(train_data.n)
         window_losses: list[float] = []
+        window_norms: list[float] = []
         pieces = []
         n_micros = int(np.ceil(train_data.n / cfg.micro_batch))
         for w in range(n_micros):
@@ -481,20 +513,24 @@ def train(
                         f"lr_enc={opt.group('enc')['lr']:g}, "
                         f"lr_dec={opt.group('dec')['lr']:g}")
                 ad.backward(loss)
+                window_norms.append(grad_norm(params))
                 opt.step()
                 opt.zero_grad()
                 window_losses.append(value)
                 pieces = []
+        train_s = time.perf_counter() - t0
 
         val_loss = evaluate_epoch(bundle, dev_data, val_cfg, cfg.micro_batch)
         row = {
             "epoch": epoch,
             "train_loss": float(np.mean(window_losses)),
             "val_loss": val_loss,
+            "grad_norm": float(np.mean(window_norms)),
             "lr_enc": opt.group("enc")["lr"],
             "lr_dec": opt.group("dec")["lr"],
             "frozen": bool(frozen_now),
-            "wall_time": time.time() - t0,
+            "docs_per_s": train_data.n / train_s,
+            "wall_time": time.perf_counter() - t0,
         }
         history.append(row)
         if log_path is not None:

@@ -104,6 +104,43 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom))
 
 
+def layer_norm_reference(x, gain, bias, eps, upstream):
+    """Row-by-row layer norm in float64 with its gradients under ``upstream``.
+
+    Returns (out, grad_x, grad_gain, grad_bias). The input gradient goes
+    through the explicit Jacobian of the normalized row,
+    dy_j/dx_i = (delta_ij - 1/d)/s - (x_j - mu)(x_i - mu)/(d s^3).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[-1]
+    rows = x.reshape(-1, d)
+    ups = np.asarray(upstream, dtype=np.float64).reshape(-1, d)
+    gain = [float(v) for v in gain]
+    bias = [float(v) for v in bias]
+    out = np.zeros_like(rows)
+    gx = np.zeros_like(rows)
+    ggain = np.zeros(d)
+    gbias = np.zeros(d)
+    for r in range(rows.shape[0]):
+        row = [float(v) for v in rows[r]]
+        mu = sum(row) / d
+        var = sum((v - mu) ** 2 for v in row) / d
+        s = (var + eps) ** 0.5
+        y = [(v - mu) / s for v in row]
+        for j in range(d):
+            out[r, j] = y[j] * gain[j] + bias[j]
+            ggain[j] += ups[r, j] * y[j]
+            gbias[j] += ups[r, j]
+        for i in range(d):
+            total = 0.0
+            for j in range(d):
+                dy = ((1.0 if i == j else 0.0) - 1.0 / d) / s \
+                    - (row[j] - mu) * (row[i] - mu) / (d * s ** 3)
+                total += ups[r, j] * gain[j] * dy
+            gx[r, i] = total
+    return out.reshape(x.shape), gx.reshape(x.shape), ggain, gbias
+
+
 def adamw_reference_steps(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
     """Hand-stepped scalar update recurrence for a few steps."""
     x = float(x0)

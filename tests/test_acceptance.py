@@ -529,8 +529,8 @@ def test_criterion_08_training_mechanics(tmp_path, monkeypatch):
     res_bundle, res_hist = run_resume(2)
     fp, rp = full_bundle.all_params(), res_bundle.all_params()
     assert all(np.array_equal(fp[n].data, rp[n].data) for n in fp)
-    strip = lambda h: [{k: v for k, v in row.items() if k != "wall_time"}
-                       for row in h]
+    strip = lambda h: [{k: v for k, v in row.items()
+                        if k not in ("wall_time", "docs_per_s")} for row in h]
     # resumed history carries the restored head rows, so both span epochs 1-4
     assert strip(full_hist) == strip(res_hist)
     print(f"criterion 8 PASS: accumulation max|delta| {worst:.2e}; freeze at "

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import fd_gradient, relative_error
+from oracles import fd_gradient, layer_norm_reference, relative_error
 
 from taxseq import autodiff as ad
 from taxseq.autodiff import Parameter, Tensor, backward, no_grad
@@ -86,6 +86,71 @@ class TestElementwiseGrads:
                              "g": 1 + 0.1 * arr(rng, 6),
                              "b": 0.1 * arr(rng, 6)})
         assert got < TOL
+
+
+class TestKernelReferences:
+    """gelu, layer_norm and the 2-d-weight matmul backward against
+    formula-level references."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2d", "3d", "4d"])
+    def test_matmul_2d_weight_gradcheck(self, rng, lead):
+        w_out = arr(rng, *lead, 4, 3)
+        fn = lambda t: ad.tsum(ad.mul(ad.matmul(t["a"], t["w"]), Tensor(w_out)))
+        assert gradcheck(fn, {"a": arr(rng, *lead, 4, 5), "w": arr(rng, 5, 3)}) < TOL
+        fn_lin = lambda t: ad.tsum(ad.mul(ad.linear(t["a"], t["w"], t["b"]),
+                                          Tensor(w_out)))
+        assert gradcheck(fn_lin, {"a": arr(rng, *lead, 4, 5), "w": arr(rng, 5, 3),
+                                  "b": arr(rng, 3)}) < TOL
+
+    def test_matmul_2d_weight_constant_input(self, rng):
+        a = Tensor(arr(rng, 2, 3, 4, 5))
+        w = Tensor(arr(rng, 5, 3), requires_grad=True)
+        backward(ad.tsum(ad.power(ad.matmul(a, w), 2.0)))
+        assert a.grad is None
+        numeric = fd_gradient(
+            lambda v: float(((a.data @ v) ** 2).sum()), w.data.copy())
+        assert relative_error(w.grad, numeric) < TOL
+
+    def test_matmul_batched_3d_keeps_broadcast_path(self, rng):
+        fn = lambda t: ad.tsum(ad.power(ad.matmul(t["a"], t["b"]), 2.0))
+        assert gradcheck(fn, {"a": arr(rng, 3, 2, 4), "b": arr(rng, 3, 4, 5)}) < TOL
+        assert gradcheck(fn, {"a": arr(rng, 3, 2, 4), "b": arr(rng, 1, 4, 5)}) < TOL
+
+    def test_gelu_matches_cube_formula_float32(self, rng):
+        x = np.concatenate([np.linspace(-60.0, 60.0, 4001),
+                            [-1e4, -1e3, -10.5, 10.5, 1e3, 1e4]]).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        t = Tensor(x, requires_grad=True)
+        out = ad.gelu(t)
+        backward(ad.tsum(ad.mul_const(out, g)))
+        assert out.data.dtype == np.float32 and t.grad.dtype == np.float32
+        # the formula with a float64 power: u = c (x + 0.044715 x**3)
+        x64 = x.astype(np.float64)
+        c = np.sqrt(2.0 / np.pi)
+        th = np.tanh(c * (x64 + 0.044715 * x64 ** 3))
+        want = 0.5 * x64 * (1.0 + th)
+        dwant = 0.5 * (1.0 + th) + 0.5 * x64 * (1.0 - th ** 2) * c * (
+            1.0 + 3 * 0.044715 * x64 ** 2)
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(t.grad, g * dwant, rtol=1e-5, atol=1e-5)
+        big = np.abs(x) > 10
+        assert big.sum() > 1000
+        np.testing.assert_allclose(out.data[big], np.maximum(x[big], 0), rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 2e-5)])
+    @pytest.mark.parametrize("d", [12, 64])
+    def test_layer_norm_matches_oracle(self, rng, dtype, tol, d):
+        x = (3 * arr(rng, 2, 5, d) + 1.5).astype(dtype)
+        gain = (1 + 0.2 * arr(rng, d)).astype(dtype)
+        bias = (0.3 * arr(rng, d)).astype(dtype)
+        up = arr(rng, 2, 5, d).astype(dtype)
+        tx, tg, tb = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
+        out = ad.layer_norm(tx, tg, tb)
+        backward(ad.tsum(ad.mul_const(out, up)))
+        want, gx, gg, gb = layer_norm_reference(x, gain, bias, 1e-5, up)
+        for got, ref in ((out.data, want), (tx.grad, gx), (tg.grad, gg), (tb.grad, gb)):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, ref, rtol=tol, atol=tol)
 
 
 class TestShapeOpGrads:

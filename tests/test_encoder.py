@@ -185,6 +185,18 @@ class TestPrecomputedStates:
         with pytest.raises(ShapeMismatch):
             store.read("bad")
 
+    @pytest.mark.parametrize("text, match", [
+        ('{"d_model": 4, "max_len"', "not a JSON manifest"),
+        ('{"d_model": 4}', "missing key 'max_len'"),
+        ('{"d_model": 4, "max_len": 2.5}', "max_len must be a positive integer"),
+    ], ids=["not-json", "missing-key", "non-integer"])
+    def test_corrupt_manifest(self, tmp_path, text, match):
+        PrecomputedStates.create(tmp_path / "enc", d_model=4, max_len=2)
+        (tmp_path / "enc" / "manifest.json").write_text(text, encoding="utf-8")
+        with pytest.raises(MissingPrecomputed, match=match) as info:
+            PrecomputedStates.open(tmp_path / "enc")
+        assert "manifest.json" in str(info.value)
+
     @pytest.mark.parametrize("bad_id", ["../x", "", ".", "..", "sub/x", "/abs"])
     def test_ids_stay_under_the_root(self, tmp_path, bad_id):
         store = PrecomputedStates.create(tmp_path / "enc", d_model=4, max_len=2)

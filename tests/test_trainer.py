@@ -373,10 +373,32 @@ class TestTrainLoop:
                 (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()]
         assert len(rows) == 2
         for row in rows:
-            assert set(row) == {"epoch", "train_loss", "val_loss", "lr_enc",
-                                "lr_dec", "frozen", "wall_time"}
+            assert set(row) == {"epoch", "train_loss", "val_loss", "grad_norm",
+                                "lr_enc", "lr_dec", "frozen", "docs_per_s",
+                                "wall_time"}
         assert rows[0]["epoch"] == 1 and rows[1]["epoch"] == 2
         assert result.best_dir.exists() and result.last_dir.exists()
+
+    def test_grad_norm_and_docs_per_s_logged(self, tmp_path, monkeypatch):
+        norms = []
+        real = tr.grad_norm
+
+        def recording_norm(params):
+            norms.append(real(params))
+            return norms[-1]
+
+        monkeypatch.setattr(tr, "grad_norm", recording_norm)
+        bundle = tiny_bundle()
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        result = train(bundle, data, data, quick_cfg(max_epochs=1),
+                       out_dir=tmp_path / "run")
+        logged = json.loads((tmp_path / "run" / "train_log.jsonl").read_text())
+        for row in (logged, result.history[0]):
+            for key in ("grad_norm", "docs_per_s"):
+                assert np.isfinite(row[key]) and row[key] > 0, (key, row)
+        # two windows of 4 docs, each norm taken while the grads are present
+        assert len(norms) == 2 and min(norms) > 0
+        assert logged["grad_norm"] == pytest.approx(np.mean(norms), rel=1e-12)
 
     def test_non_finite_loss_raises_with_rates(self):
         bundle = tiny_bundle()
@@ -548,12 +570,69 @@ class TestCheckpointing:
         for k, p in full_bundle.all_params().items():
             assert np.array_equal(p.data, resumed_bundle.all_params()[k].data), k
         for a, b in zip(full.history, resumed.history):
-            for key in ("epoch", "train_loss", "val_loss", "lr_enc", "lr_dec",
-                        "frozen"):
+            for key in ("epoch", "train_loss", "val_loss", "grad_norm", "lr_enc",
+                        "lr_dec", "frozen"):
                 assert a[key] == b[key]
         # the halves really differ from the full run midway
         assert part.history[-1]["epoch"] == 2
         assert full.history[2]["train_loss"] != part.history[-1]["train_loss"]
+
+    def test_failed_save_keeps_previous_last(self, tmp_path, monkeypatch):
+        def run(epochs, out=None, resume=None):
+            bundle = tiny_bundle(seed=11, dropout=0.1)
+            data = prepare_data(bundle, SAMPLES, seed=0)
+            cfg = quick_cfg(max_epochs=epochs, seed=6, micro_batch=2)
+            return bundle, train(bundle, data, data, cfg, out_dir=out,
+                                 resume=resume)
+
+        full_bundle, full = run(4)
+        out = tmp_path / "run"
+        run(2, out)
+        before = {f.relative_to(out / "last"): f.read_bytes()
+                  for f in (out / "last").rglob("*") if f.is_file()}
+
+        # epoch 3's save of last/ fails after a few of its blobs are written
+        real_write = type(out).write_bytes
+        written = []
+
+        def failing_write(path, data):
+            if path.parent.parent.name.startswith(".last."):
+                written.append(path)
+                if len(written) == 5:
+                    raise OSError("disk full")
+            return real_write(path, data)
+
+        monkeypatch.setattr(type(out), "write_bytes", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            run(4, out, resume=out / "last")
+        monkeypatch.undo()
+
+        assert len(written) == 5
+        after = {f.relative_to(out / "last"): f.read_bytes()
+                 for f in (out / "last").rglob("*") if f.is_file()}
+        assert after == before
+        assert sorted(p.name for p in out.iterdir()) == ["best", "last",
+                                                         "train_log.jsonl"]
+        _, manifest = load_checkpoint(out / "last")
+        assert manifest["train_state"]["epoch"] == 2
+
+        resumed_bundle, resumed = run(4, tmp_path / "cont", resume=out / "last")
+        for k, p in full_bundle.all_params().items():
+            assert np.array_equal(p.data, resumed_bundle.all_params()[k].data), k
+        strip = lambda h: [{k: v for k, v in row.items()
+                            if k not in ("wall_time", "docs_per_s")} for row in h]
+        assert strip(full.history) == strip(resumed.history)
+
+    def test_save_replaces_existing_directory(self, tmp_path):
+        bundle = tiny_bundle()
+        (tmp_path / "ck").mkdir()
+        (tmp_path / "ck" / "stale.bin").write_bytes(b"x")
+        assert save_checkpoint(tmp_path / "ck", bundle) == tmp_path / "ck"
+        assert not (tmp_path / "ck" / "stale.bin").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        for k, p in bundle.all_params().items():
+            assert np.array_equal(p.data, loaded.all_params()[k].data), k
 
     def test_resume_restores_optimizer_moments(self, tmp_path):
         bundle = tiny_bundle(seed=1)
