@@ -96,22 +96,15 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -(other if isinstance(other, Tensor) else Tensor(other)))
-
 
 class Parameter(Tensor):
     """Trainable leaf tensor with a name for checkpointing."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str = "", trainable: bool = True):
+    def __init__(self, data, name: str = ""):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.trainable = trainable
 
 
 def _node(data, parents: Sequence[Tensor], backward: Callable) -> Tensor:
@@ -478,8 +471,10 @@ def scaled_dot_attention(
 
     ``mask`` is additive (0 = allowed, large negative = disallowed) and must
     broadcast to the score shape. Rows with every position disallowed
-    produce zero output; when ``capture`` is given, a record with the
-    attention probabilities and the count of such rows is appended.
+    produce zero output; they are found on the mask as given, so a mask
+    shared by every head is scanned once. When ``capture`` is given, a
+    record with the attention probabilities and the count of such rows
+    over the full score shape (heads included) is appended.
     """
     if q.data.shape[-1] != k.data.shape[-1]:
         raise ShapeMismatch(f"query dim {q.data.shape} vs key dim {k.data.shape}")
@@ -492,8 +487,7 @@ def scaled_dot_attention(
     if mask is not None:
         mask = np.asarray(mask, dtype=scores.data.dtype)
         scores = add_const(scores, mask)
-        allowed = np.broadcast_to(mask > NEG_INF / 2, scores.data.shape)
-        blocked = ~allowed.any(axis=-1, keepdims=True)
+        blocked = ~(mask > NEG_INF / 2).any(axis=-1, keepdims=True)
         if blocked.any():
             all_masked = blocked
     probs = softmax(scores, axis=-1)
@@ -502,7 +496,8 @@ def scaled_dot_attention(
     if capture is not None:
         capture.append({
             "probs": probs.data.copy(),
-            "all_masked_rows": 0 if all_masked is None else int(all_masked.sum()),
+            "all_masked_rows": 0 if all_masked is None else int(
+                np.broadcast_to(all_masked, scores.data.shape[:-1] + (1,)).sum()),
         })
     return matmul(probs, v)
 

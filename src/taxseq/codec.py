@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityExceeded, MalformedLine, UnknownLabel
+from .errors import CapacityExceeded, ConfigError, UnknownLabel
 from .taxonomy import LabelHierarchy
 
 BOS_ID, EOS_ID, PAD_ID, SEP_ID = 0, 1, 2, 3
@@ -40,11 +39,11 @@ class Ordering(str, enum.Enum):
 
     @classmethod
     def from_string(cls, s: str) -> "Ordering":
-        for member in cls:
-            if member.value == s:
-                return member
-        raise ValueError(f"unknown ordering {s!r}; expected one of "
-                         f"{[m.value for m in cls]}")
+        try:
+            return cls(s)
+        except ValueError:
+            raise ConfigError(f"unknown ordering {s!r}; expected one of "
+                              f"{[m.value for m in cls]}") from None
 
 
 class SymbolicVocab:
@@ -90,27 +89,6 @@ class SymbolicVocab:
 def build_vocab(h: LabelHierarchy) -> SymbolicVocab:
     """Deterministic vocabulary over a hierarchy's stable label enumeration."""
     return SymbolicVocab(h)
-
-
-def write_label_map(vocab: SymbolicVocab, path: str | Path) -> None:
-    """Emit the symbolic -> original name map, one pair per line."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for sym in sorted(vocab.original_of, key=lambda s: vocab.label_to_id[s]):
-            fh.write(f"{sym}\t{vocab.original_of[sym]}\n")
-
-
-def read_label_map(path: str | Path) -> dict[str, str]:
-    out = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise MalformedLine(f"{path}:{n}: expected 'symbolic<TAB>original'")
-            out[parts[0]] = parts[1]
-    return out
 
 
 @dataclass

@@ -3,14 +3,18 @@
 Each layer runs masked self-attention over the label prefix, normalizes
 the residual sum, then feeds that as the query of a cross-attention block
 over the encoder states (keys and values), followed by a feedforward
-sublayer. Normalization is applied after each residual sum and dropout is
-applied to every sublayer output before it joins the residual stream. A
-final linear projection produces logits over the label token vocabulary.
+sublayer. Normalization is applied after each residual sum. Dropout hits
+the summed input embeddings, the normalized self-attention block
+``LN(att + le)`` that becomes the cross-attention query, and the
+cross-attention and feedforward outputs before they join the residual
+stream. A final linear projection produces logits over the label token
+vocabulary.
 
-Training runs the whole label sequence at once (teacher forcing).
-Inference runs the same layers one step at a time over a ``DecodeCache``,
-which keeps the keys and values of the positions already consumed and
-the cross-attention keys and values of the encoder states.
+``decoder_forward`` has one path, over a ``DecodeCache`` that keeps the
+keys and values of the positions already consumed and the cross-attention
+keys and values of the encoder states. Training is the first call on a
+fresh cache with the whole label sequence (teacher forcing); inference
+makes later calls on the same cache, one step at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .codec import PAD_ID, SymbolicVocab
+from .codec import SymbolicVocab
 from .encoder import _ffn_init, _mha_init, _mha_params, _norm_init, expand_mask, trunc_normal
 from .errors import ConfigError, InitDimensionMismatch, ShapeMismatch
 
@@ -137,49 +141,54 @@ def self_attention_mask(label_mask: np.ndarray, queries: int | None = None) -> n
 
 
 class DecodeCache:
-    """What incremental decoding keeps between calls; inference only.
+    """What the decoder keeps between calls on the same rows.
 
-    ``ids`` are the label ids consumed so far, (B, t). Per layer,
-    ``self_kv`` holds the split-head self-attention keys and values of
-    those t positions, and ``cross_kv`` the ones projected from the
-    encoder states on the first call; ``cross_mask`` is the additive
-    encoder key mask. All are plain arrays with the batch on axis 0, so
-    nothing here is on the tape.
+    ``ids`` and ``key_mask`` are the label ids consumed so far and their
+    ``label_mask != 0``, (B, t). Per layer, ``self_kv`` holds the
+    split-head self-attention keys and values of those t positions, and
+    ``cross_kv`` the ones projected from the encoder states on the first
+    call; ``cross_mask`` is the additive encoder key mask. The first call
+    keeps the tape tensors it built, so a teacher-forced pass (one call on
+    a fresh cache) keeps its graph; later calls append plain arrays.
     """
 
     def __init__(self):
         self.ids: np.ndarray | None = None
-        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.key_mask: np.ndarray | None = None
+        self.self_kv: list[tuple[Tensor, Tensor]] = []
+        self.cross_kv: list[tuple[Tensor, Tensor]] = []
         self.cross_mask: np.ndarray | None = None
 
     @property
     def length(self) -> int:
         return 0 if self.ids is None else self.ids.shape[1]
 
-    def consume(self, label_ids: np.ndarray) -> np.ndarray:
-        """Append (B, n) new ids and return every id consumed so far."""
-        label_ids = np.atleast_2d(np.asarray(label_ids))
-        self.ids = (label_ids.copy() if self.ids is None
-                    else np.concatenate([self.ids, label_ids], axis=1))
-        return self.ids
+    def consume(self, label_ids: np.ndarray, label_mask: np.ndarray) -> np.ndarray:
+        """Append (B, n) new ids and their mask; return every consumed key's mask."""
+        if self.ids is None:
+            self.ids, self.key_mask = label_ids.copy(), label_mask != 0
+        else:
+            self.ids = np.concatenate([self.ids, label_ids], axis=1)
+            self.key_mask = np.concatenate([self.key_mask, label_mask != 0], axis=1)
+        return self.key_mask
 
     def extend_self(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Append new positions' keys and values to a layer's; return all."""
         if layer == len(self.self_kv):
-            self.self_kv.append((k.data, v.data))
-            return k, v
-        pk, pv = self.self_kv[layer]
-        self.self_kv[layer] = (np.concatenate([pk, k.data], axis=2),
-                               np.concatenate([pv, v.data], axis=2))
-        return Tensor(self.self_kv[layer][0]), Tensor(self.self_kv[layer][1])
+            self.self_kv.append((k, v))
+        else:
+            pk, pv = self.self_kv[layer]
+            self.self_kv[layer] = (Tensor(np.concatenate([pk.data, k.data], axis=2)),
+                                   Tensor(np.concatenate([pv.data, v.data], axis=2)))
+        return self.self_kv[layer]
 
     def select(self, rows) -> None:
         """Keep batch rows ``rows``, in that order; a row may repeat."""
         rows = np.asarray(rows, dtype=np.intp)
         self.ids = self.ids[rows]
-        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
-        self.cross_kv = [(k[rows], v[rows]) for k, v in self.cross_kv]
+        self.key_mask = self.key_mask[rows]
+        self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv]
+        self.cross_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.cross_kv]
         if self.cross_mask is not None:
             self.cross_mask = self.cross_mask[rows]
 
@@ -212,63 +221,54 @@ def decoder_forward(
     capture_cross: list | None = None,
     cache: DecodeCache | None = None,
 ) -> Tensor:
-    """(B, n) label ids -> (B, n, V) logits, teacher-forced or incremental.
+    """(B, n) label ids -> (B, n, V) logits, over one path.
 
     ``enc_hidden`` may be a Tensor (joint training) or a plain array
     (precomputed states); ``enc_mask`` marks real encoder positions.
 
-    Without ``cache`` this is the teacher-forced pass over whole
-    sequences. With one, ``label_ids`` holds only the positions after
-    those the cache has consumed: they take the next position indices,
+    ``label_ids`` are the positions after those ``cache`` has consumed:
     their self-attention reads the cached keys and values plus their own,
-    and the cache keeps them. Cross-attention keys and values are
-    projected from ``enc_hidden`` on the first call with a cache and read
-    from it afterwards, when ``enc_hidden`` and ``enc_mask`` are not read.
-    The self-attention key mask then comes from the consumed ids
-    (``!= PAD_ID``), so ``label_mask`` only has to match ``label_ids`` in
-    shape.
+    keys masked by every consumed ``label_mask``, and the cache keeps them.
+    The first call on a cache projects the cross-attention keys and values
+    from ``enc_hidden``; later calls ignore ``enc_hidden`` and ``enc_mask``.
+    Without ``cache`` the call runs on a fresh one: the teacher-forced pass,
+    gradients included. Later calls on a kept cache (incremental decoding)
+    run under ``no_grad``, as the keys and values they append are plain
+    arrays.
     """
     label_ids = np.atleast_2d(np.asarray(label_ids))
     label_mask = np.atleast_2d(np.asarray(label_mask))
     if label_ids.shape != label_mask.shape:
         raise ShapeMismatch(
             f"label ids {label_ids.shape} vs mask {label_mask.shape}")
-    b, n = label_ids.shape
-    offset = 0 if cache is None else cache.length
+    if cache is None:
+        cache = DecodeCache()
+    n = label_ids.shape[1]
+    offset = cache.length
     if offset + n > cfg.max_positions:
         raise ShapeMismatch(
             f"prefix length {offset + n} exceeds max_positions {cfg.max_positions}")
 
-    if cache is None:
-        enc_hidden, cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
-        self_mask = self_attention_mask(label_mask)
-    else:
-        if cache.cross_mask is None:  # first call: project the encoder side once
-            enc_hidden, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
-            for i in range(cfg.layers):
-                k, v = ad.kv_heads(enc_hidden, enc_hidden, cfg.heads,
-                                   _mha_params(params, f"l{i}.cross"))
-                cache.cross_kv.append((k.data, v.data))
-        cross_mask = cache.cross_mask
-        self_mask = self_attention_mask(cache.consume(label_ids) != PAD_ID, queries=n)
+    if cache.cross_mask is None:  # first call: project the encoder side once
+        enc_hidden, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
+        cache.cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads,
+                                      _mha_params(params, f"l{i}.cross"))
+                          for i in range(cfg.layers)]
+    self_mask = self_attention_mask(cache.consume(label_ids, label_mask), queries=n)
 
     le = ad.add(ad.embed(params["word_embed"], label_ids),
                 ad.embed(params["pos_embed"], np.arange(offset, offset + n)))
     le = ad.dropout(le, cfg.dropout, train_mode, rng)
     for i in range(cfg.layers):
-        self_p, cross_p = _mha_params(params, f"l{i}.self"), _mha_params(params, f"l{i}.cross")
-        k, v = ad.kv_heads(le, le, cfg.heads, self_p)
-        if cache is not None:
-            k, v = cache.extend_self(i, k, v)
+        self_p = _mha_params(params, f"l{i}.self")
+        k, v = cache.extend_self(i, *ad.kv_heads(le, le, cfg.heads, self_p))
         att = ad.attend(le, k, v, self_mask, cfg.heads, self_p)
         q = ad.layer_norm(ad.add(att, le),
                           params[f"l{i}.norm_q.g"], params[f"l{i}.norm_q.b"])
         q = ad.dropout(q, cfg.dropout, train_mode, rng)
-        if cache is None:
-            k, v = ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, cross_p)
-        else:
-            k, v = (Tensor(a) for a in cache.cross_kv[i])
-        cross = ad.attend(q, k, v, cross_mask, cfg.heads, cross_p, capture=capture_cross)
+        k, v = cache.cross_kv[i]
+        cross = ad.attend(q, k, v, cache.cross_mask, cfg.heads,
+                          _mha_params(params, f"l{i}.cross"), capture=capture_cross)
         x = ad.layer_norm(ad.add(q, ad.dropout(cross, cfg.dropout, train_mode, rng)),
                           params[f"l{i}.norm_c.g"], params[f"l{i}.norm_c.b"])
         ff = ad.linear(ad.gelu(ad.linear(x, params[f"l{i}.ff.w1"], params[f"l{i}.ff.b1"])),

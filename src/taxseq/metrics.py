@@ -52,17 +52,22 @@ def micro_macro_f1(preds, golds, all_labels=None,
     ``all_labels`` supplies the label universe for ``macro_all_labels``;
     otherwise the universe is whatever occurs in ``preds`` or ``golds``.
     """
-    _check_lengths(preds, golds)
     scores = per_label_scores(preds, golds, all_labels if macro_all_labels else None)
+    return _micro_f1(preds, golds), _macro_f1(scores)
+
+
+def _micro_f1(preds, golds) -> float:
     tp = fp = fn = 0
     for p, g in zip(preds, golds):
         p, g = set(p), set(g)
         tp += len(p & g)
         fp += len(p - g)
         fn += len(g - p)
-    micro = _f1(tp, fp, fn)
-    macro = (sum(s.f1 for s in scores.values()) / len(scores)) if scores else 0.0
-    return micro, macro
+    return _f1(tp, fp, fn)
+
+
+def _macro_f1(scores: dict[str, PRF]) -> float:
+    return (sum(s.f1 for s in scores.values()) / len(scores)) if scores else 0.0
 
 
 def per_label_scores(preds, golds, all_labels=None) -> dict[str, PRF]:
@@ -175,10 +180,9 @@ def build_report(preds, golds, h: LabelHierarchy,
                  pred_sequences=None, gold_sequences=None,
                  vocab: SymbolicVocab | None = None) -> EvalReport:
     """Score decoded label sets, optionally with the sequence error census."""
-    micro, macro = micro_macro_f1(preds, golds, all_labels=h.labels,
-                                  macro_all_labels=macro_all_labels)
     per_label = per_label_scores(preds, golds,
                                  h.labels if macro_all_labels else None)
+    micro, macro = _micro_f1(preds, golds), _macro_f1(per_label)
     buckets = None
     if pred_sequences is not None and gold_sequences is not None and vocab is not None:
         buckets = error_taxonomy(pred_sequences, gold_sequences, h, vocab)

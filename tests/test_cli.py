@@ -1,8 +1,10 @@
 """Command-line entry points and run configuration."""
 
 import configparser
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -312,6 +314,14 @@ class TestStatsAndGlobals:
         out = run_python("import sys, taxseq.cli\nprint('numpy' in sys.modules)")
         assert out == "False"
 
+    def test_every_exported_name_resolves(self):
+        for name in taxseq.__all__:
+            assert getattr(taxseq, name) is not None, name
+        for info in pkgutil.iter_modules(taxseq.__path__):
+            module = importlib.import_module(f"taxseq.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"taxseq.{info.name}.{name}"
+
     def test_threads_flag_is_set_before_numpy_loads(self, workdir):
         script = f"""
 import os, sys
@@ -330,6 +340,15 @@ print(code, seen)
 """
         out = run_python(script)
         assert out.splitlines()[-1] == "0 ['3']"
+
+    def test_unknown_ordering_exits_2(self, workdir, tmp_path, capsys):
+        code = main(["train", "--data", str(workdir["data"]),
+                     "--out", str(tmp_path / "r"), "--set", "codec.ordering=bogus"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "'bogus'" in err
+        assert "child_to_parent_levelwise" in err
+        assert "Traceback" not in err
 
     def test_bad_override_exits_2(self, workdir, tmp_path, capsys):
         code = main(["train", "--data", str(workdir["data"]),

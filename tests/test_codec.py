@@ -9,7 +9,7 @@ from conftest import build_news_tree, random_closed_sets
 
 from taxseq.codec import (BOS_ID, EOS_ID, N_SPECIALS, PAD_ID, SEP_ID,
                           LabelSequence, Ordering, build_vocab, capacity_for,
-                          decode, encode, read_label_map, write_label_map)
+                          decode, encode)
 from taxseq.errors import CapacityExceeded, NotClosureConsistent, UnknownLabel
 from taxseq.taxonomy import ROOT, LabelHierarchy
 
@@ -53,14 +53,6 @@ class TestVocab:
     def test_unknown_label(self, tiny_tree):
         with pytest.raises(UnknownLabel):
             build_vocab(tiny_tree).id_of("nope")
-
-    def test_label_map_round_trip(self, tmp_path, news_tree):
-        vocab = build_vocab(news_tree)
-        path = tmp_path / "labels.tsv"
-        write_label_map(vocab, path)
-        assert read_label_map(path) == vocab.original_of
-        first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert first == "[a_0]\tn0"
 
 
 class TestCapacity:

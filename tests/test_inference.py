@@ -60,9 +60,9 @@ def script_decoder(bundle, table):
     def fake_logits(label_ids, label_mask, enc_hidden, enc_mask,
                     train_mode=False, rng=None, capture_cross=None, cache=None):
         label_ids = np.atleast_2d(label_ids)
-        consumed = cache.consume(label_ids)
+        cache.consume(label_ids, np.atleast_2d(label_mask))
         out = np.full((label_ids.shape[0], label_ids.shape[1], vsize), -30.0)
-        for i, row in enumerate(consumed):
+        for i, row in enumerate(cache.ids):
             prefix = tuple(int(t) for t in row if t != PAD_ID)
             probs = np.full(vsize, 1e-9)
             for tok, p in table.get(prefix, {EOS_ID: 1.0}).items():
@@ -259,6 +259,24 @@ class TestCachedStep:
             full = bundle.decoder_logits(ids, mask, hidden, emask).data
         np.testing.assert_allclose(first, full[:, :3], atol=1e-5)
         np.testing.assert_allclose(rest, full[rows, 3:], atol=1e-5)
+
+    def test_cached_steps_honour_label_mask(self, rng):
+        """A 0 in ``label_mask`` masks that key in the cached steps, as in the
+        teacher-forced pass, even where the id is a real label."""
+        bundle = tiny_bundle(seed=5)
+        ids, mask, hidden, emask = step_inputs(rng, bundle)
+        ids[0, 1] = 4
+        mask[0, 1] = 0
+        cache = DecodeCache()
+        with no_grad():
+            steps = [bundle.decoder_logits(ids[:, t:t + 1], mask[:, t:t + 1], hidden,
+                                           emask, cache=cache).data[:, 0]
+                     for t in range(ids.shape[1])]
+            full = bundle.decoder_logits(ids, mask, hidden, emask).data
+            by_id = bundle.decoder_logits(ids, (ids != PAD_ID).astype(np.int8),
+                                          hidden, emask).data
+        np.testing.assert_allclose(np.stack(steps, axis=1), full, atol=1e-5)
+        assert np.abs(full[0, 1:] - by_id[0, 1:]).max() > 1e-4
 
     def test_cache_cannot_pass_max_positions(self, rng):
         bundle = tiny_bundle()

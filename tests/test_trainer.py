@@ -533,6 +533,17 @@ class TestCheckpointing:
         with pytest.raises(ShapeMismatch, match="dec.out.b.bin"):
             load_checkpoint(last)
 
+    @pytest.mark.parametrize("missing", [("m", "v"), ("v",)], ids=["both", "v-only"])
+    def test_missing_moments_rejected(self, tmp_path, missing):
+        bundle = tiny_bundle(seed=2)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        train(bundle, data, data, quick_cfg(max_epochs=1), out_dir=tmp_path / "run")
+        last = tmp_path / "run" / "last"
+        for which in missing:
+            (last / "moments" / f"dec.l0.cross.bk.{which}.bin").unlink()
+        with pytest.raises(ConfigError, match=rf"dec\.l0\.cross\.bk\.{missing[0]}\.bin"):
+            train(tiny_bundle(seed=2), data, data, quick_cfg(max_epochs=2), resume=last)
+
     def test_resume_from_best_rejected(self, tmp_path):
         bundle = tiny_bundle(seed=2)
         data = prepare_data(bundle, SAMPLES, seed=0)
