@@ -8,6 +8,7 @@ thread pools before anything numeric loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -126,25 +127,25 @@ def _load_config(args):
 def _build_bundle(cfg, h, splits, store=None):
     """Construct a ModelBundle (plus codec capacity) from a RunConfig."""
     from .codec import Ordering, capacity_for
-    from .decoder import DecoderConfig
-    from .encoder import EncoderConfig, TextVocab
+    from .encoder import TextVocab
     from .errors import ConfigError
     from .model import ModelBundle
 
-    ordering = Ordering.from_string(cfg.get("codec", "ordering"))
+    enc_cfg = cfg.build("encoder")
+    try:
+        ordering = Ordering.from_string(cfg.get("codec", "ordering"))
+    except ConfigError as e:
+        raise ConfigError(f"[codec] {e}") from None
     capacity = int(cfg.get("codec", "capacity"))
+    if capacity < 0:
+        raise ConfigError(f"[codec] capacity must be >= 0 (0 sizes it from the data), "
+                          f"got {capacity}")
     if capacity == 0:
         sets = [s.labels for split in splits.values() for s in split]
         capacity = capacity_for(sets, h, strategy=ordering)
 
-    enc_kw = dict(mode=cfg.get("encoder", "mode"),
-                  d_model=cfg.get("encoder", "d_model"),
-                  layers=cfg.get("encoder", "layers"),
-                  heads=cfg.get("encoder", "heads"),
-                  max_len=cfg.get("encoder", "max_len"),
-                  dropout=cfg.get("encoder", "dropout"))
     text_vocab = None
-    if enc_kw["mode"] == "trainable":
+    if enc_cfg.mode == "trainable":
         if "train" not in splits:
             raise ConfigError("building a trainable encoder needs a train split")
         text_vocab = TextVocab.build(
@@ -155,53 +156,18 @@ def _build_bundle(cfg, h, splits, store=None):
         if store is None:
             raise ConfigError("precomputed mode needs a states directory "
                               "([data] precomputed_dir or --precomputed)")
-        enc_kw["max_len"] = store.max_len
-        enc_kw["d_model"] = store.d_model
-    enc_cfg = EncoderConfig(**enc_kw)
+        enc_cfg = dataclasses.replace(enc_cfg, d_model=store.d_model, max_len=store.max_len)
 
     label_init = None
     if cfg.get("decoder", "use_label_init"):
         label_init = cfg.get("decoder", "label_init")
         if not label_init:
             raise ConfigError("use_label_init requires [decoder] label_init = <path>")
-    dec_cfg = DecoderConfig(vocab_size=0,
-                            d_model=enc_cfg.d_model,
-                            layers=cfg.get("decoder", "layers"),
-                            heads=cfg.get("decoder", "heads"),
-                            ff_dim=cfg.get("decoder", "ff_dim"),
-                            dropout=cfg.get("decoder", "dropout"),
-                            max_positions=capacity)
+    dec_cfg = cfg.build("decoder", vocab_size=0, d_model=enc_cfg.d_model,
+                        max_positions=capacity)
     return ModelBundle.build(h, ordering, capacity, enc_cfg, dec_cfg,
                              seed=cfg.get("train", "seed"),
                              text_vocab=text_vocab, label_init=label_init)
-
-
-def _train_config(cfg):
-    from .loss import LossConfig
-    from .trainer import TrainConfig
-
-    loss = LossConfig(variant=cfg.get("loss", "variant"),
-                      gamma=cfg.get("loss", "gamma"),
-                      smoothing=cfg.get("loss", "smoothing"))
-    return TrainConfig(
-        lr_encoder=cfg.get("train", "lr_encoder"),
-        lr_decoder=cfg.get("train", "lr_decoder"),
-        plateau_patience=cfg.get("train", "plateau_patience"),
-        plateau_factor=cfg.get("train", "plateau_factor"),
-        improve_eps=cfg.get("train", "improve_eps"),
-        encoder_freeze_threshold=cfg.get("train", "encoder_freeze_threshold"),
-        early_stop_patience=cfg.get("train", "early_stop_patience"),
-        micro_batch=cfg.get("train", "micro_batch"),
-        accumulation_steps=cfg.get("train", "accumulation_steps"),
-        max_epochs=cfg.get("train", "max_epochs"),
-        seed=cfg.get("train", "seed"),
-        beta1=cfg.get("train", "beta1"),
-        beta2=cfg.get("train", "beta2"),
-        adam_eps=cfg.get("train", "adam_eps"),
-        weight_decay=cfg.get("train", "weight_decay"),
-        loss=loss,
-        val_plain_ce=cfg.get("train", "val_plain_ce"),
-    )
 
 
 def _open_store(cfg, flag_value=None):
@@ -216,6 +182,7 @@ def _run_training(cfg, data_dir, out_dir):
     from .errors import EmptyCorpus
     from .trainer import prepare_data, train
 
+    train_cfg = cfg.build("train", loss=cfg.build("loss"))
     h, splits = load_splits(data_dir)
     for need in ("train", "dev"):
         if need not in splits:
@@ -228,7 +195,7 @@ def _run_training(cfg, data_dir, out_dir):
     seed = cfg.get("train", "seed")
     prep_train = prepare_data(bundle, splits["train"], seed=seed, store=store)
     prep_dev = prepare_data(bundle, splits["dev"], seed=seed + 1, store=store)
-    result = train(bundle, prep_train, prep_dev, _train_config(cfg), out_dir=out)
+    result = train(bundle, prep_train, prep_dev, train_cfg, out_dir=out)
     return bundle, result, h, splits, store
 
 
@@ -295,8 +262,11 @@ def cmd_predict(args) -> int:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise MalformedLine(f"{args.input}:{n}: invalid JSON ({e.msg})") from None
+            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+                raise MalformedLine(
+                    f"{args.input}:{n}: expected an object with a string 'text' field")
             ids.append(str(obj.get("id", n)))
-            texts.append(str(obj["text"]))
+            texts.append(obj["text"])
     preds = predict_texts(bundle, texts, sample_ids=ids)
     sink = Path(args.out).open("w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -334,14 +304,20 @@ def _ablate_one(payload):
 
 
 def cmd_ablate(args) -> int:
+    from .errors import ConfigError
+
     cfg = _load_config(args)
     variants = ["base"] + [v for v in args.variants.split(",") if v and v != "base"]
     unknown = [v for v in variants[1:] if v not in ABLATION_VARIANTS]
     if unknown:
-        from .errors import ConfigError
         raise ConfigError(f"unknown ablation variants {unknown}; "
                           f"choose from {sorted(ABLATION_VARIANTS)}")
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise ConfigError(f"--seeds takes comma-separated integers, got {args.seeds!r}")
     jobs = [(cfg.values, args.data, args.out, v, s) for v in variants for s in seeds]
 
     if args.parallel > 1:

@@ -8,63 +8,50 @@ outputs so any artifact can be reproduced from what is stored beside it.
 from __future__ import annotations
 
 import configparser
+import enum
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .decoder import DecoderConfig
+from .encoder import EncoderConfig
 from .errors import ConfigError
+from .loss import LossConfig
+from .trainer import TrainConfig
 
 __all__ = ["RunConfig", "DEFAULTS"]
 
+# The dataclass behind each section, and the fields code fills in, which
+# therefore are not INI keys. Every other field is a key with the field's
+# default.
+_SECTIONS = {
+    "encoder": (EncoderConfig, {"vocab_size"}),
+    "decoder": (DecoderConfig, {"vocab_size", "d_model", "max_positions"}),
+    "loss": (LossConfig, {"ignore_id"}),
+    "train": (TrainConfig, {"loss"}),
+}
+
+
+def _ini_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value.value if isinstance(value, enum.Enum) else str(value)
+
+
+def _field_defaults(section: str) -> dict[str, str]:
+    cls, filled = _SECTIONS[section]
+    return {f.name: _ini_text(f.default) for f in fields(cls) if f.name not in filled}
+
+
 DEFAULTS: dict[str, dict[str, str]] = {
-    "encoder": {
-        "mode": "trainable",
-        "d_model": "128",
-        "layers": "2",
-        "heads": "4",
-        "max_len": "128",
-        "dropout": "0.1",
-        "word_min_count": "1",
-        "word_max_size": "50000",
-    },
-    "decoder": {
-        "layers": "2",
-        "heads": "8",
-        "ff_dim": "0",
-        "dropout": "0.2",
-        "label_init": "",
-        "use_label_init": "false",
-    },
-    "codec": {
-        "ordering": "child_to_parent_levelwise",
-        "capacity": "0",
-    },
-    "loss": {
-        "variant": "focal_batch",
-        "gamma": "2.0",
-        "smoothing": "0.1",
-    },
-    "train": {
-        "lr_encoder": "5e-5",
-        "lr_decoder": "3e-4",
-        "plateau_patience": "3",
-        "plateau_factor": "0.1",
-        "improve_eps": "1e-6",
-        "encoder_freeze_threshold": "5e-7",
-        "early_stop_patience": "10",
-        "micro_batch": "32",
-        "accumulation_steps": "2",
-        "max_epochs": "100",
-        "seed": "0",
-        "beta1": "0.9",
-        "beta2": "0.999",
-        "adam_eps": "1e-8",
-        "weight_decay": "0.01",
-        "val_plain_ce": "false",
-    },
-    "data": {
-        "precomputed_dir": "",
-    },
+    "encoder": {**_field_defaults("encoder"),
+                "word_min_count": "1", "word_max_size": "50000"},
+    "decoder": {**_field_defaults("decoder"),
+                "label_init": "", "use_label_init": "false"},
+    "codec": {"ordering": "child_to_parent_levelwise", "capacity": "0"},
+    "loss": _field_defaults("loss"),
+    "train": _field_defaults("train"),
+    "data": {"precomputed_dir": ""},
 }
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -139,18 +126,32 @@ class RunConfig:
             if "=" not in item or "." not in item.split("=", 1)[0]:
                 raise ConfigError(f"override {item!r} is not section.key=value")
             dotted, value = item.split("=", 1)
-            section, key = dotted.split(".", 1)
-            if section not in DEFAULTS or key not in DEFAULTS[section]:
-                raise ConfigError(f"unknown config entry {dotted!r}")
-            self.values[section][key] = _coerce(section, key, value)
+            self.set(*dotted.split(".", 1), value)
 
     def get(self, section: str, key: str):
         return self.values[section][key]
 
     def set(self, section: str, key: str, value) -> None:
+        """Set one entry; a string is read as INI text, like a file value."""
         if section not in DEFAULTS or key not in DEFAULTS[section]:
-            raise ConfigError(f"unknown config entry {section}.{key}")
+            raise ConfigError(f"unknown config entry '{section}.{key}'")
+        if isinstance(value, str):
+            value = _coerce(section, key, value)
         self.values[section][key] = value
+
+    def build(self, section: str, **filled):
+        """Construct the section's config dataclass from its keys plus ``filled``.
+
+        The dataclass validates itself; its ``ConfigError`` gains a
+        ``[section]`` prefix so the message names where the key lives.
+        """
+        cls, _ = _SECTIONS[section]
+        names = {f.name for f in fields(cls)}
+        kwargs = {k: v for k, v in self.values[section].items() if k in names}
+        try:
+            return cls(**kwargs, **filled)
+        except ConfigError as e:
+            raise ConfigError(f"[{section}] {e}") from None
 
     def to_ini(self) -> str:
         parser = configparser.ConfigParser()

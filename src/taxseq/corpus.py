@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCorpus, MalformedLine, MissingRawData, NotClosureConsistent
+from .errors import ConfigError, EmptyCorpus, MalformedLine, MissingRawData, NotClosureConsistent
 from .taxonomy import ROOT, LabelHierarchy, dataset_stats, load_hierarchy, save_hierarchy
 
 log = logging.getLogger(__name__)
@@ -96,11 +96,11 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.depth < 2 or self.branching < 2:
-            raise ValueError("depth and branching must both be >= 2")
+            raise ConfigError("depth and branching must both be >= 2")
         if not 0.0 <= self.noise_rate < 1.0:
-            raise ValueError("noise_rate must lie in [0, 1)")
+            raise ConfigError("noise_rate must lie in [0, 1)")
         if self.signal_strength < 1 or self.docs_per_leaf < 1:
-            raise ValueError("signal_strength and docs_per_leaf must be >= 1")
+            raise ConfigError("signal_strength and docs_per_leaf must be >= 1")
 
 
 @dataclass

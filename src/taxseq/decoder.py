@@ -50,8 +50,10 @@ class DecoderConfig:
     def __post_init__(self):
         if self.ff_dim == 0:
             self.ff_dim = 4 * self.d_model
-        if self.d_model % self.heads != 0:
+        if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+        if self.layers < 1:
+            raise ConfigError(f"layers must be >= 1, got {self.layers}")
         if self.max_positions < 1:
             raise ConfigError("max_positions must be >= 1")
 

@@ -111,8 +111,10 @@ class EncoderConfig:
     def __post_init__(self):
         if self.mode not in ("trainable", "precomputed"):
             raise ConfigError(f"unknown encoder mode {self.mode!r}")
-        if self.d_model % self.heads != 0:
+        if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+        if self.layers < 0:
+            raise ConfigError(f"layers must be >= 0, got {self.layers}")
         if self.max_len < 1:
             raise ConfigError("max_len must be >= 1")
 

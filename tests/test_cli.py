@@ -37,6 +37,59 @@ max_epochs = 2
 early_stop_patience = 100
 """
 
+# `RunConfig.defaults().to_ini()` before the INI defaults were derived from
+# the config dataclasses; the derived table must reproduce it byte for byte.
+DEFAULTS_INI = """\
+[encoder]
+mode = trainable
+d_model = 128
+layers = 2
+heads = 4
+max_len = 128
+dropout = 0.1
+word_min_count = 1
+word_max_size = 50000
+
+[decoder]
+layers = 2
+heads = 8
+ff_dim = 0
+dropout = 0.2
+label_init =\x20
+use_label_init = false
+
+[codec]
+ordering = child_to_parent_levelwise
+capacity = 0
+
+[loss]
+variant = focal_batch
+gamma = 2.0
+smoothing = 0.1
+
+[train]
+lr_encoder = 5e-05
+lr_decoder = 0.0003
+plateau_patience = 3
+plateau_factor = 0.1
+improve_eps = 1e-06
+encoder_freeze_threshold = 5e-07
+early_stop_patience = 10
+micro_batch = 32
+accumulation_steps = 2
+max_epochs = 100
+seed = 0
+beta1 = 0.9
+beta2 = 0.999
+adam_eps = 1e-08
+weight_decay = 0.01
+val_plain_ce = false
+
+[data]
+precomputed_dir =\x20
+
+"""
+
 
 def run_python(code: str) -> str:
     """Run ``code`` in a fresh interpreter with no thread-count variables set."""
@@ -109,12 +162,40 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="section.key=value"):
             RunConfig.defaults(["micro_batch=8"])
 
+    def test_set_reads_strings_as_ini_text(self):
+        cfg = RunConfig.defaults()
+        cfg.set("decoder", "use_label_init", "false")
+        cfg.set("train", "micro_batch", "8")
+        assert cfg.get("decoder", "use_label_init") is False
+        assert cfg.build("train").micro_batch == 8
+        with pytest.raises(ConfigError, match=r"\[train\] seed: expected int"):
+            cfg.set("train", "seed", "x")
+
     def test_resolved_ini_round_trips(self, tmp_path):
         cfg = RunConfig.defaults(["train.seed=3", "encoder.d_model=32"])
         path = tmp_path / "resolved.ini"
         cfg.write_resolved(path)
         again = RunConfig.from_file(path)
         assert again.values == cfg.values
+
+    def test_defaults_ini_is_unchanged(self):
+        assert RunConfig.defaults().to_ini() == DEFAULTS_INI
+
+    def test_defaults_build_the_dataclass_defaults(self):
+        from taxseq import DecoderConfig, EncoderConfig, LossConfig, TrainConfig
+        cfg = RunConfig.defaults()
+        assert cfg.build("encoder") == EncoderConfig()
+        assert cfg.build("decoder", vocab_size=0, d_model=128,
+                         max_positions=64) == DecoderConfig()
+        assert cfg.build("loss") == LossConfig()
+        assert cfg.build("train", loss=LossConfig()) == TrainConfig()
+
+    def test_build_errors_name_the_section(self):
+        cfg = RunConfig.defaults(["loss.gamma=-1", "train.micro_batch=0"])
+        with pytest.raises(ConfigError, match=r"^\[loss\] gamma"):
+            cfg.build("loss")
+        with pytest.raises(ConfigError, match=r"^\[train\] micro_batch"):
+            cfg.build("train")
 
     def test_defaults_table_covers_every_section(self):
         for section in ("encoder", "decoder", "codec", "loss", "train",
@@ -250,6 +331,18 @@ class TestPredictCommand:
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ['["a list"]', '{"id": "no-text"}', '{"text": null}'],
+                             ids=["not-object", "no-text", "null-text"])
+    def test_line_without_text_object_exits_2(self, workdir, tmp_path, capsys, line):
+        inp = tmp_path / "in.jsonl"
+        inp.write_text('{"text": "fine"}\n' + line + "\n", encoding="utf-8")
+        code = main(["predict", "--checkpoint", str(workdir["run"] / "best"),
+                     "--input", str(inp)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and f"{inp}:2" in err and "'text'" in err
+        assert "Traceback" not in err
+
 
 class TestAblateCommand:
     def test_two_variant_run(self, workdir, tmp_path, capsys):
@@ -278,6 +371,15 @@ class TestAblateCommand:
                      "--out", str(tmp_path / "x"), "--variants", "bogus"])
         assert code == 2
         assert "unknown ablation variants" in capsys.readouterr().err
+
+    def test_bad_seeds_exit_2(self, workdir, tmp_path, capsys):
+        code = main(["ablate", "--config", str(workdir["ini"]),
+                     "--data", str(workdir["data"]),
+                     "--out", str(tmp_path / "x"), "--seeds", "0,x"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "--seeds" in err and "'0,x'" in err
+        assert not (tmp_path / "x").exists()
 
     def test_variant_table_matches_display_names(self):
         from taxseq.cli import VARIANT_DISPLAY
@@ -350,6 +452,22 @@ print(code, seen)
         assert "child_to_parent_levelwise" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("override, named", [
+        ("decoder.layers=0", "[decoder] layers must be >= 1"),
+        ("encoder.mode=bogus", "[encoder] unknown encoder mode 'bogus'"),
+        ("codec.capacity=-1", "[codec] capacity must be >= 0"),
+        ("decoder.heads=0", "[decoder] d_model 128 not divisible by heads 0"),
+    ], ids=["decoder-layers", "encoder-mode", "codec-capacity", "decoder-heads"])
+    def test_bad_setting_exits_2_naming_it(self, workdir, tmp_path, capsys,
+                                           override, named):
+        code = main(["train", "--data", str(workdir["data"]),
+                     "--out", str(tmp_path / "r"), "--set", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {named}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_override_exits_2(self, workdir, tmp_path, capsys):
         code = main(["train", "--data", str(workdir["data"]),
                      "--out", str(tmp_path / "r"), "--set", "nonsense"])
@@ -364,3 +482,11 @@ print(code, seen)
         stdout = capsys.readouterr().out
         assert code == 0
         assert "labels" in stdout and "train=" in stdout
+
+    def test_gen_synth_bad_depth_exits_2(self, tmp_path, capsys):
+        code = main(["gen-synth", "--out", str(tmp_path / "d"), "--depth", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "depth" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()

@@ -9,8 +9,8 @@ import pytest
 from taxseq.corpus import (Sample, SynthConfig, adapt_dataset,
                            generate_synthetic, load_jsonl, load_splits,
                            write_jsonl)
-from taxseq.errors import (EmptyCorpus, MalformedLine, MissingRawData,
-                           NotClosureConsistent, UnknownLabel)
+from taxseq.errors import (ConfigError, EmptyCorpus, MalformedLine,
+                           MissingRawData, NotClosureConsistent, UnknownLabel)
 from taxseq.taxonomy import load_hierarchy
 
 
@@ -139,13 +139,13 @@ class TestSyntheticGenerator:
                     assert seen.setdefault(w, owner) == owner
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthConfig(depth=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthConfig(branching=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthConfig(noise_rate=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthConfig(signal_strength=0)
 
 

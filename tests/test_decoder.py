@@ -41,6 +41,10 @@ class TestConfig:
             DecoderConfig(vocab_size=12, d_model=10, heads=4)
         with pytest.raises(ConfigError):
             DecoderConfig(vocab_size=12, max_positions=0)
+        with pytest.raises(ConfigError, match="layers"):
+            DecoderConfig(vocab_size=12, layers=0)
+        with pytest.raises(ConfigError, match="heads 0"):
+            DecoderConfig(vocab_size=12, heads=0)
         with pytest.raises(ConfigError):
             init_decoder_params(DecoderConfig(vocab_size=4),
                                 np.random.default_rng(0))

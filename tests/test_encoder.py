@@ -101,6 +101,11 @@ class TestInit:
             EncoderConfig(d_model=10, heads=4)
         with pytest.raises(ConfigError):
             EncoderConfig(max_len=0)
+        with pytest.raises(ConfigError, match="layers"):
+            EncoderConfig(layers=-1)
+        with pytest.raises(ConfigError, match="heads 0"):
+            EncoderConfig(heads=0)
+        assert EncoderConfig(layers=0).layers == 0
 
 
 class TestEncodeTokens:
