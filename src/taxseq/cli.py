@@ -247,26 +247,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .corpus import read_jsonl
     from .errors import MalformedLine
     from .inference import predict_texts
     from .trainer import load_checkpoint
 
     bundle, _ = load_checkpoint(args.checkpoint)
     ids, texts = [], []
-    with Path(args.input).open(encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedLine(f"{args.input}:{n}: invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
-                raise MalformedLine(
-                    f"{args.input}:{n}: expected an object with a string 'text' field")
-            ids.append(str(obj.get("id", n)))
-            texts.append(obj["text"])
+    expected = "an object with a string 'text' field"
+    for n, obj in read_jsonl(args.input, expected):
+        if not isinstance(obj.get("text"), str):
+            raise MalformedLine(f"{args.input}:{n}: expected {expected}")
+        ids.append(str(obj.get("id", n)))
+        texts.append(obj["text"])
     preds = predict_texts(bundle, texts, sample_ids=ids)
     sink = Path(args.out).open("w", encoding="utf-8") if args.out else sys.stdout
     try:

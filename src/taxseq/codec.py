@@ -3,14 +3,15 @@
 Original label names are replaced by opaque symbols (``[a_0]``, ``[a_1]``,
 ...) so that no linguistic content from the names reaches the decoder. A
 sample's label set is serialized into a fixed-size token-id vector whose
-layout depends on the chosen ordering strategy.
+layout depends on the chosen ordering strategy; ``LAYOUTS`` holds each
+ordering's rules in one entry.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -100,7 +101,6 @@ class LabelSequence:
 
     ids: np.ndarray
     mask: np.ndarray
-    ordering: Ordering
 
     @property
     def capacity(self) -> int:
@@ -108,12 +108,8 @@ class LabelSequence:
 
     def trimmed(self) -> list[int]:
         """Token ids up to and including EOS (whole vector if EOS absent)."""
-        out = []
-        for t in self.ids.tolist():
-            out.append(int(t))
-            if t == EOS_ID:
-                break
-        return out
+        ids = self.ids.tolist()
+        return ids[: ids.index(EOS_ID) + 1] if EOS_ID in ids else ids
 
 
 @dataclass
@@ -137,6 +133,64 @@ class DecodeResult:
     diagnostics: DecodeDiagnostics = field(default_factory=DecodeDiagnostics)
 
 
+@dataclass(frozen=True)
+class Layout:
+    """One ordering's rules: ``groups(labels, h, vocab, rng)`` turns a label
+    set into groups of label ids, ``sep`` ends each group with a SEP, and
+    ``closes`` makes ``decode`` close the decoded set under ancestors."""
+
+    groups: Callable[..., list[list[int]]]
+    sep: bool = True
+    closes: bool = False
+
+
+def _levels(deepest_first: bool, minimal: bool = False):
+    """Level groups, ascending ids inside; ``minimal`` keeps a closed set's deepest labels."""
+    def groups(labels, h, vocab, rng):
+        by_level: dict[int, list[int]] = {}
+        for l in (h.minimize(labels) if minimal else labels):
+            by_level.setdefault(h.level[l], []).append(vocab.id_of(l))
+        return [sorted(by_level[lvl]) for lvl in sorted(by_level, reverse=deepest_first)]
+    return groups
+
+
+def _paths(labels, h, vocab, rng):
+    """One group per leaf of the set: the leaf, then its ancestors nearest first."""
+    return [[vocab.id_of(l) for l in (leaf, *h.ancestors(leaf))]
+            for leaf in sorted(h.leaf_labels(labels), key=vocab.id_of)]
+
+
+def _shuffled(labels, h, vocab, rng):
+    if rng is None:
+        raise ValueError("the shuffled ordering needs an rng")
+    ids = sorted(vocab.id_of(l) for l in labels)
+    return [[ids[i] for i in rng.permutation(len(ids))]]
+
+
+LAYOUTS: dict[Ordering, Layout] = {
+    Ordering.CHILD_TO_PARENT: Layout(_levels(deepest_first=True)),
+    Ordering.PARENT_TO_CHILD: Layout(_levels(deepest_first=False)),
+    Ordering.CHILD_TO_PARENT_NOSEP: Layout(_levels(deepest_first=True), sep=False),
+    Ordering.PATH_SEPARATED: Layout(_paths),
+    Ordering.SHUFFLED: Layout(_shuffled, sep=False),
+    Ordering.MINIMAL_CHILDREN: Layout(_levels(deepest_first=True, minimal=True), closes=True),
+}
+
+
+def _sequence(labels: Iterable[str], h: LabelHierarchy, vocab: SymbolicVocab,
+              strategy: Ordering, rng: np.random.Generator | None = None) -> list[int]:
+    """``BOS + body + EOS`` for a label set under its ordering's layout."""
+    s = set(labels)
+    h.check_known(s)
+    layout = LAYOUTS[strategy]
+    seq = [BOS_ID]
+    for group in layout.groups(s, h, vocab, rng):
+        seq.extend(group)
+        if layout.sep:
+            seq.append(SEP_ID)
+    return seq + [EOS_ID]
+
+
 def capacity_for(
     label_sets: Sequence[Iterable[str]],
     h: LabelHierarchy,
@@ -144,31 +198,16 @@ def capacity_for(
 ) -> int:
     """Fixed vector size accommodating the largest sample of a dataset.
 
-    The default sizing is label count + number of distinct levels (one
-    separator after each level group) + 2 for BOS/EOS, maximized over
-    samples. Path-separated layouts repeat shared ancestors, so that
-    strategy gets its own, larger bound.
+    A set needs the length of its encoded sequence, and the size is never
+    below 4 (BOS, one label, SEP, EOS). Path-separated layouts repeat shared
+    ancestors, so they are sized by their own layout; every other ordering
+    is sized by the child-to-parent one (labels + one SEP per level + BOS
+    and EOS), so an ordering ablation keeps the base model's decode budget.
     """
-    best = 4  # BOS + one label + trailing SEP + EOS at minimum
-    for labels in label_sets:
-        s = set(labels)
-        h.check_known(s)
-        if strategy is Ordering.PATH_SEPARATED:
-            leaves = h.leaf_labels(s)
-            need = sum(h.level[l] for l in leaves) + len(leaves) + 2
-        else:
-            need = len(s) + len({h.level[l] for l in s}) + 2
-        best = max(best, need)
-    return best
-
-
-def _level_groups(labels: set[str], h: LabelHierarchy, vocab: SymbolicVocab,
-                  deepest_first: bool) -> list[list[int]]:
-    by_level: dict[int, list[int]] = {}
-    for l in labels:
-        by_level.setdefault(h.level[l], []).append(vocab.id_of(l))
-    levels = sorted(by_level, reverse=deepest_first)
-    return [sorted(by_level[lvl]) for lvl in levels]
+    sizing = (Ordering.PATH_SEPARATED if strategy is Ordering.PATH_SEPARATED
+              else Ordering.CHILD_TO_PARENT)
+    vocab = build_vocab(h)
+    return max([4, *(len(_sequence(s, h, vocab, sizing)) for s in label_sets)])
 
 
 def encode(
@@ -185,38 +224,7 @@ def encode(
     including the last one before EOS. Sibling order inside a level is
     ascending token id, which is stable and dataset-independent.
     """
-    s = set(labels)
-    h.check_known(s)
-    body: list[int] = []
-
-    if strategy in (Ordering.CHILD_TO_PARENT, Ordering.PARENT_TO_CHILD):
-        deepest_first = strategy is Ordering.CHILD_TO_PARENT
-        for group in _level_groups(s, h, vocab, deepest_first):
-            body.extend(group)
-            body.append(SEP_ID)
-    elif strategy is Ordering.CHILD_TO_PARENT_NOSEP:
-        for group in _level_groups(s, h, vocab, deepest_first=True):
-            body.extend(group)
-    elif strategy is Ordering.PATH_SEPARATED:
-        leaves = sorted(h.leaf_labels(s), key=vocab.id_of)
-        for leaf in leaves:
-            body.append(vocab.id_of(leaf))
-            body.extend(vocab.id_of(a) for a in h.ancestors(leaf))
-            body.append(SEP_ID)
-    elif strategy is Ordering.SHUFFLED:
-        if rng is None:
-            raise ValueError("the shuffled ordering needs an rng")
-        ids = sorted(vocab.id_of(l) for l in s)
-        body.extend(int(ids[i]) for i in rng.permutation(len(ids)))
-    elif strategy is Ordering.MINIMAL_CHILDREN:
-        minimal = h.minimize(s)
-        for group in _level_groups(minimal, h, vocab, deepest_first=True):
-            body.extend(group)
-            body.append(SEP_ID)
-    else:  # pragma: no cover - Ordering is exhaustive
-        raise ValueError(f"unhandled ordering {strategy}")
-
-    seq = [BOS_ID, *body, EOS_ID]
+    seq = _sequence(labels, h, vocab, strategy, rng)
     if len(seq) > capacity:
         raise CapacityExceeded(
             f"sequence needs {len(seq)} tokens but capacity is {capacity}")
@@ -224,7 +232,7 @@ def encode(
     ids[: len(seq)] = seq
     mask = np.zeros(capacity, dtype=np.int8)
     mask[: len(seq)] = 1
-    return LabelSequence(ids=ids, mask=mask, ordering=strategy)
+    return LabelSequence(ids=ids, mask=mask)
 
 
 def decode(
@@ -236,25 +244,17 @@ def decode(
     """Read a (possibly model-generated) token vector back into a label set.
 
     Lenient by design: structural oddities are counted in the diagnostics
-    rather than raised. The minimal-children strategy additionally closes
-    the decoded set under ancestors.
+    rather than raised. A layout with ``closes`` (minimal children) also
+    closes the decoded set under ancestors.
     """
     ids = [int(t) for t in np.asarray(ids).ravel().tolist()]
-    diag = DecodeDiagnostics()
-    pos = 0
-    if ids and ids[0] == BOS_ID:
-        pos = 1
-    else:
-        diag.missing_bos = True
+    diag = DecodeDiagnostics(missing_bos=not ids or ids[0] != BOS_ID)
 
     seen: set[int] = set()
-    names: list[str] = []
     groups: list[list[str]] = []
     current: list[str] = []
-    saw_eos = False
-    for t in ids[pos:]:
+    for t in ids[0 if diag.missing_bos else 1:]:
         if t == EOS_ID:
-            saw_eos = True
             break
         if t == SEP_ID:
             if current:
@@ -271,14 +271,13 @@ def decode(
             diag.repeated_labels_dropped += 1
             continue
         seen.add(t)
-        name = vocab.name_of(t)
-        names.append(name)
-        current.append(name)
+        current.append(vocab.name_of(t))
+    else:
+        diag.missing_eos = True
     if current:
         groups.append(current)
-    diag.missing_eos = not saw_eos
 
-    labels = set(names)
-    if strategy is Ordering.MINIMAL_CHILDREN and labels:
+    labels = {vocab.name_of(t) for t in seen}
+    if LAYOUTS[strategy].closes and labels:
         labels = h.closure(labels)
     return DecodeResult(labels=labels, groups=groups, diagnostics=diag)

@@ -13,6 +13,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +24,7 @@ log = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "dev", "test")
 
-__all__ = ["Sample", "SynthConfig", "SynthResult", "load_jsonl", "write_jsonl",
+__all__ = ["Sample", "SynthConfig", "SynthResult", "read_jsonl", "load_jsonl", "write_jsonl",
            "generate_synthetic", "adapt_dataset", "SPLIT_NAMES"]
 
 
@@ -34,15 +35,14 @@ class Sample:
     labels: set[str]
 
 
-def load_jsonl(path, h: LabelHierarchy, strict: bool = False) -> list[Sample]:
-    """Read one split, validating labels against the hierarchy.
+def read_jsonl(path, expected: str = "a JSON object") -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
 
-    Non-closed label sets are closed automatically with a logged warning;
-    under ``strict`` they are rejected with the offending line number.
-    Unknown labels are always an error.
+    A line that is not JSON, or not a JSON object, raises ``MalformedLine``
+    naming ``path:line``; ``expected`` says in that message what the caller
+    wants each line to hold.
     """
     path = Path(path)
-    samples: list[Sample] = []
     with path.open(encoding="utf-8") as fh:
         for n, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -52,21 +52,42 @@ def load_jsonl(path, h: LabelHierarchy, strict: bool = False) -> list[Sample]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise MalformedLine(f"{path}:{n}: invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict) or not {"id", "text", "labels"} <= obj.keys():
-                raise MalformedLine(f"{path}:{n}: expected keys id/text/labels")
-            labels = set(obj["labels"])
-            if not labels:
-                raise MalformedLine(f"{path}:{n}: empty label set")
-            h.check_known(labels)
-            closed = h.closure(labels)
-            if closed != labels:
-                if strict:
-                    raise NotClosureConsistent(
-                        f"{path}:{n}: sample {obj['id']!r} is missing ancestors "
-                        f"{sorted(closed - labels)}")
-                log.warning("%s:%d: sample %s auto-closed (+%d ancestors)",
-                            path, n, obj["id"], len(closed - labels))
-            samples.append(Sample(str(obj["id"]), str(obj["text"]), closed))
+            if not isinstance(obj, dict):
+                raise MalformedLine(f"{path}:{n}: expected {expected}")
+            yield n, obj
+
+
+def load_jsonl(path, h: LabelHierarchy, strict: bool = False) -> list[Sample]:
+    """Read one split, validating fields and labels against the hierarchy.
+
+    ``text`` must be a string and ``labels`` a non-empty list of strings.
+    Non-closed label sets are closed automatically with a logged warning;
+    under ``strict`` they are rejected with the offending line number.
+    Unknown labels are always an error.
+    """
+    path = Path(path)
+    samples: list[Sample] = []
+    for n, obj in read_jsonl(path):
+        if not {"id", "text", "labels"} <= obj.keys():
+            raise MalformedLine(f"{path}:{n}: expected keys id/text/labels")
+        if not isinstance(obj["text"], str):
+            raise MalformedLine(f"{path}:{n}: 'text' must be a string")
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise MalformedLine(f"{path}:{n}: 'labels' must be a list of label names")
+        labels = set(labels)
+        if not labels:
+            raise MalformedLine(f"{path}:{n}: empty label set")
+        h.check_known(labels)
+        closed = h.closure(labels)
+        if closed != labels:
+            if strict:
+                raise NotClosureConsistent(
+                    f"{path}:{n}: sample {obj['id']!r} is missing ancestors "
+                    f"{sorted(closed - labels)}")
+            log.warning("%s:%d: sample %s auto-closed (+%d ancestors)",
+                        path, n, obj["id"], len(closed - labels))
+        samples.append(Sample(str(obj["id"]), obj["text"], closed))
     if not samples:
         raise EmptyCorpus(f"{path}: no samples")
     return samples
@@ -251,26 +272,18 @@ def adapt_dataset(fmt: str, raw_dir, out_dir):
     stats = {}
     for split, fname in zip(SPLIT_NAMES, names[1:]):
         samples = []
-        with (raw / fname).open(encoding="utf-8") as fh:
-            for n, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise MalformedLine(f"{raw / fname}:{n}: invalid JSON ({e.msg})") from None
-                if "token" in obj and "label" in obj:
-                    text = " ".join(obj["token"])
-                    labels = set(obj["label"])
-                elif "text" in obj and "labels" in obj:
-                    text = str(obj["text"])
-                    labels = set(obj["labels"])
-                else:
-                    raise MalformedLine(
-                        f"{raw / fname}:{n}: expected token/label or text/labels keys")
-                h.check_known(labels)
-                samples.append(Sample(f"{split}-{n}", text, h.closure(labels)))
+        for n, obj in read_jsonl(raw / fname):
+            if "token" in obj and "label" in obj:
+                text = " ".join(obj["token"])
+                labels = set(obj["label"])
+            elif "text" in obj and "labels" in obj:
+                text = str(obj["text"])
+                labels = set(obj["labels"])
+            else:
+                raise MalformedLine(
+                    f"{raw / fname}:{n}: expected token/label or text/labels keys")
+            h.check_known(labels)
+            samples.append(Sample(f"{split}-{n}", text, h.closure(labels)))
         write_jsonl(out / f"{split}.jsonl", samples)
         stats[split] = dataset_stats(h, [s.labels for s in samples])
     return stats

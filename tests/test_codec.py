@@ -253,3 +253,60 @@ class TestDecodeLenient:
         assert seq.trimmed() == [BOS_ID, vocab.id_of("A"), SEP_ID, EOS_ID]
         assert seq.capacity == 8
         assert isinstance(seq, LabelSequence)
+
+
+# The news-tree worked set (four leaves over three top-level branches), a
+# lone top-level label, the depth-4 chain to n14, and two level-2 siblings
+# beside a level-2 label on another branch. Label n<k> has token id 4 + k.
+GOLDEN_SETS = [{"n0", "n1", "n2", "n4", "n9", "n14", "n20", "n35", "n37", "n42"},
+               {"n1"}, {"n0", "n4", "n9", "n14"}, {"n1", "n2", "n5", "n8", "n20"}]
+# Per ordering: capacity_for over all four sets, then (capacity_for of the
+# set alone, the set encoded at that capacity) for each set. Shuffled draws
+# from default_rng(0) afresh for every set.
+GOLDEN = {
+    Ordering.CHILD_TO_PARENT: (16, [
+        (16, [0, 18, 3, 13, 41, 3, 8, 24, 39, 46, 3, 4, 5, 6, 3, 1]),
+        (4, [0, 5, 3, 1]),
+        (10, [0, 18, 3, 13, 3, 8, 3, 4, 3, 1]),
+        (9, [0, 9, 12, 24, 3, 5, 6, 3, 1])]),
+    Ordering.PARENT_TO_CHILD: (16, [
+        (16, [0, 4, 5, 6, 3, 8, 24, 39, 46, 3, 13, 41, 3, 18, 3, 1]),
+        (4, [0, 5, 3, 1]),
+        (10, [0, 4, 3, 8, 3, 13, 3, 18, 3, 1]),
+        (9, [0, 5, 6, 3, 9, 12, 24, 3, 1])]),
+    Ordering.CHILD_TO_PARENT_NOSEP: (16, [
+        (16, [0, 18, 13, 41, 8, 24, 39, 46, 4, 5, 6, 1, 2, 2, 2, 2]),
+        (4, [0, 5, 1, 2]),
+        (10, [0, 18, 13, 8, 4, 1, 2, 2, 2, 2]),
+        (9, [0, 9, 12, 24, 5, 6, 1, 2, 2])]),
+    Ordering.PATH_SEPARATED: (17, [
+        (17, [0, 18, 13, 8, 4, 3, 39, 5, 3, 41, 24, 5, 3, 46, 6, 3, 1]),
+        (4, [0, 5, 3, 1]),
+        (7, [0, 18, 13, 8, 4, 3, 1]),
+        (11, [0, 9, 6, 3, 12, 6, 3, 24, 5, 3, 1])]),
+    Ordering.SHUFFLED: (16, [
+        (16, [0, 13, 24, 6, 39, 8, 18, 46, 4, 41, 5, 1, 2, 2, 2, 2]),
+        (4, [0, 5, 1, 2]),
+        (10, [0, 13, 4, 8, 18, 1, 2, 2, 2, 2]),
+        (9, [0, 9, 24, 12, 5, 6, 1, 2, 2])]),
+    Ordering.MINIMAL_CHILDREN: (16, [
+        (16, [0, 18, 3, 41, 3, 39, 46, 3, 1, 2, 2, 2, 2, 2, 2, 2]),
+        (4, [0, 5, 3, 1]),
+        (10, [0, 18, 3, 1, 2, 2, 2, 2, 2, 2]),
+        (9, [0, 9, 12, 24, 3, 1, 2, 2, 2])]),
+}
+
+
+class TestGoldenLayouts:
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda o: o.name.lower())
+    def test_literal_ids_and_capacity(self, news_tree, strategy):
+        vocab = build_vocab(news_tree)
+        total, rows = GOLDEN[strategy]
+        assert capacity_for(GOLDEN_SETS, news_tree, strategy=strategy) == total
+        for s, (cap, want) in zip(GOLDEN_SETS, rows):
+            assert capacity_for([s], news_tree, strategy=strategy) == cap
+            seq = encode(s, news_tree, vocab, strategy, cap, rng=np.random.default_rng(0))
+            assert seq.ids.tolist() == want
+            n_real = want.index(EOS_ID) + 1
+            assert seq.mask.tolist() == [1] * n_real + [0] * (cap - n_real)
+            assert decode(seq.ids, vocab, news_tree, strategy).labels == s

@@ -61,6 +61,17 @@ class TestLoadJsonl:
         with pytest.raises(MalformedLine, match="empty label set"):
             load_jsonl(path, tiny_tree)
 
+    @pytest.mark.parametrize("row, message", [
+        ({"id": "s0", "text": "t", "labels": "AB"}, "'labels' must be a list"),
+        ({"id": "s0", "text": "t", "labels": 5}, "'labels' must be a list"),
+        ({"id": "s0", "text": None, "labels": ["A"]}, "'text' must be a string"),
+    ], ids=["labels-string", "labels-int", "text-null"])
+    def test_field_types_checked(self, tmp_path, tiny_tree, row, message):
+        path = tmp_path / "x.jsonl"
+        write_lines(path, [{"id": "ok", "text": "t", "labels": ["A"]}, row])
+        with pytest.raises(MalformedLine, match=f"x.jsonl:2: {message}"):
+            load_jsonl(path, tiny_tree)
+
     def test_blank_lines_skipped_and_empty_fatal(self, tmp_path, tiny_tree):
         path = tmp_path / "x.jsonl"
         path.write_text(
@@ -191,6 +202,14 @@ class TestAdapters:
         h, splits = load_splits(tmp_path / "out", strict=True)
         assert all(s.labels == h.closure(s.labels)
                    for split in splits.values() for s in split)
+
+    def test_non_object_line_is_malformed(self, tmp_path):
+        raw = tmp_path / "raw"
+        self.make_raw(raw)
+        with (raw / "wos_train.json").open("a", encoding="utf-8") as fh:
+            fh.write("5\n")
+        with pytest.raises(MalformedLine, match="wos_train.json:4: expected a JSON object"):
+            adapt_dataset("wos", raw, tmp_path / "out")
 
     def test_raw_taxonomy_malformed(self, tmp_path):
         raw = tmp_path / "raw"

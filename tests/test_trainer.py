@@ -9,13 +9,13 @@ import pytest
 from oracles import adamw_reference_steps
 
 from taxseq import trainer as tr
-from taxseq.autodiff import Parameter
+from taxseq.autodiff import Parameter, backward
 from taxseq.codec import PAD_ID, Ordering, capacity_for
 from taxseq.corpus import Sample
 from taxseq.decoder import DecoderConfig
 from taxseq.encoder import EncoderConfig, PrecomputedStates, TextVocab
 from taxseq.errors import ConfigError, EmptyCorpus, NonFiniteLoss, ShapeMismatch
-from taxseq.loss import LossConfig, LossVariant
+from taxseq.loss import LossConfig, LossVariant, compute_loss
 from taxseq.model import ModelBundle
 from taxseq.taxonomy import ROOT, LabelHierarchy
 from taxseq.trainer import (AdamW, PreparedData, TrainConfig, evaluate_epoch,
@@ -137,6 +137,24 @@ class TestAdamW:
         opt.step()
         assert np.array_equal(a.data, before)
         assert opt.group("enc")["t"] == 0
+
+    def test_frozen_encoder_records_no_graph(self):
+        bundle = tiny_bundle(dropout=0.1)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        idx, rng = np.arange(4), np.random.default_rng(0)
+        opt = AdamW()
+        opt.add_group("enc", dict(bundle.enc_params), 1e-3)
+        opt.add_group("dec", dict(bundle.dec_params), 1e-3)
+        assert bundle.encoder_states(data, idx, True, rng)[0].requires_grad
+        opt.freeze_group("enc")
+        hidden, enc_mask = bundle.encoder_states(data, idx, True, rng)
+        assert not hidden.requires_grad and hidden._backward is None
+        logits = bundle.decoder_logits(data.seq_ids[idx], data.seq_mask[idx],
+                                       hidden, enc_mask, True, rng)
+        backward(compute_loss(logits, make_targets(data.seq_ids)[idx], LossConfig()))
+        grads = {k: p.grad for k, p in bundle.all_params().items()}
+        assert all(g is None for k, g in grads.items() if k.startswith("enc."))
+        assert all(g is not None for k, g in grads.items() if k.startswith("dec."))
 
     def test_state_round_trip(self):
         a = Parameter(np.array([[1.0]]), name="w")
