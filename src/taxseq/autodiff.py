@@ -107,12 +107,29 @@ class Parameter(Tensor):
         self.name = name
 
 
-def _node(data, parents: Sequence[Tensor], backward: Callable) -> Tensor:
-    t = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
-        t.requires_grad = True
-        t._parents = tuple(parents)
-        t._backward = backward
+def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
+    """Wrap an op's result in a tape node.
+
+    ``data`` is the float32/float64 array the op computed and is kept as
+    it is, without the conversion and copy ``Tensor(...)`` makes of
+    outside input; a numpy scalar from a reduction becomes a 0-d array.
+    It may be a view of an input's array (``reshape``, ``transpose``, the
+    head split), so no caller writes into a node's ``.data``: ops build
+    new arrays and write in place only into arrays they made themselves.
+    """
+    t = Tensor.__new__(Tensor)
+    t.data = data if type(data) is np.ndarray else np.asarray(data)
+    t.grad = None
+    t.requires_grad = False
+    t._parents = ()
+    t._backward = None
+    if getattr(_state, "grad_enabled", True):  # grad_enabled(), inlined
+        for p in parents:
+            if p.requires_grad:
+                t.requires_grad = True
+                t._parents = tuple(parents)
+                t._backward = backward
+                break
     return t
 
 
@@ -305,13 +322,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast.
 
-    When ``b`` is a 2-d (d_in, d_out) matrix, as in every ``linear``, the
-    backward pass folds the leading axes of ``a`` into rows and runs two
-    plain GEMMs: ``a_rows.T @ g_rows`` for ``b``'s gradient and
-    ``g_rows @ b.T`` for ``a``'s; a batched product would build a
-    (B, d_in, d_out) gradient only to sum it over B. Batched operands
-    (attention's 4-d @ 4-d) keep the broadcast path, and so does the
-    forward pass, which measured slower flattened at the model's shapes.
+    A layer's (d_in, d_out) weight goes through ``linear``, whose backward
+    runs two 2-D GEMMs; this general form sums broadcast axes back down.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeMismatch("matmul needs at least 2-d operands")
@@ -320,28 +332,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g, acc):
-        if b.data.ndim == 2:
-            d_in, d_out = b.data.shape
-            g2 = g.reshape(-1, d_out)
-            if a.requires_grad:
-                acc(a, (g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                acc(b, a.data.reshape(-1, d_in).T @ g2)
-            return
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
-        acc(a, _unbroadcast(ga, a.data.shape))
-        acc(b, _unbroadcast(gb, b.data.shape))
+        acc(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        acc(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _node(out, (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b). ``w`` is (d_in, d_out); bias broadcasts over leading axes."""
-    out = matmul(x, w)
+    """x @ w (+ b) as one node: ``w`` is (d_in, d_out), ``b`` is (d_out,).
+
+    The backward folds the leading axes of ``x`` into rows and runs two
+    plain GEMMs, ``g_rows @ w.T`` for ``x`` and ``x_rows.T @ g_rows`` for
+    ``w``, plus one row sum for ``b``; each is skipped when its operand
+    needs no gradient. The forward keeps the broadcast product, which
+    measured faster than the flattened one at the model's shapes.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeMismatch(f"linear needs (..., d_in) @ (d_in, d_out), got "
+                            f"{xd.shape} @ {wd.shape}")
+    d_in, d_out = wd.shape
+    if b is not None and b.data.shape != (d_out,):
+        raise ShapeMismatch(f"linear bias {b.data.shape} does not match ({d_out},)")
+    out = xd @ wd
     if b is not None:
-        out = add(out, b)
-    return out
+        out += b.data
+
+    def bwd(g, acc):
+        g2 = g.reshape(-1, d_out)
+        if x.requires_grad:
+            acc(x, (g2 @ wd.T).reshape(xd.shape))
+        if w.requires_grad:
+            acc(w, xd.reshape(-1, d_in).T @ g2)
+        if b is not None and b.requires_grad:
+            acc(b, np.add.reduce(g2, axis=0))
+
+    return _node(out, (x, w) if b is None else (x, w, b), bwd)
 
 
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -360,12 +386,12 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+    z = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def bwd(g, acc):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = np.add.reduce(g * out, axis=axis, keepdims=True)
         acc(x, out * (g - dot))
 
     return _node(out, (x,), bwd)
@@ -374,8 +400,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
-    Row means are ``sum(axis=-1) * (1 / d)`` rather than ``mean``, whose
-    Python-level wrapper costs more than the reduction at these widths.
+    Row means are ``np.add.reduce(..., axis=-1) * (1 / d)`` rather than
+    ``mean`` or ``ndarray.sum``, whose Python-level wrappers cost more than
+    the reduction at these widths.
     """
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -384,20 +411,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps <= 0:
         raise InvalidProbability(f"layer_norm eps must be positive, got {eps}")
     inv_d = 1.0 / d
-    mu = x.data.sum(axis=-1, keepdims=True) * inv_d
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) * inv_d
     xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) * inv_d
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     out = y * gain.data + bias.data
 
     def bwd(g, acc):
         lead = tuple(range(g.ndim - 1))
-        acc(bias, g.sum(axis=lead))
-        acc(gain, (g * y).sum(axis=lead))
+        acc(bias, np.add.reduce(g, axis=lead))
+        acc(gain, np.add.reduce(g * y, axis=lead))
         gy = g * gain.data
-        m1 = gy.sum(axis=-1, keepdims=True) * inv_d
-        m2 = (gy * y).sum(axis=-1, keepdims=True) * inv_d
+        m1 = np.add.reduce(gy, axis=-1, keepdims=True) * inv_d
+        m2 = np.add.reduce(gy * y, axis=-1, keepdims=True) * inv_d
         acc(x, inv * (gy - m1 - y * m2))
 
     return _node(out, (x, gain, bias), bwd)
@@ -421,18 +448,23 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Smooth nonlinearity (tanh approximation).
 
-    The cube and the square are products (``v * v * v``, ``v * v``): a
-    float32 ``v ** 3`` goes through the generic ``pow`` loop, which is two
-    orders of magnitude slower.
+    The cube is a product (``v * v * v``): a float32 ``v ** 3`` goes
+    through the generic ``pow`` loop, which is two orders of magnitude
+    slower. The forward turns ``tanh`` into ``h = (1 + tanh) / 2`` in
+    place, and the backward reuses ``h``: since
+    ``(1 - tanh ** 2) / 2 = 2 h (1 - h)``, d/dv is
+    ``h * (1 + 2 v (1 - h) du)``. Only ``h`` is kept for the backward,
+    which recomputes the square ``v * v`` rather than hold it.
     """
     v = x.data
-    u = _GELU_C * (v + 0.044715 * (v * v * v))
-    th = np.tanh(u)
-    out = 0.5 * v * (1.0 + th)
+    h = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+    h += 1.0
+    h *= 0.5
+    out = v * h
 
     def bwd(g, acc):
         du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
-        acc(x, g * (0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * du))
+        acc(x, g * (h * (1.0 + (2.0 * v) * (1.0 - h) * du)))
 
     return _node(out, (x,), bwd)
 
@@ -443,21 +475,28 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., T, d) -> (..., heads, T, d/heads)."""
-    *lead, t, d = x.data.shape
+    """(..., T, d) -> (..., heads, T, d/heads), as a view of ``x``."""
+    shape = x.data.shape
+    *lead, t, d = shape
     if d % heads != 0:
         raise IndivisibleHeads(f"model dim {d} not divisible by {heads} heads")
-    y = reshape(x, (*lead, t, heads, d // heads))
-    order = list(range(len(lead))) + [len(lead) + 1, len(lead), len(lead) + 2]
-    return transpose(y, order)
+    out = x.data.reshape(*lead, t, heads, d // heads).swapaxes(-2, -3)
+
+    def bwd(g, acc):
+        acc(x, g.swapaxes(-2, -3).reshape(shape))
+
+    return _node(out, (x,), bwd)
 
 
 def merge_heads(x: Tensor) -> Tensor:
     """(..., heads, T, d_h) -> (..., T, heads*d_h)."""
     *lead, h, t, dh = x.data.shape
-    order = list(range(len(lead))) + [len(lead) + 1, len(lead), len(lead) + 2]
-    y = transpose(x, order)
-    return reshape(y, (*lead, t, h * dh))
+    out = x.data.swapaxes(-2, -3).reshape(*lead, t, h * dh)
+
+    def bwd(g, acc):
+        acc(x, g.reshape(*lead, t, h, dh).swapaxes(-2, -3))
+
+    return _node(out, (x,), bwd)
 
 
 def scaled_dot_attention(
@@ -467,7 +506,7 @@ def scaled_dot_attention(
     mask: np.ndarray | None = None,
     capture: list | None = None,
 ) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_h) + mask) v.
+    """softmax(q kᵀ / sqrt(d_h) + mask) v, as one node.
 
     ``mask`` is additive (0 = allowed, large negative = disallowed) and must
     broadcast to the score shape. Rows with every position disallowed
@@ -475,31 +514,47 @@ def scaled_dot_attention(
     shared by every head is scanned once. When ``capture`` is given, a
     record with the attention probabilities and the count of such rows
     over the full score shape (heads included) is appended.
+
+    The backward goes through the softmax identity
+    dS = P * (dP - rowsum(dP * P)) with the zeroed rows of P, so blocked
+    rows pass no gradient to ``q`` or ``k``.
     """
     if q.data.shape[-1] != k.data.shape[-1]:
         raise ShapeMismatch(f"query dim {q.data.shape} vs key dim {k.data.shape}")
     if k.data.shape[-2] != v.data.shape[-2]:
         raise ShapeMismatch(f"key count {k.data.shape} vs value count {v.data.shape}")
-    dh = q.data.shape[-1]
-    scores = matmul(q, transpose(k, (*range(k.data.ndim - 2), k.data.ndim - 1, k.data.ndim - 2)))
-    scores = scale(scores, 1.0 / math.sqrt(dh))
-    all_masked = None
+    c = 1.0 / math.sqrt(q.data.shape[-1])
+    p = q.data @ k.data.swapaxes(-1, -2)
+    p *= c
+    blocked = None
     if mask is not None:
-        mask = np.asarray(mask, dtype=scores.data.dtype)
-        scores = add_const(scores, mask)
-        blocked = ~(mask > NEG_INF / 2).any(axis=-1, keepdims=True)
-        if blocked.any():
-            all_masked = blocked
-    probs = softmax(scores, axis=-1)
-    if all_masked is not None:
-        probs = mul_const(probs, (~all_masked).astype(probs.data.dtype))
+        mask = np.asarray(mask, dtype=p.dtype)
+        p += mask
+        rows = np.logical_and.reduce(mask <= NEG_INF / 2, axis=-1, keepdims=True)
+        if rows.any():
+            blocked = rows
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    if blocked is not None:
+        p *= ~blocked
     if capture is not None:
         capture.append({
-            "probs": probs.data.copy(),
-            "all_masked_rows": 0 if all_masked is None else int(
-                np.broadcast_to(all_masked, scores.data.shape[:-1] + (1,)).sum()),
+            "probs": p.copy(),
+            "all_masked_rows": 0 if blocked is None else int(
+                np.broadcast_to(blocked, p.shape[:-1] + (1,)).sum()),
         })
-    return matmul(probs, v)
+    out = p @ v.data
+
+    def bwd(g, acc):
+        dp = g @ v.data.swapaxes(-1, -2)
+        ds = p * (dp - np.add.reduce(dp * p, axis=-1, keepdims=True))
+        ds *= c
+        acc(q, _unbroadcast(ds @ k.data, q.data.shape))
+        acc(k, _unbroadcast(ds.swapaxes(-1, -2) @ q.data, k.data.shape))
+        acc(v, _unbroadcast(p.swapaxes(-1, -2) @ g, v.data.shape))
+
+    return _node(out, (q, k, v), bwd)
 
 
 def multi_head_attention(

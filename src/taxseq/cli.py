@@ -201,17 +201,19 @@ def _run_training(cfg, data_dir, out_dir):
 
 def _score_split(bundle, samples, store=None, macro_all=False):
     from .inference import predict_prepared
-    from .metrics import build_report
+    from .metrics import build_report, decode_summary
     from .trainer import prepare_data
 
     prep = prepare_data(bundle, samples, seed=0, store=store)
     preds = predict_prepared(bundle, prep)
     gold_seqs = [prep.seq_ids[i][prep.seq_mask[i] == 1].tolist()
                  for i in range(prep.n)]
-    return build_report([p.labels for p in preds], prep.gold, bundle.hierarchy,
-                        macro_all_labels=macro_all,
-                        pred_sequences=[p.token_ids for p in preds],
-                        gold_sequences=gold_seqs, vocab=bundle.vocab)
+    report = build_report([p.labels for p in preds], prep.gold, bundle.hierarchy,
+                          macro_all_labels=macro_all,
+                          pred_sequences=[p.token_ids for p in preds],
+                          gold_sequences=gold_seqs, vocab=bundle.vocab)
+    report.extras.update(decode_summary(preds, bundle.hierarchy))
+    return report
 
 
 def cmd_train(args) -> int:

@@ -57,6 +57,11 @@ def read_jsonl(path, expected: str = "a JSON object") -> Iterator[tuple[int, dic
             yield n, obj
 
 
+def _names(value) -> bool:
+    """True for a list of strings, the type of every label and token list."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_jsonl(path, h: LabelHierarchy, strict: bool = False) -> list[Sample]:
     """Read one split, validating fields and labels against the hierarchy.
 
@@ -72,10 +77,9 @@ def load_jsonl(path, h: LabelHierarchy, strict: bool = False) -> list[Sample]:
             raise MalformedLine(f"{path}:{n}: expected keys id/text/labels")
         if not isinstance(obj["text"], str):
             raise MalformedLine(f"{path}:{n}: 'text' must be a string")
-        labels = obj["labels"]
-        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+        if not _names(obj["labels"]):
             raise MalformedLine(f"{path}:{n}: 'labels' must be a list of label names")
-        labels = set(labels)
+        labels = set(obj["labels"])
         if not labels:
             raise MalformedLine(f"{path}:{n}: empty label set")
         h.check_known(labels)
@@ -248,8 +252,11 @@ def adapt_dataset(fmt: str, raw_dir, out_dir):
 
     Expects the preprocessed per-line-JSON distribution of the named
     corpus ({"token": [...], "label": [...]} or {"text", "labels"}) next
-    to its taxonomy file. The corpora themselves are not bundled; a
-    missing file raises MissingRawData naming exactly what to supply.
+    to its taxonomy file. ``token``, ``label`` and ``labels`` must be
+    lists of strings and ``text`` a string; any other line raises
+    MalformedLine naming ``path:line``. The corpora themselves are not
+    bundled; a missing file raises MissingRawData naming exactly what to
+    supply.
     Returns per-split statistics computed from the converted files.
     """
     if fmt not in _RAW_FILES:
@@ -273,15 +280,20 @@ def adapt_dataset(fmt: str, raw_dir, out_dir):
     for split, fname in zip(SPLIT_NAMES, names[1:]):
         samples = []
         for n, obj in read_jsonl(raw / fname):
+            where = f"{raw / fname}:{n}"
             if "token" in obj and "label" in obj:
-                text = " ".join(obj["token"])
-                labels = set(obj["label"])
+                if not _names(obj["token"]):
+                    raise MalformedLine(f"{where}: 'token' must be a list of strings")
+                text, key = " ".join(obj["token"]), "label"
             elif "text" in obj and "labels" in obj:
-                text = str(obj["text"])
-                labels = set(obj["labels"])
+                if not isinstance(obj["text"], str):
+                    raise MalformedLine(f"{where}: 'text' must be a string")
+                text, key = obj["text"], "labels"
             else:
-                raise MalformedLine(
-                    f"{raw / fname}:{n}: expected token/label or text/labels keys")
+                raise MalformedLine(f"{where}: expected token/label or text/labels keys")
+            if not _names(obj[key]):
+                raise MalformedLine(f"{where}: '{key}' must be a list of label names")
+            labels = set(obj[key])
             h.check_known(labels)
             samples.append(Sample(f"{split}-{n}", text, h.closure(labels)))
         write_jsonl(out / f"{split}.jsonl", samples)

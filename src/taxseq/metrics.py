@@ -22,7 +22,8 @@ from .taxonomy import LabelHierarchy
 
 __all__ = [
     "PRF", "ErrorBuckets", "EvalReport", "micro_macro_f1", "per_label_scores",
-    "error_taxonomy", "build_report", "format_report", "write_report",
+    "error_taxonomy", "build_report", "decode_summary", "format_report",
+    "write_report",
 ]
 
 
@@ -189,10 +190,32 @@ def build_report(preds, golds, h: LabelHierarchy,
     return EvalReport(micro, macro, per_label, buckets)
 
 
+def decode_summary(preds, h: LabelHierarchy) -> dict:
+    """Aggregate the decode diagnostics of ``inference.Prediction``s.
+
+    ``decode.hit_capacity_share`` is the share of predictions that ran to
+    capacity without EOS and ``decode.not_closed_share`` the share whose
+    label set lacks an ancestor of one of its labels;
+    ``decode.repeats_dropped`` and ``decode.malformed`` total the
+    per-prediction ``repeated_labels_dropped`` and ``unknown_structure``.
+    """
+    n = max(len(preds), 1)
+    return {
+        "decode.hit_capacity_share": sum(p.diagnostics["hit_max_len"] for p in preds) / n,
+        "decode.repeats_dropped": sum(p.diagnostics["repeated_labels_dropped"] for p in preds),
+        "decode.malformed": sum(p.diagnostics["unknown_structure"] for p in preds),
+        "decode.not_closed_share": sum(h.closure(p.labels) != p.labels for p in preds) / n,
+    }
+
+
 def format_report(report: EvalReport) -> str:
     lines = [
         f"micro_f1 {report.micro_f1:.4f}",
         f"macro_f1 {report.macro_f1:.4f}",
+    ]
+    lines += [f"{k} {v:.4f}" if isinstance(v, float) else f"{k} {v}"
+              for k, v in report.extras.items()]
+    lines += [
         "",
         f"{'label':<32}{'prec':>8}{'rec':>8}{'f1':>8}{'gold':>7}{'pred':>7}",
     ]

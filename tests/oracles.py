@@ -2,12 +2,19 @@
 
 Everything here is deliberately written from first principles (plain
 loops, no calls into the package's own logic) so test assertions do not
-reuse the code under test.
+reuse the code under test. The one exception is the composed references
+of the fused tape ops at the end: they build each fused op from the
+tape's primitive ops, so that both the forward value and every gradient
+can be compared.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from taxseq import autodiff as ad
 
 
 def closure_reference(parent_of: dict[str, str | None], labels) -> set[str]:
@@ -154,3 +161,46 @@ def adamw_reference_steps(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.
         x = x - lr * (mh / (np.sqrt(vh) + eps) + wd * x)
         trace.append(x)
     return trace
+
+
+# ---------------------------------------------------------------------------
+# fused tape ops, composed from primitive ops
+# ---------------------------------------------------------------------------
+
+
+def linear_composed(x, w, b=None):
+    out = ad.matmul(x, w)
+    return out if b is None else ad.add(out, b)
+
+
+def split_heads_composed(x, heads):
+    *lead, t, d = x.data.shape
+    n = len(lead)
+    y = ad.reshape(x, (*lead, t, heads, d // heads))
+    return ad.transpose(y, (*range(n), n + 1, n, n + 2))
+
+
+def merge_heads_composed(x):
+    *lead, h, t, dh = x.data.shape
+    n = len(lead)
+    y = ad.transpose(x, (*range(n), n + 1, n, n + 2))
+    return ad.reshape(y, (*lead, t, h * dh))
+
+
+def attention_composed(q, k, v, mask=None, capture=None):
+    """Scores, scale, additive mask, softmax, zeroed blocked rows and ``@ v``,
+    one primitive op each; ``capture`` gets the fused op's record."""
+    n = k.data.ndim
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (*range(n - 2), n - 1, n - 2))),
+                      1.0 / math.sqrt(q.data.shape[-1]))
+    keep = np.ones(scores.data.shape[:-1] + (1,))
+    if mask is not None:
+        scores = ad.add_const(scores, mask)
+        blocked = np.broadcast_to((np.asarray(mask) <= ad.NEG_INF / 2).all(
+            axis=-1, keepdims=True), keep.shape)
+        keep = np.where(blocked, 0.0, 1.0)
+    probs = ad.mul_const(ad.softmax(scores, axis=-1), keep)
+    if capture is not None:
+        capture.append({"probs": probs.data.copy(),
+                        "all_masked_rows": int((keep == 0).sum())})
+    return ad.matmul(probs, v)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import fd_gradient, layer_norm_reference, relative_error
+from oracles import (attention_composed, fd_gradient, layer_norm_reference,
+                     linear_composed, merge_heads_composed, relative_error,
+                     split_heads_composed)
 
 from taxseq import autodiff as ad
 from taxseq.autodiff import Parameter, Tensor, backward, no_grad
@@ -151,6 +153,138 @@ class TestKernelReferences:
         for got, ref in ((out.data, want), (tx.grad, gx), (tg.grad, gg), (tb.grad, gb)):
             assert got.dtype == dtype
             np.testing.assert_allclose(got, ref, rtol=tol, atol=tol)
+
+
+def run_with_grads(fn, arrays, frozen=()):
+    """Forward ``fn`` on float64 leaves, backward a fixed random readout of
+    its output; returns the output array and each leaf's gradient."""
+    leaves = {k: Tensor(v, requires_grad=k not in frozen) for k, v in arrays.items()}
+    out = fn(**leaves)
+    up = np.random.default_rng(0).standard_normal(out.data.shape)
+    backward(ad.tsum(ad.mul_const(out, up)))
+    return out.data, {k: t.grad for k, t in leaves.items()}
+
+
+def attention_masks():
+    """A (B, 1, q, n) mask shared by the heads, with key padding and one
+    fully blocked row, plus its broadcast copy and no mask at all."""
+    shared = np.zeros((2, 1, 3, 5))
+    shared[..., 4:] = ad.NEG_INF
+    shared[1, 0, 2, :] = ad.NEG_INF
+    return {"none": None, "shared": shared,
+            "full": np.ascontiguousarray(np.broadcast_to(shared, (2, 3, 3, 5)))}
+
+
+class TestFusedOps:
+    """The one-node ops against their compositions of primitive ops
+    (``oracles.*_composed``), forward and every gradient in float64, and
+    against finite differences."""
+
+    @pytest.mark.parametrize("mask_name", ["none", "shared", "full"])
+    def test_attention_matches_composition(self, rng, mask_name):
+        mask = attention_masks()[mask_name]
+        arrays = {"q": arr(rng, 2, 3, 3, 4), "k": arr(rng, 2, 3, 5, 4),
+                  "v": arr(rng, 2, 3, 5, 6)}
+        got_cap, want_cap = [], []
+        got, got_g = run_with_grads(lambda q, k, v: ad.scaled_dot_attention(
+            q, k, v, mask=mask, capture=got_cap), arrays)
+        want, want_g = run_with_grads(lambda q, k, v: attention_composed(
+            q, k, v, mask=mask, capture=want_cap), arrays)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for key in arrays:
+            np.testing.assert_allclose(got_g[key], want_g[key], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got_cap[0]["probs"], want_cap[0]["probs"],
+                                   rtol=1e-12, atol=1e-15)
+        assert got_cap[0]["all_masked_rows"] == want_cap[0]["all_masked_rows"] == (
+            0 if mask is None else 3)
+        if mask is not None:
+            assert np.array_equal(got[1, :, 2], np.zeros((3, 6)))
+
+    def test_attention_broadcast_batch_axis(self, rng):
+        """Keys and values shared over a leading axis get its summed gradient."""
+        arrays = {"q": arr(rng, 2, 3, 4), "k": arr(rng, 1, 5, 4), "v": arr(rng, 1, 5, 4)}
+        got, got_g = run_with_grads(ad.scaled_dot_attention, arrays)
+        want, want_g = run_with_grads(attention_composed, arrays)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for key in arrays:
+            assert got_g[key].shape == arrays[key].shape
+            np.testing.assert_allclose(got_g[key], want_g[key], rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2d", "3d", "4d"])
+    @pytest.mark.parametrize("bias, frozen", [(True, ()), (False, ()), (True, ("w",))],
+                             ids=["bias", "no-bias", "frozen-weight"])
+    def test_linear_matches_composition(self, rng, lead, bias, frozen):
+        arrays = {"x": arr(rng, *lead, 4, 5), "w": arr(rng, 5, 3)}
+        if bias:
+            arrays["b"] = arr(rng, 3)
+        got, got_g = run_with_grads(ad.linear, arrays, frozen)
+        want, want_g = run_with_grads(linear_composed, arrays, frozen)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for key in arrays:
+            if key in frozen:
+                assert got_g[key] is None and want_g[key] is None
+            else:
+                np.testing.assert_allclose(got_g[key], want_g[key], rtol=1e-12, atol=1e-12)
+
+    def test_linear_shape_errors(self, rng):
+        x = Tensor(arr(rng, 2, 4))
+        with pytest.raises(ShapeMismatch):
+            ad.linear(x, Tensor(arr(rng, 5, 3)))
+        with pytest.raises(ShapeMismatch):
+            ad.linear(x, Tensor(arr(rng, 2, 4, 3)))
+        with pytest.raises(ShapeMismatch):
+            ad.linear(x, Tensor(arr(rng, 4, 3)), Tensor(arr(rng, 4)))
+        with pytest.raises(ShapeMismatch):
+            ad.linear(Tensor(arr(rng, 4)), Tensor(arr(rng, 4, 3)))
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["3d", "4d"])
+    def test_split_merge_heads_match_composition(self, rng, lead):
+        split = {"x": arr(rng, *lead, 2, 5, 8)}
+        got, got_g = run_with_grads(lambda x: ad.split_heads(x, 4), split)
+        want, want_g = run_with_grads(lambda x: split_heads_composed(x, 4), split)
+        assert got.shape == (*lead, 2, 4, 5, 2)
+        assert np.array_equal(got, want) and np.array_equal(got_g["x"], want_g["x"])
+        merge = {"x": arr(rng, *lead, 2, 4, 5, 2)}
+        got, got_g = run_with_grads(ad.merge_heads, merge)
+        want, want_g = run_with_grads(merge_heads_composed, merge)
+        assert got.shape == (*lead, 2, 5, 8)
+        assert np.array_equal(got, want) and np.array_equal(got_g["x"], want_g["x"])
+
+    def test_split_heads_is_a_view(self, rng):
+        x = Tensor(arr(rng, 2, 5, 8))
+        assert np.shares_memory(ad.split_heads(x, 4).data, x.data)
+
+    @pytest.mark.parametrize("op", ["attention-shared-mask", "attention-no-mask",
+                                    "linear", "linear-no-bias",
+                                    "split_heads", "merge_heads"])
+    def test_finite_differences(self, rng, op):
+        mask = attention_masks()["shared"]
+        w = arr(rng, 2, 3, 3, 4)
+        cases = {
+            "attention-shared-mask": (
+                lambda t: ad.scaled_dot_attention(t["q"], t["k"], t["v"], mask=mask),
+                {"q": arr(rng, 2, 3, 3, 4), "k": arr(rng, 2, 3, 5, 4),
+                 "v": arr(rng, 2, 3, 5, 4)}),
+            "attention-no-mask": (
+                lambda t: ad.scaled_dot_attention(t["q"], t["k"], t["v"]),
+                {"q": arr(rng, 2, 3, 3, 4), "k": arr(rng, 2, 3, 5, 4),
+                 "v": arr(rng, 2, 3, 5, 4)}),
+            "linear": (lambda t: ad.linear(t["x"], t["w"], t["b"]),
+                       {"x": arr(rng, 2, 3, 3, 5), "w": arr(rng, 5, 4), "b": arr(rng, 4)}),
+            "linear-no-bias": (lambda t: ad.linear(t["x"], t["w"]),
+                               {"x": arr(rng, 2, 3, 3, 5), "w": arr(rng, 5, 4)}),
+            "split_heads": (lambda t: ad.split_heads(t["x"], 3),
+                            {"x": arr(rng, 2, 3, 12)}),
+            "merge_heads": (lambda t: ad.merge_heads(t["x"]),
+                            {"x": arr(rng, 2, 3, 3, 4)}),
+        }
+        fn, inputs = cases[op]
+
+        def readout(t):
+            out = fn(t)
+            return ad.tsum(ad.mul_const(out, w.reshape(out.data.shape)))
+
+        assert gradcheck(readout, inputs) < TOL
 
 
 class TestShapeOpGrads:

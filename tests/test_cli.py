@@ -251,6 +251,56 @@ class TestEvaluateCommand:
         capsys.readouterr()
         assert (workdir["run"] / "best" / "eval_dev.txt").exists()
 
+    def test_report_aggregates_decode_diagnostics(self, tmp_path):
+        """A decoder rigged on the text length gives known diagnostic counts
+        in the report's extras and in both report files."""
+        import numpy as np
+        from test_inference import tiny_bundle
+
+        from taxseq.autodiff import Tensor
+        from taxseq.cli import _score_split
+        from taxseq.codec import BOS_ID, EOS_ID, SEP_ID
+        from taxseq.corpus import Sample
+        from taxseq.metrics import write_report
+
+        bundle = tiny_bundle()
+        a, b, c, d = (bundle.vocab.id_of(x) for x in "ABCD")
+        # text length -> first token; each prefix then has one next token
+        first = {1: d, 2: b, 3: a, 4: c, 5: BOS_ID}
+        table = {(BOS_ID, d): SEP_ID,                    # {D}: clean
+                 (BOS_ID, b): SEP_ID,                    # {B}: not closed
+                 (BOS_ID, a): a, (BOS_ID, a, a): SEP_ID,  # {A}: one repeat
+                 (BOS_ID, BOS_ID): d}                    # {D}: one unknown id
+        table |= {(BOS_ID, c) + (SEP_ID,) * n: SEP_ID    # {C}: SEP to capacity
+                  for n in range(bundle.capacity)}
+
+        def rigged(label_ids, label_mask, enc_hidden, enc_mask, train_mode=False,
+                   rng=None, capture_cross=None, cache=None):
+            fresh = cache.length == 0
+            cache.consume(np.atleast_2d(label_ids), np.atleast_2d(label_mask))
+            out = np.full((len(cache.ids), 1, bundle.vocab.size), -30.0)
+            for i, row in enumerate(cache.ids):
+                nxt = (first[int(enc_mask[i].sum())] if fresh
+                       else table.get(tuple(int(t) for t in row), EOS_ID))
+                out[i, 0, nxt] = 0.0
+            return Tensor(out)
+
+        bundle.decoder_logits = rigged
+        lengths = [1, 2, 2, 3, 4, 4, 5, 1]
+        samples = [Sample(f"s{i}", " ".join(["bat"] * n), {"A", "B"})
+                   for i, n in enumerate(lengths)]
+        report = _score_split(bundle, samples)
+        want = {"decode.hit_capacity_share": 0.25, "decode.repeats_dropped": 1,
+                "decode.malformed": 1, "decode.not_closed_share": 0.5}
+        assert report.extras == want
+        txt, kv = write_report(report, tmp_path / "report")
+        lines = txt.read_text().splitlines()
+        assert lines[2:6] == ["decode.hit_capacity_share 0.2500",
+                              "decode.repeats_dropped 1", "decode.malformed 1",
+                              "decode.not_closed_share 0.5000"]
+        pairs = dict(line.split("=", 1) for line in kv.read_text().splitlines())
+        assert {k: float(pairs[k]) for k in want} == want
+
     def test_truncated_blob_exits_2(self, workdir, tmp_path, capsys):
         ck = tmp_path / "ck"
         shutil.copytree(workdir["run"] / "best", ck)

@@ -211,6 +211,21 @@ class TestAdapters:
         with pytest.raises(MalformedLine, match="wos_train.json:4: expected a JSON object"):
             adapt_dataset("wos", raw, tmp_path / "out")
 
+    @pytest.mark.parametrize("line, message", [
+        ({"text": None, "labels": ["CS"]}, "'text' must be a string"),
+        ({"text": "alpha beta", "labels": "CS"}, "'labels' must be a list of label names"),
+        ({"token": "alpha beta", "label": ["CS"]}, "'token' must be a list of strings"),
+        ({"token": ["alpha", 3], "label": ["CS"]}, "'token' must be a list of strings"),
+        ({"token": ["alpha"], "label": [["CS"]]}, "'label' must be a list of label names"),
+    ], ids=["text-null", "labels-string", "token-string", "token-int", "label-nested"])
+    def test_field_types_checked(self, tmp_path, line, message):
+        raw = tmp_path / "raw"
+        self.make_raw(raw)
+        with (raw / "wos_val.json").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+        with pytest.raises(MalformedLine, match=f"wos_val.json:2: {message}"):
+            adapt_dataset("wos", raw, tmp_path / "out")
+
     def test_raw_taxonomy_malformed(self, tmp_path):
         raw = tmp_path / "raw"
         self.make_raw(raw)

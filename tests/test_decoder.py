@@ -5,7 +5,7 @@ import pytest
 
 from taxseq import autodiff as ad
 from taxseq.codec import build_vocab
-from taxseq.decoder import (DecoderConfig, decoder_forward,
+from taxseq.decoder import (DecodeCache, DecoderConfig, decoder_forward,
                             init_decoder_params, read_label_embeddings,
                             self_attention_mask, write_label_embeddings)
 from taxseq.errors import (ConfigError, InitDimensionMismatch, ShapeMismatch)
@@ -48,6 +48,44 @@ class TestConfig:
         with pytest.raises(ConfigError):
             init_decoder_params(DecoderConfig(vocab_size=4),
                                 np.random.default_rng(0))
+
+
+class TestTapeNodes:
+    """Exact tape-node counts of the two-layer decoder, so un-fusing an op
+    fails here. Embedding: two lookups and their sum (3). Per layer: the new
+    self-attention keys and values (two ``linear`` and two ``split_heads``,
+    4), each of the two attention reads (query ``linear``, ``split_heads``,
+    ``scaled_dot_attention``, ``merge_heads``, output ``linear``, 5 each),
+    three residual ``add`` + ``layer_norm`` pairs (6) and the feed-forward
+    (``linear``, ``gelu``, ``linear``, 3): 23. The first call on a cache also
+    projects the cross-attention keys and values (4 per layer). Output
+    projection: 1."""
+
+    def count_nodes(self, monkeypatch, fn):
+        calls = []
+        real = ad._node
+
+        def counting(data, parents, backward):
+            calls.append(None)
+            return real(data, parents, backward)
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_node", counting)
+            fn()
+        return len(calls)
+
+    def test_teacher_forced_pass_and_cached_step(self, rng, monkeypatch):
+        cfg = small_cfg()
+        params = init_decoder_params(cfg, rng)
+        ids, mask, hidden, emask = make_inputs(rng, b=2, n=3)
+        cache = DecodeCache()
+        teacher = self.count_nodes(monkeypatch, lambda: decoder_forward(
+            ids, mask, hidden, emask, cfg, params, cache=cache))
+        with ad.no_grad():
+            step = self.count_nodes(monkeypatch, lambda: decoder_forward(
+                ids[:, :1], mask[:, :1], hidden, emask, cfg, params, cache=cache))
+        assert teacher == 3 + 2 * (23 + 4) + 1 == 58
+        assert step == 3 + 2 * 23 + 1 == 50
 
 
 class TestSelfAttentionMask:
