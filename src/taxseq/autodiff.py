@@ -6,6 +6,14 @@ graph in reverse topological order, accumulating gradients into leaf
 tensors (``Parameter`` instances and any tensor with ``requires_grad``).
 Arrays are float32 by default; float64 inputs are respected so tests can
 run the same graph at higher precision.
+
+Each transformer sublayer is one node with a hand-written backward:
+``kv_heads`` (one node each for keys and values), ``attend``, ``add_norm``
+and ``feed_forward``. Their forward and backward are built from array
+kernels (``_affine``, ``_norm``, ``_gelu``, ``_attention`` and the head
+split/merge), which are also the whole of the single-op nodes ``linear``,
+``layer_norm``, ``gelu`` and ``scaled_dot_attention``, so each kernel has
+one implementation.
 """
 
 from __future__ import annotations
@@ -123,14 +131,20 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
     t.requires_grad = False
     t._parents = ()
     t._backward = None
+    if _recording(parents):
+        t.requires_grad = True
+        t._parents = tuple(parents)
+        t._backward = backward
+    return t
+
+
+def _recording(parents: Sequence[Tensor]) -> bool:
+    """Whether ``_node`` records a node over ``parents`` (and keeps its backward)."""
     if getattr(_state, "grad_enabled", True):  # grad_enabled(), inlined
         for p in parents:
             if p.requires_grad:
-                t.requires_grad = True
-                t._parents = tuple(parents)
-                t._backward = backward
-                break
-    return t
+                return True
+    return False
 
 
 def backward(loss: Tensor) -> None:
@@ -163,8 +177,8 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
 
-    def accumulate(t: Tensor, g: np.ndarray) -> None:
-        if not t.requires_grad:
+    def accumulate(t: Tensor, g: np.ndarray | None) -> None:
+        if g is None or not t.requires_grad:  # None: the op skipped an unneeded gradient
             return
         if t._backward is not None:  # interior node: stage for its own backward
             key = id(t)
@@ -338,34 +352,182 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b) as one node: ``w`` is (d_in, d_out), ``b`` is (d_out,).
+# ---------------------------------------------------------------------------
+# array kernels: the one implementation of each layer's forward and
+# backward, shared by the thin nodes and the sublayer nodes below
+# ---------------------------------------------------------------------------
 
-    The backward folds the leading axes of ``x`` into rows and runs two
-    plain GEMMs, ``g_rows @ w.T`` for ``x`` and ``x_rows.T @ g_rows`` for
-    ``w``, plus one row sum for ``b``; each is skipped when its operand
-    needs no gradient. The forward keeps the broadcast product, which
-    measured faster than the flattened one at the model's shapes.
-    """
-    xd, wd = x.data, w.data
-    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """x @ w (+ b) for a (d_in, d_out) ``w``; the broadcast product, which
+    measured faster than a flattened one at the model's shapes."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"linear needs (..., d_in) @ (d_in, d_out), got "
-                            f"{xd.shape} @ {wd.shape}")
-    d_in, d_out = wd.shape
-    if b is not None and b.data.shape != (d_out,):
-        raise ShapeMismatch(f"linear bias {b.data.shape} does not match ({d_out},)")
-    out = xd @ wd
+                            f"{x.shape} @ {w.shape}")
+    out = x @ w
     if b is not None:
-        out += b.data
+        if b.shape != (w.shape[1],):
+            raise ShapeMismatch(f"linear bias {b.shape} does not match ({w.shape[1]},)")
+        out += b
+    return out
+
+
+def _affine_grads(g, x, w, need_x: bool, need_w: bool, need_b: bool):
+    """Gradients of ``_affine`` for x, w and b (None where not needed).
+
+    The leading axes fold into rows, so each is one plain 2-D GEMM,
+    ``g_rows @ w.T`` and ``x_rows.T @ g_rows``, or one row sum.
+    """
+    d_in, d_out = w.shape
+    g2 = g.reshape(-1, d_out)
+    return ((g2 @ w.T).reshape(x.shape) if need_x else None,
+            x.reshape(-1, d_in).T @ g2 if need_w else None,
+            np.add.reduce(g2, axis=0) if need_b else None)
+
+
+def _norm(x, gain, bias, eps: float):
+    """Layer norm over the last axis -> (out, normalized y, 1/std).
+
+    Row means are ``np.add.reduce(..., axis=-1) * (1 / d)`` rather than
+    ``mean`` or ``ndarray.sum``, whose Python-level wrappers cost more than
+    the reduction at these widths.
+    """
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeMismatch(f"layer_norm affine shapes {gain.shape}/{bias.shape} "
+                            f"do not match feature dim {d}")
+    if eps <= 0:
+        raise InvalidProbability(f"layer_norm eps must be positive, got {eps}")
+    inv_d = 1.0 / d
+    mu = np.add.reduce(x, axis=-1, keepdims=True) * inv_d
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) * inv_d
+    inv = 1.0 / np.sqrt(var + eps)
+    y = xc * inv
+    return y * gain + bias, y, inv
+
+
+def _norm_grads(g, y, inv, gain):
+    """Gradients of ``_norm`` for its input, gain and bias."""
+    inv_d = 1.0 / g.shape[-1]
+    lead = tuple(range(g.ndim - 1))
+    gbias = np.add.reduce(g, axis=lead)
+    ggain = np.add.reduce(g * y, axis=lead)
+    gy = g * gain
+    m1 = np.add.reduce(gy, axis=-1, keepdims=True) * inv_d
+    m2 = np.add.reduce(gy * y, axis=-1, keepdims=True) * inv_d
+    return inv * (gy - m1 - y * m2), ggain, gbias
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _gelu(v):
+    """GELU, tanh approximation -> (out, h) with ``h = (1 + tanh) / 2``.
+
+    The cube is a product (``v * v * v``): a float32 ``v ** 3`` goes
+    through the generic ``pow`` loop, which is two orders of magnitude
+    slower. ``tanh`` turns into ``h`` in place, and the backward reuses
+    ``h``: since ``(1 - tanh ** 2) / 2 = 2 h (1 - h)``, d/dv is
+    ``h * (1 + 2 v (1 - h) du)``. Only ``h`` is kept for the backward,
+    which recomputes the square ``v * v`` rather than hold it.
+    """
+    h = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+    h += 1.0
+    h *= 0.5
+    return v * h, h
+
+
+def _gelu_grad(g, v, h):
+    du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
+    return g * (h * (1.0 + (2.0 * v) * (1.0 - h) * du))
+
+
+def _split(x, heads: int):
+    """(..., T, d) -> (..., heads, T, d/heads), as a view."""
+    *lead, t, d = x.shape
+    if d % heads != 0:
+        raise IndivisibleHeads(f"model dim {d} not divisible by {heads} heads")
+    return x.reshape(*lead, t, heads, d // heads).swapaxes(-2, -3)
+
+
+def _merge(x):
+    """(..., heads, T, d_h) -> (..., T, heads*d_h), the inverse of ``_split``."""
+    *lead, h, t, dh = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, t, h * dh)
+
+
+def _attention(q, k, v, mask, capture):
+    """softmax(q kᵀ / sqrt(d_h) + mask) v -> (out, probabilities).
+
+    ``mask`` is additive (0 = allowed, large negative = disallowed) and must
+    broadcast to the score shape. Rows with every position disallowed
+    produce zero output. They are found from each row's largest masked
+    score, which the softmax takes anyway: it falls below ``NEG_INF / 2``
+    only when the mask blocks every key, since scores are far smaller than
+    ``|NEG_INF|``. When ``capture`` is given, a record with the attention
+    probabilities and the count of such rows over the full score shape
+    (heads included) is appended.
+    """
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeMismatch(f"query dim {q.shape} vs key dim {k.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatch(f"key count {k.shape} vs value count {v.shape}")
+    p = q @ k.swapaxes(-1, -2)
+    p *= 1.0 / math.sqrt(q.shape[-1])
+    if mask is not None:
+        p += np.asarray(mask, dtype=p.dtype)
+    top = np.maximum.reduce(p, axis=-1, keepdims=True)
+    blocked = None
+    if mask is not None:
+        rows = top <= NEG_INF / 2
+        if rows.any():
+            blocked = rows
+    p -= top
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    if blocked is not None:
+        p *= ~blocked
+    if capture is not None:
+        capture.append({
+            "probs": p.copy(),
+            "all_masked_rows": 0 if blocked is None else int(blocked.sum()),
+        })
+    return p @ v, p
+
+
+def _attention_grads(g, q, k, v, p, need_q: bool, need_k: bool, need_v: bool):
+    """Gradients of ``_attention`` for q, k and v (None where not needed).
+
+    The softmax goes through dS = P * (dP - rowsum(dP * P)) with the zeroed
+    rows of P, so blocked rows pass no gradient to ``q`` or ``k``; operands
+    that were broadcast get their gradient summed back down.
+    """
+    gq = gk = None
+    if need_q or need_k:
+        dp = g @ v.swapaxes(-1, -2)
+        ds = p * (dp - np.add.reduce(dp * p, axis=-1, keepdims=True))
+        ds *= 1.0 / math.sqrt(q.shape[-1])
+        if need_q:
+            gq = _unbroadcast(ds @ k, q.shape)
+        if need_k:
+            gk = _unbroadcast(ds.swapaxes(-1, -2) @ q, k.shape)
+    gv = _unbroadcast(p.swapaxes(-1, -2) @ g, v.shape) if need_v else None
+    return gq, gk, gv
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) as one node: ``w`` is (d_in, d_out), ``b`` is (d_out,)."""
+    xd, wd = x.data, w.data
+    out = _affine(xd, wd, None if b is None else b.data)
 
     def bwd(g, acc):
-        g2 = g.reshape(-1, d_out)
-        if x.requires_grad:
-            acc(x, (g2 @ wd.T).reshape(xd.shape))
-        if w.requires_grad:
-            acc(w, xd.reshape(-1, d_in).T @ g2)
-        if b is not None and b.requires_grad:
-            acc(b, np.add.reduce(g2, axis=0))
+        gx, gw, gb = _affine_grads(g, xd, wd, x.requires_grad, w.requires_grad,
+                                   b is not None and b.requires_grad)
+        acc(x, gx)
+        acc(w, gw)
+        if b is not None:
+            acc(b, gb)
 
     return _node(out, (x, w) if b is None else (x, w, b), bwd)
 
@@ -398,36 +560,34 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift.
-
-    Row means are ``np.add.reduce(..., axis=-1) * (1 / d)`` rather than
-    ``mean`` or ``ndarray.sum``, whose Python-level wrappers cost more than
-    the reduction at these widths.
-    """
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeMismatch(f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
-                            f"do not match feature dim {d}")
-    if eps <= 0:
-        raise InvalidProbability(f"layer_norm eps must be positive, got {eps}")
-    inv_d = 1.0 / d
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) * inv_d
-    xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) * inv_d
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    out = y * gain.data + bias.data
+    """Normalize over the last axis, then scale and shift."""
+    gd = gain.data
+    out, y, inv = _norm(x.data, gd, bias.data, eps)
 
     def bwd(g, acc):
-        lead = tuple(range(g.ndim - 1))
-        acc(bias, np.add.reduce(g, axis=lead))
-        acc(gain, np.add.reduce(g * y, axis=lead))
-        gy = g * gain.data
-        m1 = np.add.reduce(gy, axis=-1, keepdims=True) * inv_d
-        m2 = np.add.reduce(gy * y, axis=-1, keepdims=True) * inv_d
-        acc(x, inv * (gy - m1 - y * m2))
+        gx, gg, gb = _norm_grads(g, y, inv, gd)
+        acc(bias, gb)
+        acc(gain, gg)
+        acc(x, gx)
 
     return _node(out, (x, gain, bias), bwd)
+
+
+def add_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """``layer_norm(x + r)``, a residual sum and its normalization, as one node."""
+    if x.data.shape != r.data.shape:
+        raise ShapeMismatch(f"residual {r.data.shape} does not match {x.data.shape}")
+    gd = gain.data
+    out, y, inv = _norm(x.data + r.data, gd, bias.data, eps)
+
+    def bwd(g, acc):
+        gx, gg, gb = _norm_grads(g, y, inv, gd)
+        acc(bias, gb)
+        acc(gain, gg)
+        acc(x, gx)
+        acc(r, gx)
+
+    return _node(out, (x, r, gain, bias), bwd)
 
 
 def dropout(x: Tensor, p: float, train_mode: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -442,31 +602,40 @@ def dropout(x: Tensor, p: float, train_mode: bool, rng: np.random.Generator | No
     return mul_const(x, keep)
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
 def gelu(x: Tensor) -> Tensor:
-    """Smooth nonlinearity (tanh approximation).
-
-    The cube is a product (``v * v * v``): a float32 ``v ** 3`` goes
-    through the generic ``pow`` loop, which is two orders of magnitude
-    slower. The forward turns ``tanh`` into ``h = (1 + tanh) / 2`` in
-    place, and the backward reuses ``h``: since
-    ``(1 - tanh ** 2) / 2 = 2 h (1 - h)``, d/dv is
-    ``h * (1 + 2 v (1 - h) du)``. Only ``h`` is kept for the backward,
-    which recomputes the square ``v * v`` rather than hold it.
-    """
+    """Smooth nonlinearity (tanh approximation); see ``_gelu``."""
     v = x.data
-    h = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
-    h += 1.0
-    h *= 0.5
-    out = v * h
+    out, h = _gelu(v)
 
     def bwd(g, acc):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
-        acc(x, g * (h * (1.0 + (2.0 * v) * (1.0 - h) * du)))
+        acc(x, _gelu_grad(g, v, h))
 
     return _node(out, (x,), bwd)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node."""
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    pre = _affine(xd, w1d, b1.data)
+    act, h = _gelu(pre)
+    if not _recording((x, w1, b1, w2, b2)):
+        pre = h = None  # only the backward reads them: free them before the second GEMM
+    out = _affine(act, w2d, b2.data)
+
+    def bwd(g, acc):
+        need_x = x.requires_grad or w1.requires_grad or b1.requires_grad
+        gact, gw2, gb2 = _affine_grads(g, act, w2d, need_x, w2.requires_grad,
+                                       b2.requires_grad)
+        acc(w2, gw2)
+        acc(b2, gb2)
+        if need_x:
+            gx, gw1, gb1 = _affine_grads(_gelu_grad(gact, pre, h), xd, w1d, x.requires_grad,
+                                         w1.requires_grad, b1.requires_grad)
+            acc(x, gx)
+            acc(w1, gw1)
+            acc(b1, gb1)
+
+    return _node(out, (x, w1, b1, w2, b2), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +645,22 @@ def gelu(x: Tensor) -> Tensor:
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
     """(..., T, d) -> (..., heads, T, d/heads), as a view of ``x``."""
-    shape = x.data.shape
-    *lead, t, d = shape
-    if d % heads != 0:
-        raise IndivisibleHeads(f"model dim {d} not divisible by {heads} heads")
-    out = x.data.reshape(*lead, t, heads, d // heads).swapaxes(-2, -3)
+    out = _split(x.data, heads)
 
     def bwd(g, acc):
-        acc(x, g.swapaxes(-2, -3).reshape(shape))
+        acc(x, _merge(g))
 
     return _node(out, (x,), bwd)
 
 
 def merge_heads(x: Tensor) -> Tensor:
     """(..., heads, T, d_h) -> (..., T, heads*d_h)."""
-    *lead, h, t, dh = x.data.shape
-    out = x.data.swapaxes(-2, -3).reshape(*lead, t, h * dh)
+    heads = x.data.shape[-3]
 
     def bwd(g, acc):
-        acc(x, g.reshape(*lead, t, h, dh).swapaxes(-2, -3))
+        acc(x, _split(g, heads))
 
-    return _node(out, (x,), bwd)
+    return _node(_merge(x.data), (x,), bwd)
 
 
 def scaled_dot_attention(
@@ -506,53 +670,16 @@ def scaled_dot_attention(
     mask: np.ndarray | None = None,
     capture: list | None = None,
 ) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_h) + mask) v, as one node.
-
-    ``mask`` is additive (0 = allowed, large negative = disallowed) and must
-    broadcast to the score shape. Rows with every position disallowed
-    produce zero output; they are found on the mask as given, so a mask
-    shared by every head is scanned once. When ``capture`` is given, a
-    record with the attention probabilities and the count of such rows
-    over the full score shape (heads included) is appended.
-
-    The backward goes through the softmax identity
-    dS = P * (dP - rowsum(dP * P)) with the zeroed rows of P, so blocked
-    rows pass no gradient to ``q`` or ``k``.
-    """
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise ShapeMismatch(f"query dim {q.data.shape} vs key dim {k.data.shape}")
-    if k.data.shape[-2] != v.data.shape[-2]:
-        raise ShapeMismatch(f"key count {k.data.shape} vs value count {v.data.shape}")
-    c = 1.0 / math.sqrt(q.data.shape[-1])
-    p = q.data @ k.data.swapaxes(-1, -2)
-    p *= c
-    blocked = None
-    if mask is not None:
-        mask = np.asarray(mask, dtype=p.dtype)
-        p += mask
-        rows = np.logical_and.reduce(mask <= NEG_INF / 2, axis=-1, keepdims=True)
-        if rows.any():
-            blocked = rows
-    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
-    if blocked is not None:
-        p *= ~blocked
-    if capture is not None:
-        capture.append({
-            "probs": p.copy(),
-            "all_masked_rows": 0 if blocked is None else int(
-                np.broadcast_to(blocked, p.shape[:-1] + (1,)).sum()),
-        })
-    out = p @ v.data
+    """softmax(q kᵀ / sqrt(d_h) + mask) v, as one node; see ``_attention``."""
+    qd, kd, vd = q.data, k.data, v.data
+    out, p = _attention(qd, kd, vd, mask, capture)
 
     def bwd(g, acc):
-        dp = g @ v.data.swapaxes(-1, -2)
-        ds = p * (dp - np.add.reduce(dp * p, axis=-1, keepdims=True))
-        ds *= c
-        acc(q, _unbroadcast(ds @ k.data, q.data.shape))
-        acc(k, _unbroadcast(ds.swapaxes(-1, -2) @ q.data, k.data.shape))
-        acc(v, _unbroadcast(p.swapaxes(-1, -2) @ g, v.data.shape))
+        gq, gk, gv = _attention_grads(g, qd, kd, vd, p, q.requires_grad,
+                                      k.requires_grad, v.requires_grad)
+        acc(q, gq)
+        acc(k, gk)
+        acc(v, gv)
 
     return _node(out, (q, k, v), bwd)
 
@@ -577,10 +704,24 @@ def multi_head_attention(
 
 def kv_heads(x_k: Tensor, x_v: Tensor, heads: int,
              params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Keys and values of one attention block, split into heads."""
-    k = split_heads(linear(x_k, params["wk"], params["bk"]), heads)
-    v = split_heads(linear(x_v, params["wv"], params["bv"]), heads)
-    return k, v
+    """Keys and values of one attention block, split into heads: one node
+    each, covering the projection and the head split."""
+    return (_project_heads(x_k, params["wk"], params["bk"], heads),
+            _project_heads(x_v, params["wv"], params["bv"], heads))
+
+
+def _project_heads(x: Tensor, w: Tensor, b: Tensor, heads: int) -> Tensor:
+    xd, wd = x.data, w.data
+    out = _split(_affine(xd, wd, b.data), heads)
+
+    def bwd(g, acc):
+        gx, gw, gb = _affine_grads(_merge(g), xd, wd, x.requires_grad, w.requires_grad,
+                                   b.requires_grad)
+        acc(x, gx)
+        acc(w, gw)
+        acc(b, gb)
+
+    return _node(out, (x, w, b), bwd)
 
 
 def attend(
@@ -595,14 +736,38 @@ def attend(
     """Queries projected from ``x_q`` attend over split-head ``k``/``v``.
 
     The other half of ``multi_head_attention``: the keys and values come
-    from ``kv_heads``, now or on an earlier call.
+    from ``kv_heads``, now or on an earlier call. One node covers the
+    query projection, the head split, the attention core, the head merge
+    and the output projection. ``k``, ``v`` and ``mask`` may have one
+    batch row for many query rows; they broadcast.
     """
-    d = x_q.data.shape[-1]
-    if d % heads != 0:
-        raise IndivisibleHeads(f"model dim {d} not divisible by {heads} heads")
-    q = split_heads(linear(x_q, params["wq"], params["bq"]), heads)
-    ctx = scaled_dot_attention(q, k, v, mask=mask, capture=capture)
-    return linear(merge_heads(ctx), params["wo"], params["bo"])
+    wq, bq, wo, bo = params["wq"], params["bq"], params["wo"], params["bo"]
+    parents = (x_q, k, v, wq, bq, wo, bo)
+    xd, kd, vd, wqd, wod = x_q.data, k.data, v.data, wq.data, wo.data
+    q = _split(_affine(xd, wqd, bq.data), heads)
+    ctx, p = _attention(q, kd, vd, mask, capture)
+    if not _recording(parents):
+        p = None  # only the backward reads it: free it before the output projection
+    merged = _merge(ctx)
+    out = _affine(merged, wod, bo.data)
+
+    def bwd(g, acc):
+        need_q = x_q.requires_grad or wq.requires_grad or bq.requires_grad
+        gm, gwo, gbo = _affine_grads(g, merged, wod, True, wo.requires_grad, bo.requires_grad)
+        acc(wo, gwo)
+        acc(bo, gbo)
+        gq, gk, gv = _attention_grads(_split(gm, heads), q, kd, vd, p, need_q,
+                                      k.requires_grad, v.requires_grad)
+        acc(k, gk)
+        acc(v, gv)
+        if need_q:
+            gx, gwq, gbq = _affine_grads(_merge(gq), xd, wqd, x_q.requires_grad,
+                                         wq.requires_grad, bq.requires_grad)
+            acc(x_q, gx)
+            acc(wq, gwq)
+            acc(bq, gbq)
+
+    return _node(out, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

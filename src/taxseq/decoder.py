@@ -14,7 +14,14 @@ vocabulary.
 keys and values of the positions already consumed and the cross-attention
 keys and values of the encoder states. Training is the first call on a
 fresh cache with the whole label sequence (teacher forcing); inference
-makes later calls on the same cache, one step at a time.
+makes later calls on the same cache, one step at a time. A later call does
+only per-step work: the layers' parameters were resolved on the first call,
+a single-query step's self-attention mask is the consumed key mask, and a
+one-row encoder side (beam search) is shared by every row of the cache.
+
+Each sublayer records one tape node: ``ad.kv_heads`` (one node each for the
+keys and the values), ``ad.attend``, ``ad.add_norm`` for each residual sum
+and its layer norm, and ``ad.feed_forward``.
 """
 
 from __future__ import annotations
@@ -22,13 +29,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .codec import SymbolicVocab
-from .encoder import _ffn_init, _mha_init, _mha_params, _norm_init, expand_mask, trunc_normal
+from .encoder import (_ffn_init, _ffn_params, _mha_init, _mha_params, _norm_init, _norm_params,
+                      expand_mask, trunc_normal)
 from .errors import ConfigError, InitDimensionMismatch, ShapeMismatch
 
 __all__ = [
@@ -73,10 +82,20 @@ def write_label_embeddings(path, d_model: int, vectors: dict[str, np.ndarray]) -
 
 
 def read_label_embeddings(path) -> tuple[int, dict[str, np.ndarray]]:
+    """Read a ``write_label_embeddings`` file; a corrupt one raises
+    ``InitDimensionMismatch`` naming the path."""
     with Path(path).open("rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        d = int(header["d_model"])
-        labels = list(header["labels"])
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InitDimensionMismatch(f"{path}: header is not JSON ({e})") from None
+        if not isinstance(header, dict):
+            raise InitDimensionMismatch(f"{path}: header is not a JSON object")
+        d, labels = header.get("d_model"), header.get("labels")
+        if type(d) is not int or d < 1:
+            raise InitDimensionMismatch(f"{path}: d_model must be a positive integer, got {d!r}")
+        if not isinstance(labels, list) or not all(isinstance(n, str) for n in labels):
+            raise InitDimensionMismatch(f"{path}: labels must be a list of strings")
         raw = np.frombuffer(fh.read(), dtype="<f4")
     if raw.size != d * len(labels):
         raise InitDimensionMismatch(
@@ -128,18 +147,40 @@ def init_decoder_params(
     return params
 
 
+_ALLOWED, _BLOCKED = np.float32(0.0), np.float32(ad.NEG_INF)
+
+
 def self_attention_mask(label_mask: np.ndarray, queries: int | None = None) -> np.ndarray:
     """Additive (B, 1, q, n) mask blocking future positions and pad keys.
 
     ``label_mask`` marks the n key positions; the queries are the last
-    ``queries`` of them, all n by default.
+    ``queries`` of them, all n by default. A single query (a cached step)
+    is the newest position, so only the pad keys are blocked.
     """
     label_mask = np.atleast_2d(np.asarray(label_mask))
     b, n = label_mask.shape
     q = n if queries is None else queries
-    causal = np.tri(q, n, n - q, dtype=bool)
-    allowed = causal[None, :, :] & (label_mask[:, None, :] != 0)
-    return np.where(allowed, 0.0, ad.NEG_INF).astype(np.float32).reshape(b, 1, q, n)
+    allowed = label_mask[:, None, :] != 0
+    if q != 1:
+        allowed = allowed & np.tri(q, n, n - q, dtype=bool)
+    return np.where(allowed, _ALLOWED, _BLOCKED).reshape(b, 1, q, n)
+
+
+class _Layer(NamedTuple):
+    """One decoder layer's parameters, resolved from their names once."""
+
+    self_attn: dict[str, Parameter]
+    norm_q: tuple[Parameter, Parameter]
+    cross: dict[str, Parameter]
+    norm_c: tuple[Parameter, Parameter]
+    ff: tuple[Parameter, ...]
+    norm_f: tuple[Parameter, Parameter]
+
+
+def _layer_params(params: dict[str, Parameter], i: int) -> _Layer:
+    return _Layer(_mha_params(params, f"l{i}.self"), _norm_params(params, f"l{i}.norm_q"),
+                  _mha_params(params, f"l{i}.cross"), _norm_params(params, f"l{i}.norm_c"),
+                  _ffn_params(params, f"l{i}.ff"), _norm_params(params, f"l{i}.norm_f"))
 
 
 class DecodeCache:
@@ -150,13 +191,22 @@ class DecodeCache:
     split-head self-attention keys and values of those t positions, and
     ``cross_kv`` the ones projected from the encoder states on the first
     call; ``cross_mask`` is the additive encoder key mask. The first call
-    keeps the tape tensors it built, so a teacher-forced pass (one call on
-    a fresh cache) keeps its graph; later calls append plain arrays.
+    also resolves each layer's parameters into ``layers``, so later calls
+    on the cache (which must pass the same parameters) look up no names.
+    The first call keeps the tape tensors it built, so a teacher-forced
+    pass (one call on a fresh cache) keeps its graph; later calls append
+    plain arrays.
+
+    An encoder side of one row serves every row of the cache: ``select``
+    leaves its cross-attention keys, values and mask at one row, and
+    attention broadcasts them. Beam search relies on this, so its beams
+    share one copy of the encoder side.
     """
 
     def __init__(self):
         self.ids: np.ndarray | None = None
         self.key_mask: np.ndarray | None = None
+        self.layers: list[_Layer] = []
         self.self_kv: list[tuple[Tensor, Tensor]] = []
         self.cross_kv: list[tuple[Tensor, Tensor]] = []
         self.cross_mask: np.ndarray | None = None
@@ -185,13 +235,18 @@ class DecodeCache:
         return self.self_kv[layer]
 
     def select(self, rows) -> None:
-        """Keep batch rows ``rows``, in that order; a row may repeat."""
+        """Keep batch rows ``rows``, in that order; a row may repeat.
+
+        A one-row encoder side stays as it is (the same arrays), since
+        every selected row reads that one row.
+        """
         rows = np.asarray(rows, dtype=np.intp)
         self.ids = self.ids[rows]
         self.key_mask = self.key_mask[rows]
         self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv]
-        self.cross_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.cross_kv]
-        if self.cross_mask is not None:
+        if self.cross_mask is not None and self.cross_mask.shape[0] != 1:
+            self.cross_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows]))
+                             for k, v in self.cross_kv]
             self.cross_mask = self.cross_mask[rows]
 
 
@@ -251,30 +306,25 @@ def decoder_forward(
         raise ShapeMismatch(
             f"prefix length {offset + n} exceeds max_positions {cfg.max_positions}")
 
-    if cache.cross_mask is None:  # first call: project the encoder side once
+    if cache.cross_mask is None:  # first call: resolve the layers, project the encoder side
         enc_hidden, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
-        cache.cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads,
-                                      _mha_params(params, f"l{i}.cross"))
-                          for i in range(cfg.layers)]
+        cache.layers = [_layer_params(params, i) for i in range(cfg.layers)]
+        cache.cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, layer.cross)
+                          for layer in cache.layers]
     self_mask = self_attention_mask(cache.consume(label_ids, label_mask), queries=n)
 
     le = ad.add(ad.embed(params["word_embed"], label_ids),
                 ad.embed(params["pos_embed"], np.arange(offset, offset + n)))
     le = ad.dropout(le, cfg.dropout, train_mode, rng)
-    for i in range(cfg.layers):
-        self_p = _mha_params(params, f"l{i}.self")
-        k, v = cache.extend_self(i, *ad.kv_heads(le, le, cfg.heads, self_p))
-        att = ad.attend(le, k, v, self_mask, cfg.heads, self_p)
-        q = ad.layer_norm(ad.add(att, le),
-                          params[f"l{i}.norm_q.g"], params[f"l{i}.norm_q.b"])
+    for i, layer in enumerate(cache.layers):
+        k, v = cache.extend_self(i, *ad.kv_heads(le, le, cfg.heads, layer.self_attn))
+        q = ad.add_norm(ad.attend(le, k, v, self_mask, cfg.heads, layer.self_attn), le,
+                        *layer.norm_q)
         q = ad.dropout(q, cfg.dropout, train_mode, rng)
         k, v = cache.cross_kv[i]
-        cross = ad.attend(q, k, v, cache.cross_mask, cfg.heads,
-                          _mha_params(params, f"l{i}.cross"), capture=capture_cross)
-        x = ad.layer_norm(ad.add(q, ad.dropout(cross, cfg.dropout, train_mode, rng)),
-                          params[f"l{i}.norm_c.g"], params[f"l{i}.norm_c.b"])
-        ff = ad.linear(ad.gelu(ad.linear(x, params[f"l{i}.ff.w1"], params[f"l{i}.ff.b1"])),
-                       params[f"l{i}.ff.w2"], params[f"l{i}.ff.b2"])
-        le = ad.layer_norm(ad.add(x, ad.dropout(ff, cfg.dropout, train_mode, rng)),
-                           params[f"l{i}.norm_f.g"], params[f"l{i}.norm_f.b"])
+        cross = ad.attend(q, k, v, cache.cross_mask, cfg.heads, layer.cross,
+                          capture=capture_cross)
+        x = ad.add_norm(q, ad.dropout(cross, cfg.dropout, train_mode, rng), *layer.norm_c)
+        ff = ad.feed_forward(x, *layer.ff)
+        le = ad.add_norm(x, ad.dropout(ff, cfg.dropout, train_mode, rng), *layer.norm_f)
     return ad.linear(le, params["out.w"], params["out.b"])

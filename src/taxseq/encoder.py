@@ -175,6 +175,16 @@ def _mha_params(params: dict[str, Parameter], prefix: str) -> dict[str, Paramete
     return {part: params[f"{prefix}.{part}"] for part in _MHA_WEIGHTS + _MHA_BIASES}
 
 
+def _norm_params(params: dict[str, Parameter], prefix: str) -> tuple[Parameter, Parameter]:
+    """The layer norm ``prefix``'s gain and bias."""
+    return params[f"{prefix}.g"], params[f"{prefix}.b"]
+
+
+def _ffn_params(params: dict[str, Parameter], prefix: str) -> tuple[Parameter, ...]:
+    """The feed-forward block ``prefix``'s w1, b1, w2, b2."""
+    return tuple(params[f"{prefix}.{part}"] for part in ("w1", "b1", "w2", "b2"))
+
+
 def expand_mask(mask: np.ndarray) -> np.ndarray:
     """Binary keep-mask -> additive attention mask (0 kept, -1e9 padded)."""
     m = np.asarray(mask)
@@ -206,12 +216,11 @@ def encode_tokens(
     for i in range(cfg.layers):
         att = ad.multi_head_attention(x, x, x, key_mask, cfg.heads,
                                       _mha_params(params, f"l{i}.attn"))
-        x = ad.layer_norm(ad.add(x, ad.dropout(att, cfg.dropout, train_mode, rng)),
-                          params[f"l{i}.norm1.g"], params[f"l{i}.norm1.b"])
-        ff = ad.linear(ad.gelu(ad.linear(x, params[f"l{i}.ff.w1"], params[f"l{i}.ff.b1"])),
-                       params[f"l{i}.ff.w2"], params[f"l{i}.ff.b2"])
-        x = ad.layer_norm(ad.add(x, ad.dropout(ff, cfg.dropout, train_mode, rng)),
-                          params[f"l{i}.norm2.g"], params[f"l{i}.norm2.b"])
+        x = ad.add_norm(x, ad.dropout(att, cfg.dropout, train_mode, rng),
+                        *_norm_params(params, f"l{i}.norm1"))
+        ff = ad.feed_forward(x, *_ffn_params(params, f"l{i}.ff"))
+        x = ad.add_norm(x, ad.dropout(ff, cfg.dropout, train_mode, rng),
+                        *_norm_params(params, f"l{i}.norm2"))
     return x
 
 

@@ -9,7 +9,8 @@ per row and its logits match a teacher-forced pass truncated to that
 position, to float32 rounding. Batched greedy decoding stops per sample:
 a row that emits EOS leaves the batch, its cache rows with it. Beam search
 stacks its live beams into one batch and moves the cache rows to follow
-their parents after each selection.
+their parents after each selection; its one-row encoder side is not
+copied per beam, as attention broadcasts it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import autodiff as ad
 from .codec import BOS_ID, EOS_ID, PAD_ID, decode
 from .decoder import DecodeCache
 from .encoder import tokenize_text
-from .errors import ConfigError
+from .errors import ConfigError, ShapeMismatch
 from .model import ModelBundle
 from .trainer import PreparedData
 
@@ -70,7 +71,7 @@ def greedy_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask) -> tuple[list[l
         for t in range(1, cap):
             if live.size == 0:
                 break
-            nxt = np.argmax(_step(bundle, seq[live, t - 1], enc_hidden, enc_mask, cache), axis=-1)
+            nxt = _step(bundle, seq[live, t - 1], enc_hidden, enc_mask, cache).argmax(axis=-1)
             seq[live, t] = nxt
             going = nxt != EOS_ID
             if not going.all():
@@ -113,16 +114,23 @@ def beam_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask,
                     beam_width: int = 1) -> list[int]:
     """Length-normalized beam search over one sample; width 1 equals greedy.
 
-    The live beams run as one stacked batch through the same cached step
-    as greedy decoding, and after each selection the cache rows follow the
-    parents of the surviving beams. Each beam proposes its ``beam_width``
-    best tokens (float64 log-softmax, stable argsort); candidates rank by
-    log-probability over generated length, ties broken by their ids.
+    The encoder side must have one row (a (T, d) or (1, T, d) state and its
+    mask), else ``ShapeMismatch``. The live beams run as one stacked batch
+    through the same cached step as greedy decoding, and after each
+    selection the cache rows follow the parents of the surviving beams;
+    the encoder side stays one row that every beam reads. All beams are
+    scored at once: each proposes its ``beam_width`` best tokens (one
+    float64 log-softmax and one stable argsort over the stacked logits);
+    candidates rank by log-probability over generated length, ties broken
+    by their ids.
     Emitted PAD tokens are masked out of later steps and stripped from the
     returned ids, matching the greedy contract.
     """
     if beam_width < 1:
         raise ConfigError("beam_width must be >= 1")
+    rows = np.atleast_2d(np.asarray(enc_mask)).shape[0]
+    if rows != 1:
+        raise ShapeMismatch(f"beam search decodes one sample; the encoder mask has {rows} rows")
     cap = bundle.capacity
 
     beams: list[tuple[list[int], float]] = [([BOS_ID], 0.0)]
@@ -132,12 +140,13 @@ def beam_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask,
         while beams and len(beams[0][0]) < cap:
             tokens = np.asarray([ids[-1] for ids, _ in beams], dtype=np.int32)
             logits = _step(bundle, tokens, enc_hidden, enc_mask, cache).astype(np.float64)
-            candidates: list[tuple[list[int], float, int]] = []
-            for parent, ((ids, score), row) in enumerate(zip(beams, logits)):
-                logp = row - (np.log(np.sum(np.exp(row - row.max()))) + row.max())
-                order = np.argsort(-logp, kind="stable")[:beam_width]
-                for tok in order:
-                    candidates.append((ids + [int(tok)], score + float(logp[tok]), parent))
+            top = logits.max(axis=1, keepdims=True)
+            logp = logits - (np.log(np.sum(np.exp(logits - top), axis=1, keepdims=True)) + top)
+            best = np.argsort(-logp, axis=1, kind="stable")[:, :beam_width]
+            best_logp = np.take_along_axis(logp, best, axis=1).tolist()
+            candidates = [(ids + [tok], score + lp, parent)
+                          for parent, (ids, score) in enumerate(beams)
+                          for tok, lp in zip(best[parent].tolist(), best_logp[parent])]
             candidates.sort(key=lambda c: (-c[1] / (len(c[0]) - 1), c[0]))
             beams, parents = [], []
             for ids, score, parent in candidates[:beam_width]:

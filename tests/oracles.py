@@ -204,3 +204,43 @@ def attention_composed(q, k, v, mask=None, capture=None):
         capture.append({"probs": probs.data.copy(),
                         "all_masked_rows": int((keep == 0).sum())})
     return ad.matmul(probs, v)
+
+
+# ---------------------------------------------------------------------------
+# sublayer tape ops, composed from primitive ops
+# ---------------------------------------------------------------------------
+
+
+def layer_norm_composed(x, gain, bias, eps=1e-5):
+    xc = ad.add(x, ad.scale(ad.mean(x, axis=-1, keepdims=True), -1.0))
+    var = ad.mean(ad.mul(xc, xc), axis=-1, keepdims=True)
+    y = ad.mul(xc, ad.power(ad.add_const(var, eps), -0.5))
+    return ad.add(ad.mul(y, gain), bias)
+
+
+def gelu_composed(x):
+    """x * sigmoid(2u) with u = sqrt(2/pi) (x + 0.044715 x^3), which is
+    x (1 + tanh u) / 2, from exp and powers."""
+    u = ad.scale(ad.add(x, ad.scale(ad.power(x, 3.0), 0.044715)), math.sqrt(2.0 / math.pi))
+    h = ad.add_const(ad.scale(ad.power(ad.add_const(ad.exp(ad.scale(u, 2.0)), 1.0), -1.0),
+                              -1.0), 1.0)
+    return ad.mul(x, h)
+
+
+def add_norm_composed(x, r, gain, bias):
+    return layer_norm_composed(ad.add(x, r), gain, bias)
+
+
+def feed_forward_composed(x, w1, b1, w2, b2):
+    return linear_composed(gelu_composed(linear_composed(x, w1, b1)), w2, b2)
+
+
+def kv_heads_composed(x_k, x_v, heads, params):
+    return (split_heads_composed(linear_composed(x_k, params["wk"], params["bk"]), heads),
+            split_heads_composed(linear_composed(x_v, params["wv"], params["bv"]), heads))
+
+
+def attend_composed(x_q, k, v, mask, heads, params, capture=None):
+    q = split_heads_composed(linear_composed(x_q, params["wq"], params["bq"]), heads)
+    ctx = attention_composed(q, k, v, mask=mask, capture=capture)
+    return linear_composed(merge_heads_composed(ctx), params["wo"], params["bo"])

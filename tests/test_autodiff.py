@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (attention_composed, fd_gradient, layer_norm_reference,
-                     linear_composed, merge_heads_composed, relative_error,
-                     split_heads_composed)
+from oracles import (add_norm_composed, attend_composed, attention_composed,
+                     fd_gradient, feed_forward_composed, kv_heads_composed,
+                     layer_norm_reference, linear_composed, merge_heads_composed,
+                     relative_error, split_heads_composed)
 
 from taxseq import autodiff as ad
 from taxseq.autodiff import Parameter, Tensor, backward, no_grad
@@ -285,6 +286,132 @@ class TestFusedOps:
             return ad.tsum(ad.mul_const(out, w.reshape(out.data.shape)))
 
         assert gradcheck(readout, inputs) < TOL
+
+
+def attend_case(rng, case):
+    """Query rows, split-head keys/values and mask of one ``attend`` call:
+    no mask; key padding with a fully blocked row, the mask shared by the
+    heads; one key/value row (and mask row) broadcast over three query rows."""
+    if case == "none":
+        return 2, 2, None
+    if case == "padded":
+        mask = np.zeros((2, 1, 3, 5))
+        mask[..., 4:] = ad.NEG_INF
+        mask[1, 0, 2, :] = ad.NEG_INF
+        return 2, 2, mask
+    mask = np.zeros((1, 1, 1, 5))
+    mask[..., 3:] = ad.NEG_INF
+    return 3, 1, mask
+
+
+def mha_weights(rng, d=8):
+    out = {n: 0.4 * arr(rng, d, d) for n in ("wq", "wk", "wv", "wo")}
+    return out | {f"b{n[1]}": 0.1 * arr(rng, d) for n in out}
+
+
+class TestSublayerNodes:
+    """The one-node sublayers against their compositions of primitive ops
+    (``oracles.*_composed``): forward, every gradient and the ``capture``
+    record in float64, and finite differences."""
+
+    def assert_match(self, node, composed, arrays, frozen=()):
+        got, got_g = run_with_grads(node, arrays, frozen)
+        want, want_g = run_with_grads(composed, arrays, frozen)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        for key in arrays:
+            if key in frozen:
+                assert got_g[key] is None and want_g[key] is None, key
+            else:
+                assert got_g[key].shape == arrays[key].shape, key
+                np.testing.assert_allclose(got_g[key], want_g[key], rtol=1e-9, atol=1e-11,
+                                           err_msg=key)
+        return got
+
+    @pytest.mark.parametrize("case", ["none", "padded", "one-row-kv"])
+    @pytest.mark.parametrize("frozen", [(), ("x", "wq", "k")], ids=["all", "frozen"])
+    def test_attend_matches_composition(self, rng, case, frozen):
+        rows, kv_rows, mask = attend_case(rng, case)
+        arrays = {"x": arr(rng, rows, 3, 8), "k": arr(rng, kv_rows, 2, 5, 4),
+                  "v": arr(rng, kv_rows, 2, 5, 4)} | {
+            n: w for n, w in mha_weights(rng).items() if n[1] in "qo"}
+        got_cap, want_cap = [], []
+        got = self.assert_match(
+            lambda x, k, v, **p: ad.attend(x, k, v, mask, 2, p, capture=got_cap),
+            lambda x, k, v, **p: attend_composed(x, k, v, mask, 2, p, capture=want_cap),
+            arrays, frozen)
+        np.testing.assert_allclose(got_cap[0]["probs"], want_cap[0]["probs"],
+                                   rtol=1e-12, atol=1e-15)
+        assert got_cap[0]["probs"].shape == (rows, 2, 3, 5)
+        assert got_cap[0]["all_masked_rows"] == want_cap[0]["all_masked_rows"] == (
+            2 if case == "padded" else 0)
+        if case == "padded":  # the blocked row reads nothing: its output is the bias
+            np.testing.assert_allclose(got[1, 2], arrays["bo"], rtol=1e-12)
+
+    def test_kv_heads_matches_composition(self, rng):
+        arrays = {"xk": arr(rng, 2, 5, 8), "xv": arr(rng, 2, 5, 8)} | {
+            n: w for n, w in mha_weights(rng).items() if n[1] in "kv"}
+
+        def both(kv_fn):
+            return lambda xk, xv, **p: ad.concat(list(kv_fn(xk, xv, 2, p)), axis=-1)
+
+        got = self.assert_match(both(ad.kv_heads), both(kv_heads_composed), arrays)
+        assert got.shape == (2, 2, 5, 8)
+
+    def test_add_norm_matches_composition(self, rng):
+        arrays = {"x": 2 * arr(rng, 2, 3, 8), "r": arr(rng, 2, 3, 8),
+                  "gain": 1 + 0.2 * arr(rng, 8), "bias": 0.3 * arr(rng, 8)}
+        self.assert_match(ad.add_norm, add_norm_composed, arrays)
+
+    @pytest.mark.parametrize("frozen", [(), ("x", "w1", "b1")], ids=["all", "frozen-first"])
+    def test_feed_forward_matches_composition(self, rng, frozen):
+        arrays = {"x": arr(rng, 2, 3, 8), "w1": 0.5 * arr(rng, 8, 16), "b1": 0.1 * arr(rng, 16),
+                  "w2": 0.5 * arr(rng, 16, 8), "b2": 0.1 * arr(rng, 8)}
+        self.assert_match(ad.feed_forward, feed_forward_composed, arrays, frozen)
+
+    def test_add_norm_shape_error(self, rng):
+        g, b = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        with pytest.raises(ShapeMismatch):
+            ad.add_norm(Tensor(arr(rng, 2, 4)), Tensor(arr(rng, 4)), g, b)
+
+    @pytest.mark.parametrize("op", ["attend-padded", "attend-one-row-kv", "kv_heads",
+                                    "add_norm", "feed_forward"])
+    def test_finite_differences(self, rng, op):
+        weights = mha_weights(rng)
+
+        def attend(case):
+            rows, kv_rows, mask = attend_case(rng, case)
+            names = ("wq", "bq", "wo", "bo")
+            return (lambda t: ad.attend(t["x"], t["k"], t["v"], mask, 2,
+                                        {n: t[n] for n in names}),
+                    {"x": arr(rng, rows, 3, 8), "k": arr(rng, kv_rows, 2, 5, 4),
+                     "v": arr(rng, kv_rows, 2, 5, 4)} | {n: weights[n] for n in names})
+
+        names = ("wk", "bk", "wv", "bv")
+        cases = {
+            "attend-padded": attend("padded"),
+            "attend-one-row-kv": attend("one-row-kv"),
+            "kv_heads": (lambda t: ad.concat(list(ad.kv_heads(
+                t["xk"], t["xv"], 2, {n: t[n] for n in names})), axis=-1),
+                {"xk": arr(rng, 2, 5, 8), "xv": arr(rng, 2, 5, 8)}
+                | {n: weights[n] for n in names}),
+            "add_norm": (lambda t: ad.add_norm(t["x"], t["r"], t["g"], t["b"]),
+                         {"x": arr(rng, 2, 3, 6), "r": arr(rng, 2, 3, 6),
+                          "g": 1 + 0.1 * arr(rng, 6), "b": arr(rng, 6)}),
+            "feed_forward": (lambda t: ad.feed_forward(t["x"], t["w1"], t["b1"], t["w2"],
+                                                       t["b2"]),
+                             {"x": arr(rng, 2, 3, 6), "w1": arr(rng, 6, 12),
+                              "b1": arr(rng, 12), "w2": arr(rng, 12, 6), "b2": arr(rng, 6)}),
+        }
+        fn, inputs = cases[op]
+
+        def readout(t):
+            out = fn(t)
+            w = np.random.default_rng(1).standard_normal(out.data.shape)
+            return ad.tsum(ad.mul_const(out, w))
+
+        # float64 throughout: a step of 1e-5 keeps the central difference's
+        # truncation error on the smallest gradient entries under TOL
+        assert gradcheck(readout, inputs, eps=1e-5) < TOL
 
 
 class TestShapeOpGrads:

@@ -230,6 +230,20 @@ class TestTrainCommand:
         assert "best" in stdout and "last" in stdout
 
 
+    @pytest.mark.parametrize("header", [b"{not json", b'{"d_model": 16}'],
+                             ids=["not-json", "no-labels"])
+    def test_corrupt_label_init_exits_2(self, workdir, tmp_path, capsys, header):
+        vectors = tmp_path / "vectors.bin"
+        vectors.write_bytes(header + b"\n")
+        code = main(["train", "--config", str(workdir["ini"]),
+                     "--data", str(workdir["data"]), "--out", str(tmp_path / "run"),
+                     "--set", "decoder.use_label_init=true",
+                     "--set", f"decoder.label_init={vectors}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "vectors.bin" in err
+
+
 class TestEvaluateCommand:
     def test_writes_report_and_prints_scores(self, workdir, tmp_path, capsys):
         prefix = tmp_path / "report"

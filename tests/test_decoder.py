@@ -1,5 +1,7 @@
 """Label-sequence decoder: masking, causality, and initialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from taxseq.codec import build_vocab
 from taxseq.decoder import (DecodeCache, DecoderConfig, decoder_forward,
                             init_decoder_params, read_label_embeddings,
                             self_attention_mask, write_label_embeddings)
+from taxseq.encoder import EncoderConfig, encode_tokens, init_encoder_params
 from taxseq.errors import (ConfigError, InitDimensionMismatch, ShapeMismatch)
 
 
@@ -51,15 +54,15 @@ class TestConfig:
 
 
 class TestTapeNodes:
-    """Exact tape-node counts of the two-layer decoder, so un-fusing an op
-    fails here. Embedding: two lookups and their sum (3). Per layer: the new
-    self-attention keys and values (two ``linear`` and two ``split_heads``,
-    4), each of the two attention reads (query ``linear``, ``split_heads``,
-    ``scaled_dot_attention``, ``merge_heads``, output ``linear``, 5 each),
-    three residual ``add`` + ``layer_norm`` pairs (6) and the feed-forward
-    (``linear``, ``gelu``, ``linear``, 3): 23. The first call on a cache also
-    projects the cross-attention keys and values (4 per layer). Output
-    projection: 1."""
+    """Exact tape-node counts, so un-fusing a sublayer fails here. Each
+    sublayer is one node. Decoder embedding: two lookups and their sum (3).
+    Per decoder layer: the new self-attention keys and values (``kv_heads``,
+    one node each, 2), the self- and cross-attention reads (``attend``, 1
+    each, 2), three residual sums with their layer norms (``add_norm``, 3)
+    and the feed-forward (``feed_forward``, 1): 8. The first call on a cache
+    also projects the cross-attention keys and values (2 per layer). Output
+    projection: 1. An encoder layer: keys, values, ``attend``, two
+    ``add_norm`` and ``feed_forward``: 6."""
 
     def count_nodes(self, monkeypatch, fn):
         calls = []
@@ -84,8 +87,20 @@ class TestTapeNodes:
         with ad.no_grad():
             step = self.count_nodes(monkeypatch, lambda: decoder_forward(
                 ids[:, :1], mask[:, :1], hidden, emask, cfg, params, cache=cache))
-        assert teacher == 3 + 2 * (23 + 4) + 1 == 58
-        assert step == 3 + 2 * 23 + 1 == 50
+        assert teacher == 3 + 2 * (8 + 2) + 1 == 24
+        assert step == 3 + 2 * 8 + 1 == 20
+
+    def test_encoder_layer(self, rng, monkeypatch):
+        cfg = EncoderConfig(vocab_size=20, d_model=16, layers=1, heads=4, max_len=6,
+                            dropout=0.0)
+        params = init_encoder_params(cfg, rng)
+        ids = rng.integers(0, 20, size=(2, 6))
+        one = self.count_nodes(monkeypatch, lambda: encode_tokens(
+            ids, np.ones((2, 6), np.int8), cfg, params))
+        two = self.count_nodes(monkeypatch, lambda: encode_tokens(
+            ids, np.ones((2, 6), np.int8), replace(cfg, layers=2),
+            init_encoder_params(replace(cfg, layers=2), rng)))
+        assert two - one == 6
 
 
 class TestSelfAttentionMask:
@@ -259,3 +274,21 @@ class TestLabelInit:
         with pytest.raises(ConfigError):
             init_decoder_params(small_cfg(), np.random.default_rng(0),
                                 label_init=path)
+
+    @pytest.mark.parametrize("header, floats", [
+        (b"not json at all", 16),
+        (b"[16, 2]", 16),
+        (b'{"labels": ["A"]}', 16),
+        (b'{"d_model": "16", "labels": ["A"]}', 16),
+        (b'{"d_model": 16}', 16),
+        (b'{"d_model": 16, "labels": "AB"}', 32),
+        (b'{"d_model": 16, "labels": ["A", 7]}', 32),
+    ], ids=["not-json", "not-object", "no-d_model", "string-d_model", "no-labels",
+            "labels-string", "labels-non-string"])
+    def test_corrupt_header_names_the_path(self, tmp_path, header, floats):
+        """The float count matches the header's labels, so only the header
+        itself is at fault."""
+        path = tmp_path / "v.bin"
+        path.write_bytes(header + b"\n" + np.zeros(floats, dtype="<f4").tobytes())
+        with pytest.raises(InitDimensionMismatch, match="v.bin"):
+            read_label_embeddings(path)

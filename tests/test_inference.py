@@ -42,6 +42,33 @@ def tiny_bundle(seed=0, ordering=Ordering.CHILD_TO_PARENT):
                              text_vocab=tv)
 
 
+def golden_bundle():
+    """A seeded two-layer model whose decoder weights are scaled up, so that
+    its decoded ids depend on the encoder states (at the initial scale every
+    row decodes the same)."""
+    h = LabelHierarchy.from_edges(
+        [(ROOT, "A"), ("A", "B"), ("A", "C"), (ROOT, "D")])
+    enc_cfg = EncoderConfig(d_model=16, layers=1, heads=2, max_len=6, dropout=0.0)
+    dec_cfg = DecoderConfig(d_model=16, layers=2, heads=4, dropout=0.0,
+                            max_positions=10)
+    tv = TextVocab.build([s.text for s in SAMPLES])
+    bundle = ModelBundle.build(h, Ordering.PATH_SEPARATED, 10, enc_cfg, dec_cfg,
+                               seed=5, text_vocab=tv)
+    for p in bundle.dec_params.values():
+        if p.data.ndim == 2:
+            p.data *= 15
+    return bundle
+
+
+def golden_inputs():
+    rng = np.random.default_rng(2024)
+    hidden = rng.standard_normal((5, 6, 16)).astype(np.float32)
+    emask = np.ones((5, 6), dtype=np.int8)
+    emask[1, 3:] = 0
+    emask[4, 2:] = 0
+    return hidden, emask
+
+
 def rig_constant_logits(bundle, favored_id, margin=5.0):
     """Zero the output head except a constant bias toward one token."""
     bundle.dec_params["out.w"].data[:] = 0.0
@@ -229,6 +256,25 @@ def count_decoder_calls(bundle):
     return calls
 
 
+class TestBeamEncoderSide:
+    def test_multi_row_encoder_side_raises(self, rng):
+        """Beam search decodes one sample: three encoder rows used to give one
+        sequence silently, as attention broadcast them."""
+        bundle = tiny_bundle(seed=1)
+        hidden, mask = fake_encoding(rng, b=3)
+        with pytest.raises(ShapeMismatch, match="3 rows"):
+            beam_decode_ids(bundle, hidden, mask, beam_width=2)
+        with pytest.raises(ShapeMismatch):
+            beam_decode_ids(bundle, hidden, mask[:1], beam_width=2)
+
+    def test_one_row_forms_agree(self, rng):
+        bundle = tiny_bundle(seed=1)
+        hidden, mask = fake_encoding(rng, b=1)
+        want = beam_decode_ids(bundle, hidden, mask, beam_width=3)
+        assert beam_decode_ids(bundle, hidden[0], mask[0], beam_width=3) == want
+        assert beam_decode_ids(bundle, Tensor(hidden), mask, beam_width=3) == want
+
+
 class TestCachedStep:
     def test_step_logits_equal_truncated_teacher_forced_pass(self, rng):
         for seed in range(6):
@@ -259,6 +305,31 @@ class TestCachedStep:
             full = bundle.decoder_logits(ids, mask, hidden, emask).data
         np.testing.assert_allclose(first, full[:, :3], atol=1e-5)
         np.testing.assert_allclose(rest, full[rows, 3:], atol=1e-5)
+
+    def test_select_keeps_one_row_encoder_side(self, rng):
+        """A one-row encoder side stays the same arrays through ``select`` and
+        serves every selected row; a multi-row one is selected."""
+        bundle = tiny_bundle(seed=7)
+        ids, mask, hidden, emask = step_inputs(rng, bundle)
+        rows = np.array([0, 0, 0])
+        with no_grad():
+            one = DecodeCache()
+            bundle.decoder_logits(ids[:1, :2], mask[:1, :2], hidden[:1], emask[:1], cache=one)
+            kv, cmask = one.cross_kv, one.cross_mask
+            one.select(rows)
+            assert one.cross_kv is kv and one.cross_mask is cmask
+            assert one.cross_mask.shape[0] == 1 and one.ids.shape[0] == 3
+            step = bundle.decoder_logits(ids[rows, 2:3], mask[rows, 2:3], hidden, emask,
+                                         cache=one).data
+            many = DecodeCache()
+            bundle.decoder_logits(ids[:, :2], mask[:, :2], hidden, emask, cache=many)
+            (k, v), cmask = many.cross_kv[0], many.cross_mask
+            many.select([2, 0])
+            assert np.array_equal(many.cross_kv[0][0].data, k.data[[2, 0]])
+            assert np.array_equal(many.cross_kv[0][1].data, v.data[[2, 0]])
+            assert np.array_equal(many.cross_mask, cmask[[2, 0]])
+            full = bundle.decoder_logits(ids[:1, :3], mask[:1, :3], hidden[:1], emask[:1]).data
+        np.testing.assert_allclose(step[:, 0], np.repeat(full[:, 2], 3, axis=0), atol=1e-5)
 
     def test_cached_steps_honour_label_mask(self, rng):
         """A 0 in ``label_mask`` masks that key in the cached steps, as in the
@@ -304,6 +375,25 @@ class TestCachedStep:
         assert calls[0] == (1, 1)
         assert all(n == 1 and 1 <= rows <= 3 for rows, n in calls)
         assert max(rows for rows, _ in calls) == 3
+
+
+class TestGoldenOutputs:
+    """Decoded ids of a seeded model, recorded before the sublayer fusion of
+    the tape: a kernel or decode-loop change that alters outputs fails here."""
+
+    def test_greedy_batch_of_five(self):
+        hidden, emask = golden_inputs()
+        ids, hit = greedy_decode_ids(golden_bundle(), hidden, emask)
+        assert ids == [[0, 5, 5, 1], [0, 3, 3, 5, 6, 3, 5, 6, 0], [0, 0, 5, 1],
+                       [0, 7, 5, 1], [0, 7, 4, 4, 7, 4, 7, 4, 7, 4]]
+        assert hit == [False, True, False, False, True]
+
+    def test_beam_four(self):
+        bundle = golden_bundle()
+        hidden, emask = golden_inputs()
+        got = [beam_decode_ids(bundle, hidden[i], emask[i], beam_width=4) for i in range(5)]
+        assert got == [[0, 5, 5, 1], [0, 3, 3, 5, 6, 3, 5, 6], [0, 5, 5, 1],
+                       [0, 7, 5, 0, 6, 3, 5, 0, 6, 3], [0, 7, 7, 4, 7, 4, 7, 4, 7, 4]]
 
 
 class TestEndToEnd:
