@@ -643,26 +643,6 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 # ---------------------------------------------------------------------------
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., T, d) -> (..., heads, T, d/heads), as a view of ``x``."""
-    out = _split(x.data, heads)
-
-    def bwd(g, acc):
-        acc(x, _merge(g))
-
-    return _node(out, (x,), bwd)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(..., heads, T, d_h) -> (..., T, heads*d_h)."""
-    heads = x.data.shape[-3]
-
-    def bwd(g, acc):
-        acc(x, _split(g, heads))
-
-    return _node(_merge(x.data), (x,), bwd)
-
-
 def scaled_dot_attention(
     q: Tensor,
     k: Tensor,

@@ -125,7 +125,8 @@ def _load_config(args):
 
 
 def _build_bundle(cfg, h, splits, store=None):
-    """Construct a ModelBundle (plus codec capacity) from a RunConfig."""
+    """Construct a ModelBundle (plus codec capacity) from a RunConfig; a
+    states ``store`` selects the precomputed encoder, else it is trainable."""
     from .codec import Ordering, capacity_for
     from .encoder import TextVocab
     from .errors import ConfigError
@@ -145,18 +146,16 @@ def _build_bundle(cfg, h, splits, store=None):
         capacity = capacity_for(sets, h, strategy=ordering)
 
     text_vocab = None
-    if enc_cfg.mode == "trainable":
+    if store is not None:
+        enc_cfg = dataclasses.replace(enc_cfg, mode="precomputed",
+                                      d_model=store.d_model, max_len=store.max_len)
+    else:
         if "train" not in splits:
             raise ConfigError("building a trainable encoder needs a train split")
         text_vocab = TextVocab.build(
             (s.text for s in splits["train"]),
             min_count=cfg.get("encoder", "word_min_count"),
             max_size=cfg.get("encoder", "word_max_size"))
-    else:
-        if store is None:
-            raise ConfigError("precomputed mode needs a states directory "
-                              "([data] precomputed_dir or --precomputed)")
-        enc_cfg = dataclasses.replace(enc_cfg, d_model=store.d_model, max_len=store.max_len)
 
     label_init = None
     if cfg.get("decoder", "use_label_init"):
@@ -170,15 +169,9 @@ def _build_bundle(cfg, h, splits, store=None):
                              text_vocab=text_vocab, label_init=label_init)
 
 
-def _open_store(cfg, flag_value=None):
-    from .encoder import PrecomputedStates
-
-    path = flag_value or cfg.get("data", "precomputed_dir")
-    return PrecomputedStates.open(path) if path else None
-
-
 def _run_training(cfg, data_dir, out_dir):
     from .corpus import load_splits
+    from .encoder import PrecomputedStates
     from .errors import EmptyCorpus
     from .trainer import prepare_data, train
 
@@ -187,7 +180,8 @@ def _run_training(cfg, data_dir, out_dir):
     for need in ("train", "dev"):
         if need not in splits:
             raise EmptyCorpus(f"{data_dir}: missing {need}.jsonl")
-    store = _open_store(cfg)
+    store_dir = cfg.get("data", "precomputed_dir")
+    store = PrecomputedStates.open(store_dir) if store_dir else None
     bundle = _build_bundle(cfg, h, splits, store)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -231,14 +225,14 @@ def cmd_evaluate(args) -> int:
     from .metrics import write_report
     from .trainer import load_checkpoint
 
-    bundle, manifest = load_checkpoint(args.checkpoint)
+    bundle, _ = load_checkpoint(args.checkpoint)
     store = None
-    if bundle.enc_cfg.mode == "precomputed" or args.precomputed:
+    if args.precomputed:  # prepare_data rejects it for a trainable encoder
         from .encoder import PrecomputedStates
-        from .errors import ConfigError
-        if not args.precomputed:
-            raise ConfigError("precomputed-mode checkpoint needs --precomputed DIR")
         store = PrecomputedStates.open(args.precomputed)
+    elif bundle.enc_cfg.mode == "precomputed":
+        from .errors import ConfigError
+        raise ConfigError("precomputed-mode checkpoint needs --precomputed DIR")
     samples = load_jsonl(Path(args.data) / f"{args.split}.jsonl", bundle.hierarchy)
     report = _score_split(bundle, samples, store, args.macro_all_labels)
     prefix = Path(args.out) if args.out else Path(args.checkpoint) / f"eval_{args.split}"

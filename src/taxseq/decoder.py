@@ -38,7 +38,7 @@ from .autodiff import Parameter, Tensor
 from .codec import SymbolicVocab
 from .encoder import (_ffn_init, _ffn_params, _mha_init, _mha_params, _norm_init, _norm_params,
                       expand_mask, trunc_normal)
-from .errors import ConfigError, InitDimensionMismatch, ShapeMismatch
+from .errors import ConfigError, InitDimensionMismatch, ShapeMismatch, UnknownLabel
 
 __all__ = [
     "DecoderConfig", "DecodeCache", "init_decoder_params", "decoder_forward",
@@ -141,6 +141,8 @@ def init_decoder_params(
             raise InitDimensionMismatch(
                 f"label vectors have d_model {file_d}, decoder uses {d}")
         for name, vec in vectors.items():
+            if name not in vocab.symbol_of:
+                raise UnknownLabel(f"{label_init}: label {name!r} is not in the taxonomy")
             tid = vocab.id_of(name)
             params["word_embed"].data[tid] = vec
             params["out.w"].data[:, tid] = vec

@@ -100,7 +100,7 @@ class EncodedText:
 
 @dataclass
 class EncoderConfig:
-    mode: str = "trainable"  # or "precomputed"
+    mode: str = "trainable"  # "precomputed" when a run is given a states store
     vocab_size: int = 0
     d_model: int = 128
     layers: int = 2

@@ -32,7 +32,7 @@ from .codec import Ordering, PAD_ID, encode
 from .encoder import EncoderConfig, PrecomputedStates, TextVocab, tokenize_text
 from .decoder import DecoderConfig
 from .errors import ConfigError, EmptyCorpus, NonFiniteLoss, ShapeMismatch
-from .loss import LossConfig, LossVariant, combine_pieces, compute_loss, loss_pieces
+from .loss import LossConfig, combine_pieces, compute_loss, loss_pieces
 from .model import ModelBundle
 from .taxonomy import LabelHierarchy
 
@@ -56,12 +56,7 @@ class TrainConfig:
     accumulation_steps: int = 2
     max_epochs: int = 100
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
     loss: LossConfig = field(default_factory=LossConfig)
-    val_plain_ce: bool = False
 
     def __post_init__(self):
         if min(self.lr_encoder, self.lr_decoder) <= 0:
@@ -72,13 +67,6 @@ class TrainConfig:
             raise ConfigError("accumulation_steps must be >= 1")
         if self.micro_batch < 1:
             raise ConfigError("micro_batch must be >= 1")
-
-    def val_loss_config(self) -> LossConfig:
-        if self.val_plain_ce:
-            return LossConfig(variant=LossVariant.PLAIN_CE,
-                              smoothing=self.loss.smoothing,
-                              ignore_id=self.loss.ignore_id)
-        return self.loss
 
 
 def _decays(name: str, p: Parameter) -> bool:
@@ -243,6 +231,9 @@ def prepare_data(
             mask[i] = enc.mask
         return PreparedData(ids, seq_ids, seq_mask, gold,
                             enc_hidden=hidden, enc_mask=mask)
+    if store is not None:
+        raise ConfigError("a states store was given for a model whose encoder "
+                          "is trainable; only a precomputed encoder reads one")
 
     t = bundle.enc_cfg.max_len
     text_ids = np.zeros((n, t), dtype=np.int32)
@@ -312,12 +303,10 @@ def save_checkpoint(out_dir, bundle: ModelBundle, train_state: dict | None = Non
     return out
 
 
-def _write_checkpoint(out: Path, bundle: ModelBundle, train_state: dict | None,
-                      optimizer: AdamW | None) -> None:
-    (out / "params").mkdir(parents=True)
-    params = bundle.all_params()
-    manifest = {
-        "format": 1,
+def _describe_model(bundle: ModelBundle) -> dict:
+    """The manifest fields that fix the model: its configs, layout,
+    taxonomy, vocabularies and parameter shapes."""
+    return {
         "enc_cfg": asdict(bundle.enc_cfg),
         "dec_cfg": asdict(bundle.dec_cfg),
         "ordering": bundle.ordering.value,
@@ -328,9 +317,15 @@ def _write_checkpoint(out: Path, bundle: ModelBundle, train_state: dict | None,
         "token_ids": {bundle.vocab.token_string(i): i for i in range(bundle.vocab.size)},
         "vocab_hash": _vocab_hash(bundle),
         "text_vocab": bundle.text_vocab.to_json() if bundle.text_vocab else None,
-        "param_shapes": {k: list(p.data.shape) for k, p in params.items()},
-        "train_state": train_state,
+        "param_shapes": {k: list(p.data.shape) for k, p in bundle.all_params().items()},
     }
+
+
+def _write_checkpoint(out: Path, bundle: ModelBundle, train_state: dict | None,
+                      optimizer: AdamW | None) -> None:
+    (out / "params").mkdir(parents=True)
+    params = bundle.all_params()
+    manifest = {"format": 1, **_describe_model(bundle), "train_state": train_state}
     if optimizer is not None:
         sd = optimizer.state_dict()
         manifest["optimizer"] = sd["groups"]
@@ -400,6 +395,22 @@ def _read_blob(path: Path, shape) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
 
 
+def _check_same_model(mf: Path, manifest: dict, bundle: ModelBundle) -> None:
+    """Raise unless the checkpoint behind ``mf`` describes the model
+    ``bundle`` holds, compared in the JSON form the manifest stores:
+    resuming copies arrays and moments by parameter name."""
+    for key, want in json.loads(json.dumps(_describe_model(bundle))).items():
+        have = manifest[key]
+        if have == want:
+            continue
+        if key.endswith("_cfg"):
+            sub = next(k for k in want if have[k] != want[k])
+            key, have, want = f"{key}.{sub}", have[sub], want[sub]
+        shown = ("" if isinstance(want, (dict, list))
+                 else f" ({have!r} in the checkpoint, {want!r} here)")
+        raise ConfigError(f"{mf}: cannot resume a different model; {key} differs{shown}")
+
+
 def _load_moments(ckpt_dir, manifest: dict, optimizer: AdamW) -> None:
     """Read the AdamW moments back; a group that has stepped saved both
     blobs for every parameter, so a missing one raises ``ConfigError``."""
@@ -467,7 +478,7 @@ def train(
         out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.jsonl" if out is not None else None
 
-    opt = AdamW(cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay)
+    opt = AdamW()
     opt.add_group("enc", dict(bundle.enc_params), cfg.lr_encoder)
     opt.add_group("dec", dict(bundle.dec_params), cfg.lr_decoder)
     params = bundle.all_params()
@@ -483,6 +494,7 @@ def train(
         if not manifest.get("train_state") or "optimizer" not in manifest:
             raise ConfigError(f"{resume}: no training state to resume from; "
                               "resume from a run's last/ checkpoint")
+        _check_same_model(Path(resume) / "manifest.json", manifest, bundle)
         for k, p in bundle.all_params().items():
             p.data = loaded.all_params()[k].data
         state = manifest["train_state"]
@@ -494,7 +506,6 @@ def train(
         start_epoch = int(state["epoch"]) + 1
 
     targets_all = make_targets(train_data.seq_ids)
-    val_cfg = cfg.val_loss_config()
     stopped = "max_epochs"
     epoch = start_epoch - 1
 
@@ -526,7 +537,7 @@ def train(
                 pieces = []
         train_s = time.perf_counter() - t0
 
-        val_loss = evaluate_epoch(bundle, dev_data, val_cfg, cfg.micro_batch)
+        val_loss = evaluate_epoch(bundle, dev_data, cfg.loss, cfg.micro_batch)
         row = {
             "epoch": epoch,
             "train_loss": float(np.mean(window_losses)),

@@ -8,8 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (add_norm_composed, attend_composed, attention_composed,
                      fd_gradient, feed_forward_composed, kv_heads_composed,
-                     layer_norm_reference, linear_composed, merge_heads_composed,
-                     relative_error, split_heads_composed)
+                     layer_norm_reference, linear_composed, relative_error)
 
 from taxseq import autodiff as ad
 from taxseq.autodiff import Parameter, Tensor, backward, no_grad
@@ -238,26 +237,8 @@ class TestFusedOps:
         with pytest.raises(ShapeMismatch):
             ad.linear(Tensor(arr(rng, 4)), Tensor(arr(rng, 4, 3)))
 
-    @pytest.mark.parametrize("lead", [(), (2,)], ids=["3d", "4d"])
-    def test_split_merge_heads_match_composition(self, rng, lead):
-        split = {"x": arr(rng, *lead, 2, 5, 8)}
-        got, got_g = run_with_grads(lambda x: ad.split_heads(x, 4), split)
-        want, want_g = run_with_grads(lambda x: split_heads_composed(x, 4), split)
-        assert got.shape == (*lead, 2, 4, 5, 2)
-        assert np.array_equal(got, want) and np.array_equal(got_g["x"], want_g["x"])
-        merge = {"x": arr(rng, *lead, 2, 4, 5, 2)}
-        got, got_g = run_with_grads(ad.merge_heads, merge)
-        want, want_g = run_with_grads(merge_heads_composed, merge)
-        assert got.shape == (*lead, 2, 5, 8)
-        assert np.array_equal(got, want) and np.array_equal(got_g["x"], want_g["x"])
-
-    def test_split_heads_is_a_view(self, rng):
-        x = Tensor(arr(rng, 2, 5, 8))
-        assert np.shares_memory(ad.split_heads(x, 4).data, x.data)
-
     @pytest.mark.parametrize("op", ["attention-shared-mask", "attention-no-mask",
-                                    "linear", "linear-no-bias",
-                                    "split_heads", "merge_heads"])
+                                    "linear", "linear-no-bias"])
     def test_finite_differences(self, rng, op):
         mask = attention_masks()["shared"]
         w = arr(rng, 2, 3, 3, 4)
@@ -274,10 +255,6 @@ class TestFusedOps:
                        {"x": arr(rng, 2, 3, 3, 5), "w": arr(rng, 5, 4), "b": arr(rng, 4)}),
             "linear-no-bias": (lambda t: ad.linear(t["x"], t["w"]),
                                {"x": arr(rng, 2, 3, 3, 5), "w": arr(rng, 5, 4)}),
-            "split_heads": (lambda t: ad.split_heads(t["x"], 3),
-                            {"x": arr(rng, 2, 3, 12)}),
-            "merge_heads": (lambda t: ad.merge_heads(t["x"]),
-                            {"x": arr(rng, 2, 3, 3, 4)}),
         }
         fn, inputs = cases[op]
 
@@ -446,16 +423,12 @@ class TestShapeOpGrads:
         assert np.allclose(tab.grad[1], 0) and np.allclose(tab.grad[3], 0)
         assert np.allclose(tab.grad[2], 2.0)  # looked up twice
 
-    def test_split_merge_heads_round_trip(self, rng):
-        x = Tensor(arr(rng, 2, 5, 8), requires_grad=True)
-        y = ad.merge_heads(ad.split_heads(x, 4))
-        assert np.array_equal(y.data, x.data)
-        backward(ad.tsum(ad.mul(y, Tensor(arr(rng, 2, 5, 8)))))
-        assert x.grad.shape == x.data.shape
-
     def test_indivisible_heads(self, rng):
+        params = {k: Tensor(arr(rng, 6, 6)) for k in ("wk", "wv")}
+        params.update({k: Tensor(arr(rng, 6)) for k in ("bk", "bv")})
+        x = Tensor(arr(rng, 2, 5, 6))
         with pytest.raises(IndivisibleHeads):
-            ad.split_heads(Tensor(arr(rng, 2, 5, 6)), 4)
+            ad.kv_heads(x, x, 4, params)
 
 
 class TestAttentionGrads:

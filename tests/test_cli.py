@@ -38,10 +38,10 @@ early_stop_patience = 100
 """
 
 # `RunConfig.defaults().to_ini()` before the INI defaults were derived from
-# the config dataclasses; the derived table must reproduce it byte for byte.
+# the config dataclasses, less the lines of the keys since removed (see
+# REMOVED_KEYS); the derived table must reproduce it byte for byte.
 DEFAULTS_INI = """\
 [encoder]
-mode = trainable
 d_model = 128
 layers = 2
 heads = 4
@@ -79,16 +79,34 @@ micro_batch = 32
 accumulation_steps = 2
 max_epochs = 100
 seed = 0
-beta1 = 0.9
-beta2 = 0.999
-adam_eps = 1e-08
-weight_decay = 0.01
-val_plain_ce = false
 
 [data]
 precomputed_dir =\x20
 
 """
+
+
+# INI keys removed once the code fixed or derived their values; a
+# resolved.ini written by an older version still carries them.
+REMOVED_KEYS = ["encoder.mode", "train.beta1", "train.beta2", "train.adam_eps",
+                "train.weight_decay", "train.val_plain_ce"]
+
+
+def write_store(data_dir, root, d_model, max_len):
+    """A precomputed-states store with random states for every sample."""
+    import numpy as np
+
+    from taxseq.corpus import load_splits
+    from taxseq.encoder import PrecomputedStates
+
+    rng = np.random.default_rng(0)
+    store = PrecomputedStates.create(root, d_model=d_model, max_len=max_len)
+    mask = (np.arange(max_len) < 3).astype(np.float32)
+    for samples in load_splits(data_dir)[1].values():
+        for s in samples:
+            store.write(s.id, rng.standard_normal((max_len, d_model)).astype(np.float32),
+                        mask)
+    return root
 
 
 def run_python(code: str) -> str:
@@ -124,7 +142,7 @@ class TestRunConfig:
         cfg = RunConfig.defaults()
         assert cfg.get("train", "lr_decoder") == 3e-4
         assert cfg.get("decoder", "heads") == 8
-        assert cfg.get("train", "val_plain_ce") is False
+        assert cfg.get("decoder", "use_label_init") is False
         assert cfg.get("codec", "ordering") == "child_to_parent_levelwise"
 
     def test_file_values_override_defaults(self, tmp_path):
@@ -158,7 +176,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"\[train\] micro_batch"):
             RunConfig.defaults(["train.micro_batch=lots"])
         with pytest.raises(ConfigError, match="boolean"):
-            RunConfig.defaults(["train.val_plain_ce=maybe"])
+            RunConfig.defaults(["decoder.use_label_init=maybe"])
         with pytest.raises(ConfigError, match="section.key=value"):
             RunConfig.defaults(["micro_batch=8"])
 
@@ -229,6 +247,54 @@ class TestTrainCommand:
         assert "trained" in stdout and "parameters" in stdout
         assert "best" in stdout and "last" in stdout
 
+
+    def test_label_init_naming_unknown_label_exits_2(self, workdir, tmp_path, capsys):
+        import numpy as np
+
+        from taxseq.decoder import write_label_embeddings
+
+        vectors = tmp_path / "v.bin"
+        write_label_embeddings(vectors, 16, {"Zed": np.ones(16)})
+        code = main(["train", "--config", str(workdir["ini"]),
+                     "--data", str(workdir["data"]), "--out", str(tmp_path / "run"),
+                     "--set", "decoder.use_label_init=true",
+                     "--set", f"decoder.label_init={vectors}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "v.bin" in err
+        assert "'Zed' is not in the taxonomy" in err
+
+    @pytest.mark.parametrize("dotted", REMOVED_KEYS)
+    def test_removed_key_exits_2(self, workdir, tmp_path, capsys, dotted):
+        section, key = dotted.split(".")
+        ini = tmp_path / "old.ini"
+        ini.write_text(f"[{section}]\n{key} = 0\n", encoding="utf-8")
+        for named, args in ((f"unknown config entry '{dotted}'", ["--set", f"{dotted}=0"]),
+                            (f"unknown key [{section}] {key}", ["--config", str(ini)])):
+            code = main(["train", "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "r"), *args])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error:") and named in err
+        assert not (tmp_path / "r").exists()
+
+    def test_store_alone_selects_precomputed_encoder(self, workdir, tmp_path, capsys):
+        store = write_store(workdir["data"], tmp_path / "states", d_model=8, max_len=4)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(workdir["ini"]),
+                     "--data", str(workdir["data"]), "--out", str(run),
+                     "--set", f"data.precomputed_dir={store}",
+                     "--set", "train.max_epochs=1"]) == 0
+        manifest = json.loads((run / "best" / "manifest.json").read_text())
+        assert manifest["enc_cfg"]["mode"] == "precomputed"
+        assert manifest["enc_cfg"]["d_model"] == 8 and manifest["text_vocab"] is None
+        capsys.readouterr()
+        evaluate = ["evaluate", "--checkpoint", str(run / "best"),
+                    "--data", str(workdir["data"]), "--out", str(tmp_path / "report")]
+        assert main(evaluate + ["--precomputed", str(store)]) == 0
+        assert "micro_f1" in capsys.readouterr().out
+        assert main(evaluate) == 2
+        assert "needs --precomputed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("header", [b"{not json", b'{"d_model": 16}'],
                              ids=["not-json", "no-labels"])
@@ -349,6 +415,16 @@ class TestEvaluateCommand:
         assert code == 2
         assert err.startswith("error:") and "manifest.json" in err
         assert "Traceback" not in err
+
+    def test_store_for_trainable_checkpoint_exits_2(self, workdir, tmp_path, capsys):
+        store = write_store(workdir["data"], tmp_path / "states", d_model=16, max_len=16)
+        code = main(["evaluate", "--checkpoint", str(workdir["run"] / "best"),
+                     "--data", str(workdir["data"]), "--precomputed", str(store),
+                     "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "trainable" in err
+        assert not (tmp_path / "report.txt").exists()
 
     def test_missing_checkpoint_exits_1(self, workdir, tmp_path, capsys):
         code = main(["evaluate", "--checkpoint", str(tmp_path / "nowhere"),
@@ -518,10 +594,12 @@ print(code, seen)
 
     @pytest.mark.parametrize("override, named", [
         ("decoder.layers=0", "[decoder] layers must be >= 1"),
-        ("encoder.mode=bogus", "[encoder] unknown encoder mode 'bogus'"),
+        ("encoder.mode=bogus", "unknown config entry 'encoder.mode'"),
+        ("encoder.heads=3", "[encoder] d_model 128 not divisible by heads 3"),
         ("codec.capacity=-1", "[codec] capacity must be >= 0"),
         ("decoder.heads=0", "[decoder] d_model 128 not divisible by heads 0"),
-    ], ids=["decoder-layers", "encoder-mode", "codec-capacity", "decoder-heads"])
+    ], ids=["decoder-layers", "encoder-mode", "encoder-heads", "codec-capacity",
+            "decoder-heads"])
     def test_bad_setting_exits_2_naming_it(self, workdir, tmp_path, capsys,
                                            override, named):
         code = main(["train", "--data", str(workdir["data"]),

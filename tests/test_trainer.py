@@ -1,7 +1,11 @@
 """Optimizer, scheduler, accumulation, checkpointing, and resume."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from taxseq.corpus import Sample
 from taxseq.decoder import DecoderConfig
 from taxseq.encoder import EncoderConfig, PrecomputedStates, TextVocab
 from taxseq.errors import ConfigError, EmptyCorpus, NonFiniteLoss, ShapeMismatch
-from taxseq.loss import LossConfig, LossVariant, compute_loss
+from taxseq.loss import LossConfig, compute_loss
 from taxseq.model import ModelBundle
 from taxseq.taxonomy import ROOT, LabelHierarchy
 from taxseq.trainer import (AdamW, PreparedData, TrainConfig, evaluate_epoch,
@@ -40,13 +44,13 @@ def tiny_hierarchy():
 
 
 def tiny_bundle(seed=0, dropout=0.0, ordering=Ordering.CHILD_TO_PARENT,
-                mode="trainable"):
-    h = tiny_hierarchy()
+                mode="trainable", layers=1, d_model=16, dec_heads=2, h=None):
+    h = h or tiny_hierarchy()
     cap = capacity_for([s.labels for s in SAMPLES], h, strategy=ordering)
-    enc_cfg = EncoderConfig(mode=mode, d_model=16, layers=1, heads=2,
+    enc_cfg = EncoderConfig(mode=mode, d_model=d_model, layers=layers, heads=2,
                             max_len=6, dropout=dropout)
-    dec_cfg = DecoderConfig(d_model=16, layers=1, heads=2, dropout=dropout,
-                            max_positions=8)
+    dec_cfg = DecoderConfig(d_model=d_model, layers=layers, heads=dec_heads,
+                            dropout=dropout, max_positions=8)
     tv = TextVocab.build([s.text for s in SAMPLES]) if mode == "trainable" else None
     return ModelBundle.build(h, ordering, cap, enc_cfg, dec_cfg, seed=seed,
                              text_vocab=tv)
@@ -232,6 +236,8 @@ class TestDataPreparation:
         store = PrecomputedStates.create(tmp_path / "st", d_model=8, max_len=6)
         with pytest.raises(ConfigError, match="d_model"):
             prepare_data(bundle, SAMPLES, seed=0, store=store)
+        with pytest.raises(ConfigError, match="trainable"):
+            prepare_data(tiny_bundle(), SAMPLES, seed=0, store=store)
 
     def test_empty_split(self):
         with pytest.raises(EmptyCorpus):
@@ -260,13 +266,6 @@ class TestEvaluateEpoch:
                                                h, data.text_mask[idx])
                 vals.append(compute_loss(logits, targets[idx], LossConfig()).item())
         assert got == pytest.approx(float(np.mean(vals)), rel=1e-12)
-
-    def test_val_loss_config_override(self):
-        cfg = TrainConfig(val_plain_ce=True)
-        vc = cfg.val_loss_config()
-        assert vc.variant is LossVariant.PLAIN_CE
-        assert vc.smoothing == cfg.loss.smoothing
-        assert TrainConfig().val_loss_config().variant is LossVariant.FOCAL_BATCH
 
 
 class TestSchedulerAndStopping:
@@ -435,6 +434,38 @@ class TestTrainLoop:
         with pytest.raises(EmptyCorpus):
             train(bundle, data, empty, quick_cfg())
 
+    def test_numerics_match_recorded_run(self):
+        """Per-epoch validation losses and a digest of the final parameters of
+        a seeded run (two layers, dropout, accumulation), recorded before the
+        AdamW constants left ``TrainConfig``: a change to the optimizer, the
+        loss or a kernel's numerics fails here. The run gets one BLAS thread,
+        so its float sums have one order; the values are those of numpy 2.4.6
+        with OpenBLAS 0.3.31, and another BLAS build may need new ones."""
+        script = """
+import hashlib, json
+from test_trainer import SAMPLES, quick_cfg, tiny_bundle
+from taxseq.trainer import prepare_data, train
+bundle = tiny_bundle(seed=11, dropout=0.1, layers=2)
+data = prepare_data(bundle, SAMPLES, seed=0)
+dev = prepare_data(bundle, SAMPLES[:4], seed=1)
+cfg = quick_cfg(max_epochs=3, seed=6, micro_batch=2, accumulation_steps=2)
+result = train(bundle, data, dev, cfg)
+digest = hashlib.sha256()
+for k, p in sorted(bundle.all_params().items()):
+    digest.update(k.encode() + b"\\0" + p.data.astype("<f4").tobytes())
+print(json.dumps([[r["val_loss"] for r in result.history], digest.hexdigest()]))
+"""
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = str(Path(tr.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                              capture_output=True, timeout=300, check=True,
+                              cwd=Path(__file__).parent)
+        val_losses, digest = json.loads(done.stdout)
+        assert val_losses == [1.5810726930602903, 1.5597884882005633, 1.5397772132709022]
+        assert digest == "b579e85a82711af1afc47fbfc5c5364deee6290367ace0ac72229ff955e9fca3"
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr_encoder=0.0)
@@ -579,6 +610,31 @@ class TestCheckpointing:
         mf.write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match="vocabulary"):
             load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("saved, resumed, named", [
+        ({}, {"layers": 2}, "enc_cfg.layers differs (1 in the checkpoint, 2 here)"),
+        ({"layers": 2}, {}, "enc_cfg.layers differs (2 in the checkpoint, 1 here)"),
+        ({"d_model": 8}, {}, "enc_cfg.d_model differs (8 in the checkpoint, 16 here)"),
+        ({}, {"h": LabelHierarchy.from_edges(
+            [(ROOT, "D"), (ROOT, "A"), ("A", "C"), ("A", "B")])}, "taxonomy differs"),
+        ({}, {"ordering": Ordering.PARENT_TO_CHILD}, "ordering differs"),
+        ({}, {"dec_heads": 4}, "dec_cfg.heads differs (2 in the checkpoint, 4 here)"),
+    ], ids=["more-layers", "fewer-layers", "wider", "taxonomy-order", "ordering",
+            "decoder-heads"])
+    def test_resume_into_different_model_rejected(self, tmp_path, saved, resumed, named):
+        bundle = tiny_bundle(seed=2, **saved)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        train(bundle, data, data, quick_cfg(max_epochs=1), out_dir=tmp_path / "run")
+        other = tiny_bundle(seed=2, **resumed)
+        before = {k: p.data.copy() for k, p in other.all_params().items()}
+        with pytest.raises(ConfigError) as err:
+            train(other, prepare_data(other, SAMPLES, seed=0),
+                  prepare_data(other, SAMPLES, seed=0), quick_cfg(max_epochs=2),
+                  resume=tmp_path / "run" / "last")
+        assert str(err.value).startswith(str(tmp_path / "run" / "last" / "manifest.json"))
+        assert named in str(err.value)
+        for k, p in other.all_params().items():
+            assert np.array_equal(p.data, before[k]), k
 
     def test_resume_is_bit_identical(self, tmp_path):
         def run(out, epochs, resume=None, seed=6):
