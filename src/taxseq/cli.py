@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the configured training seed")
     parser.add_argument("--deterministic", action="store_true",
                         help="single-threaded numerics for bit-reproducible runs")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="pin numeric library thread pools")
+    parser.add_argument("--threads", type=_thread_count, default=None,
+                        help="pin numeric library thread pools (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model on a data directory")
@@ -102,6 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_stats)
     return parser
+
+
+def _thread_count(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _apply_global_flags(args) -> None:

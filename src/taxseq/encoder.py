@@ -86,6 +86,15 @@ def tokenize_text(text: str, vocab: TextVocab, max_len: int) -> tuple[np.ndarray
     return out, mask
 
 
+def tokenize_texts(texts, vocab: TextVocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """``tokenize_text`` over a sequence of texts -> (n, max_len) ids and mask."""
+    ids = np.zeros((len(texts), max_len), dtype=np.int32)
+    mask = np.zeros((len(texts), max_len), dtype=np.int8)
+    for i, text in enumerate(texts):
+        ids[i], mask[i] = tokenize_text(text, vocab, max_len)
+    return ids, mask
+
+
 @dataclass
 class EncodedText:
     """Encoder output for one sample: hidden (T, d) plus the token mask."""
@@ -201,8 +210,11 @@ def encode_tokens(
 ) -> Tensor:
     """Run the trainable encoder over a batch: (B, T) ids -> (B, T, d) states.
 
-    Self-attention keys at padded positions are masked out, so real
-    positions never depend on pad-token embeddings.
+    ``T`` may be any width up to ``max_len``. Self-attention keys at padded
+    positions are masked out, so real positions never depend on pad-token
+    embeddings. Dropout masks are drawn for all ``max_len`` columns and cut
+    to ``T``, so a batch trimmed to its texts takes the same numbers from
+    ``rng`` as one padded to ``max_len``.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask))
@@ -210,16 +222,17 @@ def encode_tokens(
     if t > cfg.max_len:
         raise ShapeMismatch(f"sequence length {t} exceeds max_len {cfg.max_len}")
     key_mask = expand_mask(mask).reshape(b, 1, 1, t)
+    draw = (b, cfg.max_len, cfg.d_model)
 
     x = ad.add(ad.embed(params["embed"], ids), ad.embed(params["pos_embed"], np.arange(t)))
-    x = ad.dropout(x, cfg.dropout, train_mode, rng)
+    x = ad.dropout(x, cfg.dropout, train_mode, rng, draw)
     for i in range(cfg.layers):
         att = ad.multi_head_attention(x, x, x, key_mask, cfg.heads,
                                       _mha_params(params, f"l{i}.attn"))
-        x = ad.add_norm(x, ad.dropout(att, cfg.dropout, train_mode, rng),
+        x = ad.add_norm(x, ad.dropout(att, cfg.dropout, train_mode, rng, draw),
                         *_norm_params(params, f"l{i}.norm1"))
         ff = ad.feed_forward(x, *_ffn_params(params, f"l{i}.ff"))
-        x = ad.add_norm(x, ad.dropout(ff, cfg.dropout, train_mode, rng),
+        x = ad.add_norm(x, ad.dropout(ff, cfg.dropout, train_mode, rng, draw),
                         *_norm_params(params, f"l{i}.norm2"))
     return x
 

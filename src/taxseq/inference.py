@@ -22,7 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .codec import BOS_ID, EOS_ID, PAD_ID, decode
 from .decoder import DecodeCache
-from .encoder import tokenize_text
+# perfbench/tracing.py wraps ``inference.tokenize_text`` by name
+from .encoder import tokenize_text, tokenize_texts  # noqa: F401
 from .errors import ConfigError, ShapeMismatch
 from .model import ModelBundle
 from .trainer import PreparedData
@@ -164,6 +165,8 @@ def beam_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask,
 def predict_prepared(bundle: ModelBundle, data: PreparedData,
                      batch_size: int = 32) -> list[Prediction]:
     """Decode every sample of a prepared split in fixed order."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     preds: list[Prediction] = []
     for lo in range(0, data.n, batch_size):
         idx = np.arange(lo, min(lo + batch_size, data.n))
@@ -176,21 +179,17 @@ def predict_prepared(bundle: ModelBundle, data: PreparedData,
 
 def predict_texts(bundle: ModelBundle, texts, sample_ids=None,
                   batch_size: int = 32) -> list[Prediction]:
-    """End-to-end prediction for raw texts (trainable encoder mode)."""
+    """End-to-end prediction for raw texts (trainable encoder mode).
+
+    The texts are tokenized as ``prepare_data`` tokenizes a split and
+    decoded by ``predict_prepared``; no texts give no predictions.
+    """
     if bundle.text_vocab is None:
         raise ConfigError("text prediction needs the trainable encoder's vocabulary")
-    t = bundle.enc_cfg.max_len
-    ids = np.zeros((len(texts), t), dtype=np.int32)
-    mask = np.zeros((len(texts), t), dtype=np.int8)
-    for i, text in enumerate(texts):
-        ids[i], mask[i] = tokenize_text(text, bundle.text_vocab, t)
     if sample_ids is None:
         sample_ids = [str(i) for i in range(len(texts))]
-    preds: list[Prediction] = []
-    for lo in range(0, len(texts), batch_size):
-        hi = min(lo + batch_size, len(texts))
-        with ad.no_grad():
-            hidden = bundle.encode_batch(ids[lo:hi], mask[lo:hi])
-        preds.extend(greedy_decode(bundle, hidden, mask[lo:hi],
-                                   sample_ids=sample_ids[lo:hi]))
-    return preds
+    if len(sample_ids) != len(texts):
+        raise ShapeMismatch(f"{len(sample_ids)} sample ids for {len(texts)} texts")
+    text_ids, text_mask = tokenize_texts(texts, bundle.text_vocab, bundle.enc_cfg.max_len)
+    data = PreparedData(list(sample_ids), text_ids=text_ids, text_mask=text_mask)
+    return predict_prepared(bundle, data, batch_size)

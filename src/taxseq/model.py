@@ -77,6 +77,7 @@ class ModelBundle:
         return sum(p.data.size for p in self.all_params().values())
 
     def encode_batch(self, text_ids, text_mask, train_mode=False, rng=None) -> Tensor:
+        """Encoder states over exactly the columns given: (B, T) -> (B, T, d)."""
         if self.enc_cfg.mode != "trainable":
             raise ConfigError("encode_batch needs a trainable encoder; "
                               "precomputed runs read states from the store")
@@ -86,13 +87,22 @@ class ModelBundle:
     def encoder_states(self, data, idx, train_mode=False, rng=None) -> tuple[Tensor, np.ndarray]:
         """Encoder states and key mask for rows ``idx`` of a ``PreparedData``.
 
-        Precomputed splits carry their states; tokenized ones run through
+        This is the one place that picks a batch's text columns. The batch
+        keeps its columns up to the last one that any of its rows uses, and
+        at least one, so the encoder and cross-attention pay for its
+        longest text, not for ``max_len``. A store's mask may have holes,
+        so the width is that last column, not a token count. Precomputed
+        splits carry their states; tokenized ones run through
         ``encode_batch``.
         """
-        if data.enc_hidden is not None:
-            return Tensor(data.enc_hidden[idx]), data.enc_mask[idx]
-        mask = data.text_mask[idx]
-        return self.encode_batch(data.text_ids[idx], mask, train_mode, rng), mask
+        precomputed = data.enc_hidden is not None
+        mask = (data.enc_mask if precomputed else data.text_mask)[idx]
+        used = np.flatnonzero(mask.any(axis=0))
+        width = int(used[-1]) + 1 if used.size else 1
+        mask = mask[:, :width]
+        if precomputed:
+            return Tensor(data.enc_hidden[idx, :width]), mask
+        return self.encode_batch(data.text_ids[idx, :width], mask, train_mode, rng), mask
 
     def decoder_logits(self, label_ids, label_mask, enc_hidden, enc_mask,
                        train_mode=False, rng=None, capture_cross=None,

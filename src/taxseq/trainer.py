@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .codec import Ordering, PAD_ID, encode
-from .encoder import EncoderConfig, PrecomputedStates, TextVocab, tokenize_text
+from .encoder import EncoderConfig, PrecomputedStates, TextVocab, tokenize_texts
 from .decoder import DecoderConfig
 from .errors import ConfigError, EmptyCorpus, NonFiniteLoss, ShapeMismatch
 from .loss import LossConfig, combine_pieces, compute_loss, loss_pieces
@@ -167,12 +167,13 @@ def grad_norm(params: dict[str, Parameter]) -> float:
 @dataclass
 class PreparedData:
     """Tensorized split: tokenized text (or precomputed states) plus the
-    encoded teacher-forcing label sequences."""
+    encoded teacher-forcing label sequences. A split of bare texts, as
+    ``predict_texts`` builds, has no label fields."""
 
     ids: list[str]
-    seq_ids: np.ndarray
-    seq_mask: np.ndarray
-    gold: list[set]
+    seq_ids: np.ndarray | None = None
+    seq_mask: np.ndarray | None = None
+    gold: list[set] | None = None
     text_ids: np.ndarray | None = None
     text_mask: np.ndarray | None = None
     enc_hidden: np.ndarray | None = None
@@ -235,11 +236,8 @@ def prepare_data(
         raise ConfigError("a states store was given for a model whose encoder "
                           "is trainable; only a precomputed encoder reads one")
 
-    t = bundle.enc_cfg.max_len
-    text_ids = np.zeros((n, t), dtype=np.int32)
-    text_mask = np.zeros((n, t), dtype=np.int8)
-    for i, s in enumerate(samples):
-        text_ids[i], text_mask[i] = tokenize_text(s.text, bundle.text_vocab, t)
+    text_ids, text_mask = tokenize_texts([s.text for s in samples], bundle.text_vocab,
+                                         bundle.enc_cfg.max_len)
     return PreparedData(ids, seq_ids, seq_mask, gold,
                         text_ids=text_ids, text_mask=text_mask)
 

@@ -641,6 +641,14 @@ class TestDropout:
         backward(ad.tsum(y))
         assert np.array_equal(x.grad != 0, y.data != 0)
 
+    def test_draw_shape_keeps_leading_corner(self, rng):
+        x = Tensor(arr(rng, 2, 3))
+        wide = ad.dropout(Tensor(np.ones((2, 5))), 0.5, True, np.random.default_rng(4))
+        cut = ad.dropout(x, 0.5, True, np.random.default_rng(4), draw_shape=(2, 5))
+        assert np.array_equal(cut.data, x.data * wide.data[:, :3])
+        with pytest.raises(ShapeMismatch):
+            ad.dropout(x, 0.5, True, np.random.default_rng(4), draw_shape=(2, 2))
+
     def test_needs_rng_in_train_mode(self, rng):
         with pytest.raises(ValueError):
             ad.dropout(Tensor(arr(rng, 2)), 0.5, train_mode=True)

@@ -552,6 +552,15 @@ class TestStatsAndGlobals:
         capsys.readouterr()
         assert os.environ["OMP_NUM_THREADS"] == "2"
 
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_threads_below_one_exit_2(self, workdir, monkeypatch, capsys, value):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--threads", value, "stats", "--data", str(workdir["data"])])
+        assert exit_info.value.code == 2
+        assert "argument --threads" in capsys.readouterr().err
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
     def test_cli_import_loads_no_numpy(self):
         out = run_python("import sys, taxseq.cli\nprint('numpy' in sys.modules)")
         assert out == "False"

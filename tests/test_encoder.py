@@ -148,6 +148,21 @@ class TestEncodeTokens:
                                   rng=np.random.default_rng(0))
         assert not np.allclose(eval_out.data, train_out.data)
 
+    def test_trimmed_batch_draws_full_width_dropout(self, rng):
+        # a batch cut to its texts takes the same dropout numbers as one
+        # padded to max_len, and leaves the rng where the padded one does
+        cfg = small_cfg(dropout=0.3)
+        params = init_encoder_params(cfg, rng)
+        ids = rng.integers(2, 32, size=(2, cfg.max_len))
+        mask = np.zeros((2, cfg.max_len), int)
+        mask[0, :3], mask[1, :4] = 1, 1
+        rng_full, rng_trim = np.random.default_rng(7), np.random.default_rng(7)
+        full = encode_tokens(ids, mask, cfg, params, True, rng_full)
+        trim = encode_tokens(ids[:, :4], mask[:, :4], cfg, params, True, rng_trim)
+        real = mask[:, :4] == 1
+        assert np.allclose(trim.data[real], full.data[:, :4][real], atol=1e-5)
+        assert rng_trim.random() == rng_full.random()
+
     def test_gradients_flow_to_all_params(self, rng):
         cfg = small_cfg(layers=1)
         params = init_encoder_params(cfg, rng)

@@ -14,9 +14,10 @@ from taxseq.errors import ConfigError, ShapeMismatch
 from taxseq.inference import (Prediction, beam_decode_ids, greedy_decode,
                               greedy_decode_ids, predict_prepared,
                               predict_texts)
+from taxseq.loss import LossConfig
 from taxseq.model import ModelBundle
 from taxseq.taxonomy import ROOT, LabelHierarchy
-from taxseq.trainer import TrainConfig, prepare_data, train
+from taxseq.trainer import TrainConfig, evaluate_epoch, prepare_data, train
 
 SAMPLES = [
     Sample("s0", "bat ball bat", {"A", "B"}),
@@ -58,6 +59,40 @@ def golden_bundle():
         if p.data.ndim == 2:
             p.data *= 15
     return bundle
+
+
+# texts of 1 to 5 words under a max_len of 8: every batch is cut, by different widths
+MIXED = [
+    Sample("m0", "bat", {"A", "B"}),
+    Sample("m1", "cold snow", {"A", "C"}),
+    Sample("m2", "drum tune drum tune drum", {"D"}),
+    Sample("m3", "ball bat ball", {"A", "B"}),
+    Sample("m4", "snow ice cold snow", {"A", "C"}),
+    Sample("m5", "tune", {"D"}),
+    Sample("m6", "bat ice", {"A", "B"}),
+    Sample("m7", "cold snow ice", {"A", "C"}),
+]
+
+
+def mixed_bundle(dropout=0.0):
+    """A seeded model over ``MIXED`` with max_len 8, its decoder weights
+    scaled up so that decoded ids differ between texts."""
+    h = LabelHierarchy.from_edges(
+        [(ROOT, "A"), ("A", "B"), ("A", "C"), (ROOT, "D")])
+    enc_cfg = EncoderConfig(d_model=16, layers=2, heads=2, max_len=8, dropout=dropout)
+    dec_cfg = DecoderConfig(d_model=16, layers=2, heads=4, dropout=dropout,
+                            max_positions=10)
+    tv = TextVocab.build([s.text for s in MIXED])
+    bundle = ModelBundle.build(h, Ordering.PATH_SEPARATED, 10, enc_cfg, dec_cfg,
+                               seed=9, text_vocab=tv)
+    for p in bundle.dec_params.values():
+        if p.data.ndim == 2:
+            p.data *= 15
+    return bundle
+
+
+def last_used_width(mask) -> int:
+    return int(np.flatnonzero(np.asarray(mask).any(axis=0))[-1]) + 1
 
 
 def golden_inputs():
@@ -441,3 +476,71 @@ class TestEndToEnd:
                               np.ones((2, 3), np.int8))
         assert preds[0].labels == {"A", "B"}
         assert preds[0].groups == [["B"]]
+
+
+class TestTrimmedEncoderSide:
+    def test_trimmed_batch_matches_full_width_in_float64(self):
+        bundle = mixed_bundle()
+        for p in bundle.all_params().values():
+            p.data = p.data.astype(np.float64)
+        data = prepare_data(bundle, MIXED, seed=0)
+        with no_grad():
+            hidden, mask = bundle.encoder_states(data, np.arange(data.n))
+            full = bundle.encode_batch(data.text_ids, data.text_mask)
+            assert mask.shape == (8, 5)
+            real = mask.astype(bool)
+            assert np.allclose(hidden.data[real], full.data[:, :5][real],
+                               rtol=1e-12, atol=1e-12)
+            trim_logits = bundle.decoder_logits(data.seq_ids, data.seq_mask, hidden, mask)
+            full_logits = bundle.decoder_logits(data.seq_ids, data.seq_mask, full,
+                                                data.text_mask)
+            assert np.allclose(trim_logits.data, full_logits.data, rtol=1e-12, atol=1e-12)
+            trim_ids, trim_hit = greedy_decode_ids(bundle, hidden, mask)
+            full_ids, full_hit = greedy_decode_ids(bundle, full, data.text_mask)
+        assert trim_ids == full_ids and trim_hit == full_hit
+        assert len({tuple(ids) for ids in trim_ids}) > 1
+
+    def test_every_encoder_call_ends_at_its_last_used_column(self, monkeypatch):
+        """A padding regression in any path from a split to the encoder
+        fails here, with no timing: each call's width must be the last
+        column that a row of its batch uses."""
+        calls = []
+        encode = ModelBundle.encode_batch
+
+        def spy(self, text_ids, text_mask, *args, **kwargs):
+            calls.append(np.array(text_mask))
+            return encode(self, text_ids, text_mask, *args, **kwargs)
+
+        monkeypatch.setattr(ModelBundle, "encode_batch", spy)
+        bundle = mixed_bundle(dropout=0.1)
+        data = prepare_data(bundle, MIXED, seed=0)
+        per_pair = [last_used_width(data.text_mask[lo:lo + 2]) for lo in range(0, 8, 2)]
+        assert per_pair == [2, 5, 4, 3]
+
+        train(bundle, data, data, TrainConfig(micro_batch=2, accumulation_steps=2,
+                                              max_epochs=1, seed=0))
+        evaluate_epoch(bundle, data, LossConfig(), micro_batch=2)
+        predict_prepared(bundle, data, batch_size=2)
+        predict_texts(bundle, [s.text for s in MIXED], batch_size=2)
+        # train: 4 micro-batches in random order and evaluation; then three fixed passes
+        assert len(calls) == 20
+        assert all(m.shape[1] == last_used_width(m) for m in calls)
+        assert [m.shape[1] for m in calls[8:]] == per_pair * 3
+        assert all(np.array_equal(m, data.text_mask[lo:lo + 2, :m.shape[1]])
+                   for lo, m in zip(range(0, 8, 2), calls[8:12]))
+
+    def test_no_texts_give_no_predictions(self):
+        assert predict_texts(tiny_bundle(), []) == []
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_batch_size_below_one_is_rejected(self, size):
+        bundle = tiny_bundle()
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        with pytest.raises(ConfigError, match="batch_size"):
+            predict_prepared(bundle, data, batch_size=size)
+        with pytest.raises(ConfigError, match="batch_size"):
+            predict_texts(bundle, [s.text for s in SAMPLES], batch_size=size)
+
+    def test_sample_ids_must_match_texts(self):
+        with pytest.raises(ShapeMismatch):
+            predict_texts(tiny_bundle(), ["bat ball", "drum"], sample_ids=["only"])

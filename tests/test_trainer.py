@@ -217,17 +217,40 @@ class TestDataPreparation:
         assert data.enc_hidden.shape == (8, 6, 16)
         assert data.text_ids is None
         hidden, mask = bundle.encoder_states(data, np.array([2, 5]))
-        assert hidden.data.shape == (2, 6, 16) and mask.shape == (2, 6)
-        assert np.array_equal(hidden.data, data.enc_hidden[[2, 5]])
+        # the batch is cut after its last real column
+        assert hidden.data.shape == (2, 4, 16) and mask.shape == (2, 4)
+        assert np.array_equal(mask, np.ones((2, 4), np.int8))
+        assert np.array_equal(hidden.data, data.enc_hidden[[2, 5], :4])
+
+    def test_store_mask_hole_keeps_last_real_column(self, tmp_path, rng):
+        bundle = tiny_bundle(mode="precomputed")
+        store = PrecomputedStates.create(tmp_path / "st", d_model=16, max_len=6)
+        masks = {"s0": [1, 0, 0, 1, 0, 0], "s1": [1, 1, 0, 0, 0, 0]}
+        for s in SAMPLES:
+            store.write(s.id, rng.standard_normal((6, 16)).astype(np.float32),
+                        np.array(masks.get(s.id, [1] * 6), dtype=np.float32))
+        data = prepare_data(bundle, SAMPLES, seed=0, store=store)
+        hidden, mask = bundle.encoder_states(data, np.array([0, 1]))
+        assert mask.tolist() == [[1, 0, 0, 1], [1, 1, 0, 0]]
+        assert np.array_equal(hidden.data, data.enc_hidden[:2, :4])
 
     def test_encoder_states_encode_tokenized_rows(self):
         bundle = tiny_bundle()
         data = prepare_data(bundle, SAMPLES, seed=0)
         idx = np.array([1, 4])
         hidden, mask = bundle.encoder_states(data, idx)
-        want = bundle.encode_batch(data.text_ids[idx], data.text_mask[idx])
-        assert np.array_equal(mask, data.text_mask[idx])
+        # three words a text: the batch is cut to its 3 real columns of 6
+        want = bundle.encode_batch(data.text_ids[idx, :3], data.text_mask[idx, :3])
+        assert np.array_equal(mask, np.ones((2, 3), np.int8))
         assert np.array_equal(hidden.data, want.data)
+
+    def test_rows_filling_max_len_are_not_narrowed(self):
+        bundle = tiny_bundle()
+        samples = SAMPLES[:2] + [Sample("long", "bat ball bat ball bat ball bat", {"D"})]
+        data = prepare_data(bundle, samples, seed=0)
+        hidden, mask = bundle.encoder_states(data, np.arange(3))
+        assert hidden.data.shape == (3, 6, 16)
+        assert np.array_equal(mask, data.text_mask)
 
     def test_precomputed_mode_errors(self, tmp_path):
         bundle = tiny_bundle(mode="precomputed")
