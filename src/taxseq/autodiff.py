@@ -590,26 +590,18 @@ def add_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5
     return _node(out, (x, r, gain, bias), bwd)
 
 
-def dropout(x: Tensor, p: float, train_mode: bool, rng: np.random.Generator | None = None,
-            draw_shape: tuple[int, ...] | None = None) -> Tensor:
-    """Inverted dropout. Eval mode returns the input unchanged, bit for bit.
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout, on exactly when ``rng`` is given.
 
-    With ``draw_shape``, no smaller than ``x`` on any axis, the mask is drawn
-    at that shape and cut to ``x``'s leading corner: ``rng`` advances as it
-    would for an input of that shape.
+    The mask is drawn at ``x``'s shape, so ``rng`` advances by ``x.data.size``
+    doubles. Without ``rng`` (evaluation) the input comes back unchanged.
     """
     if not 0.0 <= p < 1.0:
         raise InvalidProbability(f"dropout probability must be in [0, 1), got {p}")
-    if not train_mode or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
-    shape = x.data.shape
-    u = rng.random(shape if draw_shape is None else draw_shape)[tuple(slice(n) for n in shape)]
-    if u.shape != shape:
-        raise ShapeMismatch(f"dropout draw shape {draw_shape} is smaller than {shape}")
-    keep = (u >= p).astype(x.data.dtype) / np.asarray(1.0 - p, dtype=x.data.dtype)
-    return mul_const(x, keep)
+    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
+    return mul_const(x, keep / np.asarray(1.0 - p, dtype=x.data.dtype))
 
 
 def gelu(x: Tensor) -> Tensor:

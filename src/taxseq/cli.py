@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the configured training seed")
     parser.add_argument("--deterministic", action="store_true",
                         help="single-threaded numerics for bit-reproducible runs")
-    parser.add_argument("--threads", type=_thread_count, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="pin numeric library thread pools (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default=",".join(ABLATION_VARIANTS),
                    help="comma-separated variant names")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="run up to N variants concurrently")
+    p.add_argument("--parallel", type=_positive_int, default=1,
+                   help="run up to N variants concurrently (>= 1)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="SECTION.KEY=VALUE")
     p.set_defaults(func=cmd_ablate)
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_count(value: str) -> int:
+def _positive_int(value: str) -> int:
     try:
         n = int(value)
     except ValueError:
@@ -319,9 +319,10 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"--seeds takes comma-separated integers, got {args.seeds!r}")
     jobs = [(cfg.values, args.data, args.out, v, s) for v in variants for s in seeds]
 
-    if args.parallel > 1:
+    workers = min(args.parallel, len(jobs))
+    if workers > 1:
         import multiprocessing as mp
-        with mp.Pool(args.parallel) as pool:
+        with mp.get_context("spawn").Pool(workers) as pool:
             cells = pool.map(_ablate_one, jobs)
     else:
         cells = [_ablate_one(j) for j in jobs]

@@ -59,6 +59,10 @@ class DecoderConfig:
     def __post_init__(self):
         if self.ff_dim == 0:
             self.ff_dim = 4 * self.d_model
+        if self.d_model < 1:
+            raise ConfigError(f"d_model must be >= 1, got {self.d_model}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.layers < 1:
@@ -188,8 +192,8 @@ def _layer_params(params: dict[str, Parameter], i: int) -> _Layer:
 class DecodeCache:
     """What the decoder keeps between calls on the same rows.
 
-    ``ids`` and ``key_mask`` are the label ids consumed so far and their
-    ``label_mask != 0``, (B, t). Per layer, ``self_kv`` holds the
+    ``key_mask`` is the ``label_mask != 0`` of the t label positions
+    consumed so far, (B, t). Per layer, ``self_kv`` holds the
     split-head self-attention keys and values of those t positions, and
     ``cross_kv`` the ones projected from the encoder states on the first
     call; ``cross_mask`` is the additive encoder key mask. The first call
@@ -206,7 +210,6 @@ class DecodeCache:
     """
 
     def __init__(self):
-        self.ids: np.ndarray | None = None
         self.key_mask: np.ndarray | None = None
         self.layers: list[_Layer] = []
         self.self_kv: list[tuple[Tensor, Tensor]] = []
@@ -215,14 +218,13 @@ class DecodeCache:
 
     @property
     def length(self) -> int:
-        return 0 if self.ids is None else self.ids.shape[1]
+        return 0 if self.key_mask is None else self.key_mask.shape[1]
 
-    def consume(self, label_ids: np.ndarray, label_mask: np.ndarray) -> np.ndarray:
-        """Append (B, n) new ids and their mask; return every consumed key's mask."""
-        if self.ids is None:
-            self.ids, self.key_mask = label_ids.copy(), label_mask != 0
+    def consume(self, label_mask: np.ndarray) -> np.ndarray:
+        """Append (B, n) new positions' mask; return every consumed key's mask."""
+        if self.key_mask is None:
+            self.key_mask = label_mask != 0
         else:
-            self.ids = np.concatenate([self.ids, label_ids], axis=1)
             self.key_mask = np.concatenate([self.key_mask, label_mask != 0], axis=1)
         return self.key_mask
 
@@ -243,7 +245,6 @@ class DecodeCache:
         every selected row reads that one row.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        self.ids = self.ids[rows]
         self.key_mask = self.key_mask[rows]
         self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv]
         if self.cross_mask is not None and self.cross_mask.shape[0] != 1:
@@ -275,7 +276,6 @@ def decoder_forward(
     enc_mask: np.ndarray,
     cfg: DecoderConfig,
     params: dict[str, Parameter],
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
     capture_cross: list | None = None,
     cache: DecodeCache | None = None,
@@ -284,6 +284,7 @@ def decoder_forward(
 
     ``enc_hidden`` may be a Tensor (joint training) or a plain array
     (precomputed states); ``enc_mask`` marks real encoder positions.
+    Dropout runs when ``rng`` is given.
 
     ``label_ids`` are the positions after those ``cache`` has consumed:
     their self-attention reads the cached keys and values plus their own,
@@ -313,20 +314,20 @@ def decoder_forward(
         cache.layers = [_layer_params(params, i) for i in range(cfg.layers)]
         cache.cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, layer.cross)
                           for layer in cache.layers]
-    self_mask = self_attention_mask(cache.consume(label_ids, label_mask), queries=n)
+    self_mask = self_attention_mask(cache.consume(label_mask), queries=n)
 
     le = ad.add(ad.embed(params["word_embed"], label_ids),
                 ad.embed(params["pos_embed"], np.arange(offset, offset + n)))
-    le = ad.dropout(le, cfg.dropout, train_mode, rng)
+    le = ad.dropout(le, cfg.dropout, rng)
     for i, layer in enumerate(cache.layers):
         k, v = cache.extend_self(i, *ad.kv_heads(le, le, cfg.heads, layer.self_attn))
         q = ad.add_norm(ad.attend(le, k, v, self_mask, cfg.heads, layer.self_attn), le,
                         *layer.norm_q)
-        q = ad.dropout(q, cfg.dropout, train_mode, rng)
+        q = ad.dropout(q, cfg.dropout, rng)
         k, v = cache.cross_kv[i]
         cross = ad.attend(q, k, v, cache.cross_mask, cfg.heads, layer.cross,
                           capture=capture_cross)
-        x = ad.add_norm(q, ad.dropout(cross, cfg.dropout, train_mode, rng), *layer.norm_c)
+        x = ad.add_norm(q, ad.dropout(cross, cfg.dropout, rng), *layer.norm_c)
         ff = ad.feed_forward(x, *layer.ff)
-        le = ad.add_norm(x, ad.dropout(ff, cfg.dropout, train_mode, rng), *layer.norm_f)
+        le = ad.add_norm(x, ad.dropout(ff, cfg.dropout, rng), *layer.norm_f)
     return ad.linear(le, params["out.w"], params["out.b"])

@@ -120,6 +120,10 @@ class EncoderConfig:
     def __post_init__(self):
         if self.mode not in ("trainable", "precomputed"):
             raise ConfigError(f"unknown encoder mode {self.mode!r}")
+        if self.d_model < 1:
+            raise ConfigError(f"d_model must be >= 1, got {self.d_model}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.layers < 0:
@@ -205,16 +209,14 @@ def encode_tokens(
     mask: np.ndarray,
     cfg: EncoderConfig,
     params: dict[str, Parameter],
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Run the trainable encoder over a batch: (B, T) ids -> (B, T, d) states.
 
     ``T`` may be any width up to ``max_len``. Self-attention keys at padded
     positions are masked out, so real positions never depend on pad-token
-    embeddings. Dropout masks are drawn for all ``max_len`` columns and cut
-    to ``T``, so a batch trimmed to its texts takes the same numbers from
-    ``rng`` as one padded to ``max_len``.
+    embeddings. Dropout runs when ``rng`` is given; each of its
+    ``1 + 2 * layers`` masks covers the (B, T, d) states it drops.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask))
@@ -222,17 +224,16 @@ def encode_tokens(
     if t > cfg.max_len:
         raise ShapeMismatch(f"sequence length {t} exceeds max_len {cfg.max_len}")
     key_mask = expand_mask(mask).reshape(b, 1, 1, t)
-    draw = (b, cfg.max_len, cfg.d_model)
 
     x = ad.add(ad.embed(params["embed"], ids), ad.embed(params["pos_embed"], np.arange(t)))
-    x = ad.dropout(x, cfg.dropout, train_mode, rng, draw)
+    x = ad.dropout(x, cfg.dropout, rng)
     for i in range(cfg.layers):
         att = ad.multi_head_attention(x, x, x, key_mask, cfg.heads,
                                       _mha_params(params, f"l{i}.attn"))
-        x = ad.add_norm(x, ad.dropout(att, cfg.dropout, train_mode, rng, draw),
+        x = ad.add_norm(x, ad.dropout(att, cfg.dropout, rng),
                         *_norm_params(params, f"l{i}.norm1"))
         ff = ad.feed_forward(x, *_ffn_params(params, f"l{i}.ff"))
-        x = ad.add_norm(x, ad.dropout(ff, cfg.dropout, train_mode, rng, draw),
+        x = ad.add_norm(x, ad.dropout(ff, cfg.dropout, rng),
                         *_norm_params(params, f"l{i}.norm2"))
     return x
 

@@ -49,7 +49,7 @@ def _step(bundle: ModelBundle, tokens: np.ndarray, enc_hidden, enc_mask,
     """Feed one token per cached row -> (rows, V) next-token logits."""
     ids = tokens[:, None]
     logits = bundle.decoder_logits(ids, (ids != PAD_ID).astype(np.int8), enc_hidden,
-                                   enc_mask, train_mode=False, cache=cache)
+                                   enc_mask, cache=cache)
     return logits.data[:, -1, :]
 
 

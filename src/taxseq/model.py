@@ -76,15 +76,14 @@ class ModelBundle:
     def n_params(self) -> int:
         return sum(p.data.size for p in self.all_params().values())
 
-    def encode_batch(self, text_ids, text_mask, train_mode=False, rng=None) -> Tensor:
+    def encode_batch(self, text_ids, text_mask, rng=None) -> Tensor:
         """Encoder states over exactly the columns given: (B, T) -> (B, T, d)."""
         if self.enc_cfg.mode != "trainable":
             raise ConfigError("encode_batch needs a trainable encoder; "
                               "precomputed runs read states from the store")
-        return encode_tokens(text_ids, text_mask, self.enc_cfg, self.enc_params,
-                             train_mode, rng)
+        return encode_tokens(text_ids, text_mask, self.enc_cfg, self.enc_params, rng)
 
-    def encoder_states(self, data, idx, train_mode=False, rng=None) -> tuple[Tensor, np.ndarray]:
+    def encoder_states(self, data, idx, rng=None) -> tuple[Tensor, np.ndarray]:
         """Encoder states and key mask for rows ``idx`` of a ``PreparedData``.
 
         This is the one place that picks a batch's text columns. The batch
@@ -102,13 +101,13 @@ class ModelBundle:
         mask = mask[:, :width]
         if precomputed:
             return Tensor(data.enc_hidden[idx, :width]), mask
-        return self.encode_batch(data.text_ids[idx, :width], mask, train_mode, rng), mask
+        return self.encode_batch(data.text_ids[idx, :width], mask, rng), mask
 
     def decoder_logits(self, label_ids, label_mask, enc_hidden, enc_mask,
-                       train_mode=False, rng=None, capture_cross=None,
+                       rng=None, capture_cross=None,
                        cache: DecodeCache | None = None) -> Tensor:
         """Decoder logits for the positions after those ``cache`` has
         consumed; without one, the teacher-forced pass (see ``decoder_forward``)."""
         return decoder_forward(label_ids, label_mask, enc_hidden, enc_mask,
-                               self.dec_cfg, self.dec_params, train_mode, rng,
+                               self.dec_cfg, self.dec_params, rng,
                                capture_cross=capture_cross, cache=cache)

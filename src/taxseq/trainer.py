@@ -67,6 +67,8 @@ class TrainConfig:
             raise ConfigError("accumulation_steps must be >= 1")
         if self.micro_batch < 1:
             raise ConfigError("micro_batch must be >= 1")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
 
 def _decays(name: str, p: Parameter) -> bool:
@@ -243,10 +245,10 @@ def prepare_data(
 
 
 def _micro_logits(bundle: ModelBundle, data: PreparedData, idx: np.ndarray,
-                  train_mode: bool, rng) -> Tensor:
-    h, enc_mask = bundle.encoder_states(data, idx, train_mode, rng)
-    return bundle.decoder_logits(data.seq_ids[idx], data.seq_mask[idx],
-                                 h, enc_mask, train_mode, rng)
+                  rng=None) -> Tensor:
+    """Teacher-forced logits for rows ``idx``; dropout runs when ``rng`` is given."""
+    h, enc_mask = bundle.encoder_states(data, idx, rng)
+    return bundle.decoder_logits(data.seq_ids[idx], data.seq_mask[idx], h, enc_mask, rng)
 
 
 def evaluate_epoch(bundle: ModelBundle, data: PreparedData,
@@ -259,7 +261,7 @@ def evaluate_epoch(bundle: ModelBundle, data: PreparedData,
     with ad.no_grad():
         for lo in range(0, data.n, micro_batch):
             idx = np.arange(lo, min(lo + micro_batch, data.n))
-            logits = _micro_logits(bundle, data, idx, train_mode=False, rng=None)
+            logits = _micro_logits(bundle, data, idx)
             losses.append(compute_loss(logits, targets[idx], loss_cfg).item())
     return float(np.mean(losses))
 
@@ -517,7 +519,7 @@ def train(
         n_micros = int(np.ceil(train_data.n / cfg.micro_batch))
         for w in range(n_micros):
             idx = perm[w * cfg.micro_batch:(w + 1) * cfg.micro_batch]
-            logits = _micro_logits(bundle, train_data, idx, True, rng)
+            logits = _micro_logits(bundle, train_data, idx, rng)
             pieces.append(loss_pieces(logits, targets_all[idx], cfg.loss))
             if len(pieces) == cfg.accumulation_steps or w == n_micros - 1:
                 loss = combine_pieces(pieces, cfg.loss)

@@ -628,35 +628,27 @@ class TestEngine:
 class TestDropout:
     def test_eval_mode_is_identity(self, rng):
         x = Tensor(arr(rng, 4, 4))
-        assert ad.dropout(x, 0.5, train_mode=False) is x
-        assert ad.dropout(x, 0.0, train_mode=True) is x
+        assert ad.dropout(x, 0.5) is x
+        assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_train_mode_mask_and_scale(self, rng):
         x = Tensor(np.ones((200, 200)), requires_grad=True)
-        y = ad.dropout(x, 0.25, train_mode=True, rng=np.random.default_rng(3))
+        gen = np.random.default_rng(3)
+        y = ad.dropout(x, 0.25, gen)
         vals = np.unique(np.round(y.data, 6))
         assert set(vals.tolist()) <= {0.0, round(1 / 0.75, 6)}
         drop_rate = float((y.data == 0).mean())
         assert abs(drop_rate - 0.25) < 0.02
         backward(ad.tsum(y))
         assert np.array_equal(x.grad != 0, y.data != 0)
-
-    def test_draw_shape_keeps_leading_corner(self, rng):
-        x = Tensor(arr(rng, 2, 3))
-        wide = ad.dropout(Tensor(np.ones((2, 5))), 0.5, True, np.random.default_rng(4))
-        cut = ad.dropout(x, 0.5, True, np.random.default_rng(4), draw_shape=(2, 5))
-        assert np.array_equal(cut.data, x.data * wide.data[:, :3])
-        with pytest.raises(ShapeMismatch):
-            ad.dropout(x, 0.5, True, np.random.default_rng(4), draw_shape=(2, 2))
-
-    def test_needs_rng_in_train_mode(self, rng):
-        with pytest.raises(ValueError):
-            ad.dropout(Tensor(arr(rng, 2)), 0.5, train_mode=True)
+        # the mask is drawn at x's shape: one double per element
+        assert gen.random() == np.random.default_rng(3).random(x.data.size + 1)[-1]
 
     def test_invalid_probability(self, rng):
         with pytest.raises(InvalidProbability):
-            ad.dropout(Tensor(arr(rng, 2)), 1.0, train_mode=True,
-                       rng=np.random.default_rng(0))
+            ad.dropout(Tensor(arr(rng, 2)), 1.0, np.random.default_rng(0))
+        with pytest.raises(InvalidProbability):
+            ad.dropout(Tensor(arr(rng, 2)), -0.1)
 
 
 @given(hnp.arrays(np.float64, (3, 7),

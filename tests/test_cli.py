@@ -335,7 +335,7 @@ class TestEvaluateCommand:
         """A decoder rigged on the text length gives known diagnostic counts
         in the report's extras and in both report files."""
         import numpy as np
-        from test_inference import tiny_bundle
+        from test_inference import consumed_ids, tiny_bundle
 
         from taxseq.autodiff import Tensor
         from taxseq.cli import _score_split
@@ -354,12 +354,12 @@ class TestEvaluateCommand:
         table |= {(BOS_ID, c) + (SEP_ID,) * n: SEP_ID    # {C}: SEP to capacity
                   for n in range(bundle.capacity)}
 
-        def rigged(label_ids, label_mask, enc_hidden, enc_mask, train_mode=False,
+        def rigged(label_ids, label_mask, enc_hidden, enc_mask,
                    rng=None, capture_cross=None, cache=None):
             fresh = cache.length == 0
-            cache.consume(np.atleast_2d(label_ids), np.atleast_2d(label_mask))
-            out = np.full((len(cache.ids), 1, bundle.vocab.size), -30.0)
-            for i, row in enumerate(cache.ids):
+            rows = consumed_ids(cache, label_ids, label_mask)
+            out = np.full((len(rows), 1, bundle.vocab.size), -30.0)
+            for i, row in enumerate(rows):
                 nxt = (first[int(enc_mask[i].sum())] if fresh
                        else table.get(tuple(int(t) for t in row), EOS_ID))
                 out[i, 0, nxt] = 0.0
@@ -505,6 +505,28 @@ class TestAblateCommand:
             line + "\n" for line in stdout.splitlines() if line)
         assert (out / "no-focal" / "seed0" / "resolved.ini").exists()
 
+    def test_parallel_run_matches_serial(self, workdir, tmp_path, capsys):
+        blobs = []
+        for parallel in ("1", "2"):
+            out = tmp_path / f"abl{parallel}"
+            assert main(["ablate", "--config", str(workdir["ini"]),
+                         "--data", str(workdir["data"]), "--out", str(out),
+                         "--variants", "no-focal", "--seeds", "0",
+                         "--parallel", parallel, "--set", "train.max_epochs=1"]) == 0
+            blobs.append(json.loads((out / "ablation.json").read_text()))
+        capsys.readouterr()
+        assert blobs[1]["rows"] == blobs[0]["rows"]
+        assert blobs[1]["cells"] == blobs[0]["cells"]
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_parallel_below_one_exits_2(self, workdir, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ablate", "--data", str(workdir["data"]), "--out", str(tmp_path / "x"),
+                  "--parallel", value])
+        assert exit_info.value.code == 2
+        assert "argument --parallel" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_variant_exits_2(self, workdir, tmp_path, capsys):
         code = main(["ablate", "--config", str(workdir["ini"]),
                      "--data", str(workdir["data"]),
@@ -607,8 +629,13 @@ print(code, seen)
         ("encoder.heads=3", "[encoder] d_model 128 not divisible by heads 3"),
         ("codec.capacity=-1", "[codec] capacity must be >= 0"),
         ("decoder.heads=0", "[decoder] d_model 128 not divisible by heads 0"),
+        ("train.max_epochs=0", "[train] max_epochs must be >= 1, got 0"),
+        ("encoder.d_model=0", "[encoder] d_model must be >= 1, got 0"),
+        ("encoder.dropout=1.5", "[encoder] dropout must be in [0, 1), got 1.5"),
+        ("decoder.dropout=-0.1", "[decoder] dropout must be in [0, 1), got -0.1"),
     ], ids=["decoder-layers", "encoder-mode", "encoder-heads", "codec-capacity",
-            "decoder-heads"])
+            "decoder-heads", "train-max-epochs", "encoder-d-model", "encoder-dropout",
+            "decoder-dropout"])
     def test_bad_setting_exits_2_naming_it(self, workdir, tmp_path, capsys,
                                            override, named):
         code = main(["train", "--data", str(workdir["data"]),

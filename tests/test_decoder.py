@@ -48,6 +48,10 @@ class TestConfig:
             DecoderConfig(vocab_size=12, layers=0)
         with pytest.raises(ConfigError, match="heads 0"):
             DecoderConfig(vocab_size=12, heads=0)
+        with pytest.raises(ConfigError, match="d_model must be >= 1"):
+            DecoderConfig(vocab_size=12, d_model=0)
+        with pytest.raises(ConfigError, match="dropout"):
+            DecoderConfig(vocab_size=12, dropout=-0.1)
         with pytest.raises(ConfigError):
             init_decoder_params(DecoderConfig(vocab_size=4),
                                 np.random.default_rng(0))
@@ -213,7 +217,7 @@ class TestForward:
         ids, mask, hidden, emask = make_inputs(rng, b=1)
         a = decoder_forward(ids, mask, hidden, emask, cfg, params).data
         b = decoder_forward(ids, mask, hidden, emask, cfg, params,
-                            train_mode=True, rng=np.random.default_rng(1)).data
+                            np.random.default_rng(1)).data
         assert not np.allclose(a, b)
 
 

@@ -106,6 +106,10 @@ class TestInit:
         with pytest.raises(ConfigError, match="heads 0"):
             EncoderConfig(heads=0)
         assert EncoderConfig(layers=0).layers == 0
+        with pytest.raises(ConfigError, match="d_model must be >= 1"):
+            EncoderConfig(d_model=0)
+        with pytest.raises(ConfigError, match="dropout"):
+            EncoderConfig(dropout=1.5)
 
 
 class TestEncodeTokens:
@@ -143,25 +147,24 @@ class TestEncodeTokens:
         params = init_encoder_params(cfg, rng)
         ids = np.array([[2, 3, 4]])
         mask = np.ones((1, 3), int)
-        eval_out = encode_tokens(ids, mask, cfg, params, train_mode=False)
-        train_out = encode_tokens(ids, mask, cfg, params, train_mode=True,
-                                  rng=np.random.default_rng(0))
+        eval_out = encode_tokens(ids, mask, cfg, params)
+        train_out = encode_tokens(ids, mask, cfg, params, np.random.default_rng(0))
         assert not np.allclose(eval_out.data, train_out.data)
 
-    def test_trimmed_batch_draws_full_width_dropout(self, rng):
-        # a batch cut to its texts takes the same dropout numbers as one
-        # padded to max_len, and leaves the rng where the padded one does
+    def test_dropout_draws_only_given_columns(self, rng):
+        # each of the 1 + 2*layers masks covers the (B, T, d) batch it is
+        # given, padded columns included, and not max_len columns
         cfg = small_cfg(dropout=0.3)
         params = init_encoder_params(cfg, rng)
-        ids = rng.integers(2, 32, size=(2, cfg.max_len))
-        mask = np.zeros((2, cfg.max_len), int)
-        mask[0, :3], mask[1, :4] = 1, 1
-        rng_full, rng_trim = np.random.default_rng(7), np.random.default_rng(7)
-        full = encode_tokens(ids, mask, cfg, params, True, rng_full)
-        trim = encode_tokens(ids[:, :4], mask[:, :4], cfg, params, True, rng_trim)
-        real = mask[:, :4] == 1
-        assert np.allclose(trim.data[real], full.data[:, :4][real], atol=1e-5)
-        assert rng_trim.random() == rng_full.random()
+        b, t = 2, 4
+        assert t < cfg.max_len
+        ids = rng.integers(2, 32, size=(b, t))
+        mask = np.ones((b, t), int)
+        mask[1, 2:] = 0
+        gen = np.random.default_rng(7)
+        encode_tokens(ids, mask, cfg, params, gen)
+        used = (1 + 2 * cfg.layers) * b * t * cfg.d_model
+        assert gen.random() == np.random.default_rng(7).random(used + 1)[-1]
 
     def test_gradients_flow_to_all_params(self, rng):
         cfg = small_cfg(layers=1)

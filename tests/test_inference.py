@@ -111,6 +111,19 @@ def rig_constant_logits(bundle, favored_id, margin=5.0):
     bundle.dec_params["out.b"].data[favored_id] = margin
 
 
+def consumed_ids(cache, label_ids, label_mask):
+    """Feed a fake decoder step to ``cache``; return each row's ids so far.
+
+    The ids ride in the cache as layer 0's self-attention keys, so
+    ``select`` keeps and reorders them with the rows, as it does real keys.
+    """
+    label_ids = np.atleast_2d(label_ids)
+    cache.consume(np.atleast_2d(label_mask))
+    ids = Tensor(label_ids[:, None, :, None].astype(np.float32))
+    keys, _ = cache.extend_self(0, ids, ids)
+    return keys.data[:, 0, :, 0].astype(np.int64)
+
+
 def script_decoder(bundle, table):
     """Replace the decoder step with a prefix->log-prob lookup table.
 
@@ -120,11 +133,10 @@ def script_decoder(bundle, table):
     vsize = bundle.vocab.size
 
     def fake_logits(label_ids, label_mask, enc_hidden, enc_mask,
-                    train_mode=False, rng=None, capture_cross=None, cache=None):
+                    rng=None, capture_cross=None, cache=None):
         label_ids = np.atleast_2d(label_ids)
-        cache.consume(label_ids, np.atleast_2d(label_mask))
         out = np.full((label_ids.shape[0], label_ids.shape[1], vsize), -30.0)
-        for i, row in enumerate(cache.ids):
+        for i, row in enumerate(consumed_ids(cache, label_ids, label_mask)):
             prefix = tuple(int(t) for t in row if t != PAD_ID)
             probs = np.full(vsize, 1e-9)
             for tok, p in table.get(prefix, {EOS_ID: 1.0}).items():
@@ -324,7 +336,7 @@ class TestCachedStep:
                                                  hidden, emask).data
                     np.testing.assert_allclose(step[:, 0], full[:, t], atol=1e-5,
                                                err_msg=f"seed {seed} t {t}")
-            assert np.array_equal(cache.ids, ids)
+            assert np.array_equal(cache.key_mask, mask != 0)
 
     def test_chunks_and_reordered_rows_match_teacher_forced_pass(self, rng):
         bundle = tiny_bundle(seed=7)
@@ -353,7 +365,7 @@ class TestCachedStep:
             kv, cmask = one.cross_kv, one.cross_mask
             one.select(rows)
             assert one.cross_kv is kv and one.cross_mask is cmask
-            assert one.cross_mask.shape[0] == 1 and one.ids.shape[0] == 3
+            assert one.cross_mask.shape[0] == 1 and one.key_mask.shape[0] == 3
             step = bundle.decoder_logits(ids[rows, 2:3], mask[rows, 2:3], hidden, emask,
                                          cache=one).data
             many = DecodeCache()

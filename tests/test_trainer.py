@@ -149,12 +149,12 @@ class TestAdamW:
         opt = AdamW()
         opt.add_group("enc", dict(bundle.enc_params), 1e-3)
         opt.add_group("dec", dict(bundle.dec_params), 1e-3)
-        assert bundle.encoder_states(data, idx, True, rng)[0].requires_grad
+        assert bundle.encoder_states(data, idx, rng)[0].requires_grad
         opt.freeze_group("enc")
-        hidden, enc_mask = bundle.encoder_states(data, idx, True, rng)
+        hidden, enc_mask = bundle.encoder_states(data, idx, rng)
         assert not hidden.requires_grad and hidden._backward is None
         logits = bundle.decoder_logits(data.seq_ids[idx], data.seq_mask[idx],
-                                       hidden, enc_mask, True, rng)
+                                       hidden, enc_mask, rng)
         backward(compute_loss(logits, make_targets(data.seq_ids)[idx], LossConfig()))
         grads = {k: p.grad for k, p in bundle.all_params().items()}
         assert all(g is None for k, g in grads.items() if k.startswith("enc."))
@@ -459,9 +459,10 @@ class TestTrainLoop:
 
     def test_numerics_match_recorded_run(self):
         """Per-epoch validation losses and a digest of the final parameters of
-        a seeded run (two layers, dropout, accumulation), recorded before the
-        AdamW constants left ``TrainConfig``: a change to the optimizer, the
-        loss or a kernel's numerics fails here. The run gets one BLAS thread,
+        a seeded run (two layers, dropout, accumulation), recorded since each
+        dropout mask covers only the columns its batch keeps: a change to the
+        optimizer, the loss, a kernel's numerics or the random stream fails
+        here. The run gets one BLAS thread,
         so its float sums have one order; the values are those of numpy 2.4.6
         with OpenBLAS 0.3.31, and another BLAS build may need new ones."""
         script = """
@@ -486,8 +487,8 @@ print(json.dumps([[r["val_loss"] for r in result.history], digest.hexdigest()]))
                               capture_output=True, timeout=300, check=True,
                               cwd=Path(__file__).parent)
         val_losses, digest = json.loads(done.stdout)
-        assert val_losses == [1.5810726930602903, 1.5597884882005633, 1.5397772132709022]
-        assert digest == "b579e85a82711af1afc47fbfc5c5364deee6290367ace0ac72229ff955e9fca3"
+        assert val_losses == [1.580951711772323, 1.5596026207340836, 1.5386599086865103]
+        assert digest == "e3b7d92a11ac032703f67486dbe6daac0610d2b3f49e04642721a82a1d9a98e1"
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -498,6 +499,8 @@ print(json.dumps([[r["val_loss"] for r in result.history], digest.hexdigest()]))
             TrainConfig(accumulation_steps=0)
         with pytest.raises(ConfigError):
             TrainConfig(micro_batch=0)
+        with pytest.raises(ConfigError, match="max_epochs"):
+            TrainConfig(max_epochs=0)
 
 
 class TestModelBuild:
