@@ -160,8 +160,6 @@ def _build_bundle(cfg, h, splits, store=None):
         enc_cfg = dataclasses.replace(enc_cfg, mode="precomputed",
                                       d_model=store.d_model, max_len=store.max_len)
     else:
-        if "train" not in splits:
-            raise ConfigError("building a trainable encoder needs a train split")
         text_vocab = TextVocab.build(
             (s.text for s in splits["train"]),
             min_count=cfg.get("encoder", "word_min_count"),
@@ -180,16 +178,22 @@ def _build_bundle(cfg, h, splits, store=None):
 
 
 def _run_training(cfg, data_dir, out_dir):
-    from .corpus import load_splits
+    """Train on ``train.jsonl`` and ``dev.jsonl``, the only splits it reads."""
+    from .corpus import load_jsonl
     from .encoder import PrecomputedStates
     from .errors import EmptyCorpus
+    from .taxonomy import load_hierarchy
     from .trainer import prepare_data, train
 
     train_cfg = cfg.build("train", loss=cfg.build("loss"))
-    h, splits = load_splits(data_dir)
+    data_dir = Path(data_dir)
+    h = load_hierarchy(data_dir / "taxonomy.tsv")
+    splits = {}
     for need in ("train", "dev"):
-        if need not in splits:
+        path = data_dir / f"{need}.jsonl"
+        if not path.exists():
             raise EmptyCorpus(f"{data_dir}: missing {need}.jsonl")
+        splits[need] = load_jsonl(path, h)
     store_dir = cfg.get("data", "precomputed_dir")
     store = PrecomputedStates.open(store_dir) if store_dir else None
     bundle = _build_bundle(cfg, h, splits, store)
@@ -200,7 +204,7 @@ def _run_training(cfg, data_dir, out_dir):
     prep_train = prepare_data(bundle, splits["train"], seed=seed, store=store)
     prep_dev = prepare_data(bundle, splits["dev"], seed=seed + 1, store=store)
     result = train(bundle, prep_train, prep_dev, train_cfg, out_dir=out)
-    return bundle, result, h, splits, store
+    return bundle, result, h, store
 
 
 def _score_split(bundle, samples, store=None, macro_all=False):
@@ -222,7 +226,7 @@ def _score_split(bundle, samples, store=None, macro_all=False):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    bundle, result, _, _, _ = _run_training(cfg, args.data, args.out)
+    bundle, result, _, _ = _run_training(cfg, args.data, args.out)
     print(f"trained {bundle.n_params()} parameters, "
           f"{result.epochs_run} epochs ({result.stopped}), "
           f"best val {result.best_val:.4f} at epoch {result.best_epoch}")
@@ -293,9 +297,9 @@ def _ablate_one(payload):
         cfg.set(section, key, value)
     cfg.set("train", "seed", seed)
     run_dir = Path(out_dir) / variant.replace("/", "_") / f"seed{seed}"
-    bundle, result, h, splits, store = _run_training(cfg, data_dir, run_dir)
+    bundle, result, h, store = _run_training(cfg, data_dir, run_dir)
     best, _ = load_checkpoint(result.best_dir)
-    test = splits.get("test") or load_jsonl(Path(data_dir) / "test.jsonl", h)
+    test = load_jsonl(Path(data_dir) / "test.jsonl", h)
     report = _score_split(best, test, store)
     return {"variant": variant, "seed": seed,
             "micro_f1": report.micro_f1, "macro_f1": report.macro_f1,

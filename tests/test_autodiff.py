@@ -391,6 +391,50 @@ class TestSublayerNodes:
         assert gradcheck(readout, inputs, eps=1e-5) < TOL
 
 
+class TestFeedForwardBlocks:
+    """Off the tape, ``feed_forward`` runs in batch-axis blocks of at most
+    ``ad.FF_BLOCK_FLOATS`` hidden floats; a recording call is one block."""
+
+    def ffn(self, rng, shape, ff, dtype=np.float32):
+        d = shape[-1]
+        x = Tensor(arr(rng, *shape).astype(dtype), requires_grad=True)
+        return x, [Parameter((0.3 * arr(rng, *s)).astype(dtype))
+                   for s in ((d, ff), (ff,), (ff, d), (d,))]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch, t", [(37, 17), (600, 1)], ids=["encoder", "decode-step"])
+    def test_blocked_forward_equals_recording_forward(self, rng, dtype, batch, t):
+        step = ad.FF_BLOCK_FLOATS // (t * 256)
+        assert 1 < step < batch and batch % step  # several full blocks, then a short one
+        x, w = self.ffn(rng, (batch, t, 32), 256, dtype)
+        recorded = ad.feed_forward(x, *w)
+        assert recorded.requires_grad
+        with no_grad():
+            blocked = ad.feed_forward(x, *w)
+        assert blocked.data.dtype == recorded.data.dtype == dtype
+        assert blocked.data.shape == recorded.data.shape == (batch, t, 32)
+        assert blocked.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("batch, t", [(128, 17), (3, 300)], ids=["rows", "row-over-budget"])
+    def test_gelu_inputs_hold_one_block(self, rng, monkeypatch, batch, t):
+        shapes = []
+        gelu = ad._gelu
+
+        def spy(v):
+            shapes.append(v.shape)
+            return gelu(v)
+
+        monkeypatch.setattr(ad, "_gelu", spy)
+        x, w = self.ffn(rng, (batch, t, 16), 256)
+        with no_grad():
+            ad.feed_forward(x, *w)
+        assert len(shapes) > 1 and sum(s[0] for s in shapes) == batch
+        assert all(np.prod(s) <= max(ad.FF_BLOCK_FLOATS, t * 256) for s in shapes)
+        shapes.clear()
+        ad.feed_forward(x, *w)
+        assert shapes == [(batch, t, 256)]
+
+
 class TestShapeOpGrads:
     def test_reshape_transpose(self, rng):
         w = arr(rng, 4, 3, 2)

@@ -137,6 +137,16 @@ def workdir(tmp_path_factory):
     return {"root": root, "data": data, "ini": ini, "run": run}
 
 
+@pytest.fixture(scope="module")
+def no_test_data(tmp_path_factory):
+    """A synthetic corpus whose test split is empty: too few docs per leaf."""
+    data = tmp_path_factory.mktemp("no-test") / "data"
+    assert main(["gen-synth", "--out", str(data), "--depth", "2", "--branching", "2",
+                 "--docs-per-leaf", "5"]) == 0
+    assert (data / "test.jsonl").read_text() == ""
+    return data
+
+
 class TestRunConfig:
     def test_defaults_are_typed(self):
         cfg = RunConfig.defaults()
@@ -295,6 +305,17 @@ class TestTrainCommand:
         assert "micro_f1" in capsys.readouterr().out
         assert main(evaluate) == 2
         assert "needs --precomputed" in capsys.readouterr().err
+
+    def test_empty_test_split_is_not_read(self, workdir, no_test_data, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(workdir["ini"]), "--data", str(no_test_data),
+                     "--out", str(run), "--set", "train.max_epochs=1"]) == 0
+        assert (run / "best" / "manifest.json").exists()
+        code = main(["train", "--data", str(no_test_data), "--out", str(tmp_path / "r"),
+                     "--set", "encoder.heads=3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [encoder] d_model 128 not divisible by heads 3")
 
     @pytest.mark.parametrize("header", [b"{not json", b'{"d_model": 16}'],
                              ids=["not-json", "no-labels"])
@@ -542,6 +563,15 @@ class TestAblateCommand:
         assert code == 2
         assert err.startswith("error:") and "--seeds" in err and "'0,x'" in err
         assert not (tmp_path / "x").exists()
+
+    def test_empty_test_split_exits_2_naming_it(self, workdir, no_test_data, tmp_path,
+                                                capsys):
+        code = main(["ablate", "--config", str(workdir["ini"]), "--data", str(no_test_data),
+                     "--out", str(tmp_path / "abl"), "--variants", "base", "--seeds", "0",
+                     "--set", "train.max_epochs=1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and f"{no_test_data / 'test.jsonl'}: no samples" in err
 
     def test_variant_table_matches_display_names(self):
         from taxseq.cli import VARIANT_DISPLAY

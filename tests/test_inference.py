@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from taxseq import autodiff as ad
 from taxseq.autodiff import Tensor, no_grad
 from taxseq.codec import BOS_ID, EOS_ID, PAD_ID, SEP_ID, Ordering, capacity_for
 from taxseq.corpus import Sample
@@ -184,6 +185,37 @@ class TestGreedy:
         hidden, mask = fake_encoding(rng, b=6)
         batch_ids, batch_hit = greedy_decode_ids(bundle, hidden, mask)
         for i in range(6):
+            one_ids, one_hit = greedy_decode_ids(bundle, hidden[i], mask[i])
+            assert one_ids[0] == batch_ids[i]
+            assert one_hit[0] == batch_hit[i]
+
+    def test_batched_equals_sequential_across_feed_forward_blocks(self, rng, monkeypatch):
+        """Gate 10's inputs fit one feed-forward block. A decode step's
+        hidden is ff_dim floats a row, so at ff_dim 8192 a batch of 20 runs
+        in blocks of 8, 8 and 4 rows; each row must still decode as alone."""
+        h = LabelHierarchy.from_edges(
+            [(ROOT, "A"), ("A", "B"), ("A", "C"), (ROOT, "D")])
+        enc_cfg = EncoderConfig(d_model=16, layers=1, heads=2, max_len=6, dropout=0.0)
+        dec_cfg = DecoderConfig(d_model=16, layers=2, heads=4, dropout=0.0,
+                                max_positions=10, ff_dim=8192)
+        bundle = ModelBundle.build(h, Ordering.PATH_SEPARATED, 10, enc_cfg, dec_cfg,
+                                   seed=5, text_vocab=TextVocab.build(["bat"]))
+        for p in bundle.dec_params.values():
+            if p.data.ndim == 2:
+                p.data *= 15
+        rows = []
+        gelu = ad._gelu
+
+        def spy(v):
+            rows.append(len(v))
+            return gelu(v)
+
+        monkeypatch.setattr(ad, "_gelu", spy)
+        hidden, mask = fake_encoding(rng, b=20, t=4)
+        batch_ids, batch_hit = greedy_decode_ids(bundle, hidden, mask)
+        assert rows[:3] == [8, 8, 4]
+        assert len({tuple(ids) for ids in batch_ids}) > 1
+        for i in range(20):
             one_ids, one_hit = greedy_decode_ids(bundle, hidden[i], mask[i])
             assert one_ids[0] == batch_ids[i]
             assert one_hit[0] == batch_hit[i]
