@@ -192,9 +192,9 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + g
             else:
                 grads[key] = g
-        else:  # leaf: persistent accumulation
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
+        elif t.grad is None:  # leaf: persistent accumulation, into an array it owns
+            t.grad = g.astype(t.data.dtype, copy=True)
+        else:
             np.add(t.grad, g.astype(t.data.dtype, copy=False), out=t.grad)
 
     for node in reversed(order):
@@ -411,24 +411,40 @@ def _norm(x, gain, bias, eps: float):
     if eps <= 0:
         raise InvalidProbability(f"layer_norm eps must be positive, got {eps}")
     inv_d = 1.0 / d
-    mu = np.add.reduce(x, axis=-1, keepdims=True) * inv_d
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) * inv_d
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    return y * gain + bias, y, inv
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu *= inv_d
+    y = np.subtract(x, mu)  # centred x, then y in place
+    out = np.multiply(y, y)  # squares, then the output in place
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    var *= inv_d
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    y *= inv
+    np.multiply(y, gain, out=out)
+    out += bias
+    return out, y, inv
 
 
 def _norm_grads(g, y, inv, gain):
-    """Gradients of ``_norm`` for its input, gain and bias."""
+    """Gradients of ``_norm`` for its input, gain and bias.
+
+    ``inv * (g gain - m1 - y m2)``, built in place in ``g gain`` with one
+    scratch array for the products with ``y``.
+    """
     inv_d = 1.0 / g.shape[-1]
     lead = tuple(range(g.ndim - 1))
     gbias = np.add.reduce(g, axis=lead)
-    ggain = np.add.reduce(g * y, axis=lead)
-    gy = g * gain
-    m1 = np.add.reduce(gy, axis=-1, keepdims=True) * inv_d
-    m2 = np.add.reduce(gy * y, axis=-1, keepdims=True) * inv_d
-    return inv * (gy - m1 - y * m2), ggain, gbias
+    s = np.multiply(g, y)
+    ggain = np.add.reduce(s, axis=lead)
+    gx = np.multiply(g, gain)
+    m1 = np.add.reduce(gx, axis=-1, keepdims=True)
+    m1 *= inv_d
+    m2 = np.add.reduce(np.multiply(gx, y, out=s), axis=-1, keepdims=True)
+    m2 *= inv_d
+    gx -= m1
+    gx -= np.multiply(y, m2, out=s)
+    gx *= inv
+    return gx, ggain, gbias
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -451,8 +467,20 @@ def _gelu(v):
 
 
 def _gelu_grad(g, v, h):
-    du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
-    return g * (h * (1.0 + (2.0 * v) * (1.0 - h) * du))
+    """``g * (h * (1 + 2 v (1 - h) du))`` with ``du = C (1 + 3 * 0.044715 v²)``,
+    built in place in two arrays of its own, in that order of operations."""
+    out = np.multiply(v, 2.0)
+    du = np.subtract(1.0, h)
+    out *= du
+    np.multiply(v, v, out=du)
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    out *= du
+    out += 1.0
+    out *= h
+    out *= g
+    return out
 
 
 def _split(x, heads: int):

@@ -16,8 +16,9 @@ keys and values of the encoder states. Training is the first call on a
 fresh cache with the whole label sequence (teacher forcing); inference
 makes later calls on the same cache, one step at a time. A later call does
 only per-step work: the layers' parameters were resolved on the first call,
-a single-query step's self-attention mask is the consumed key mask, and a
-one-row encoder side (beam search) is shared by every row of the cache.
+a single-query step's self-attention mask is the consumed key mask (none
+at all while no consumed key is masked), and a one-row encoder side (beam
+search) is shared by every row of the cache.
 
 Each sublayer records one tape node: ``ad.kv_heads`` (one node each for the
 keys and the values), ``ad.attend``, ``ad.add_norm`` for each residual sum
@@ -196,9 +197,11 @@ class DecodeCache:
     consumed so far, (B, t). Per layer, ``self_kv`` holds the
     split-head self-attention keys and values of those t positions, and
     ``cross_kv`` the ones projected from the encoder states on the first
-    call; ``cross_mask`` is the additive encoder key mask. The first call
-    also resolves each layer's parameters into ``layers``, so later calls
-    on the cache (which must pass the same parameters) look up no names.
+    call; ``cross_mask`` is the additive encoder key mask, or None when no
+    encoder column is padding, since adding zeros changes nothing. The
+    first call also resolves each layer's parameters into ``layers``, so
+    later calls on the cache (which must pass the same parameters) look
+    up no names.
     The first call keeps the tape tensors it built, so a teacher-forced
     pass (one call on a fresh cache) keeps its graph; later calls append
     plain arrays.
@@ -247,14 +250,16 @@ class DecodeCache:
         rows = np.asarray(rows, dtype=np.intp)
         self.key_mask = self.key_mask[rows]
         self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv]
-        if self.cross_mask is not None and self.cross_mask.shape[0] != 1:
+        if self.cross_kv and len(self.cross_kv[0][0].data) != 1:
             self.cross_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows]))
                              for k, v in self.cross_kv]
-            self.cross_mask = self.cross_mask[rows]
+            if self.cross_mask is not None:
+                self.cross_mask = self.cross_mask[rows]
 
 
-def _encoder_side(enc_hidden, enc_mask, cfg: DecoderConfig) -> tuple[Tensor, np.ndarray]:
-    """Checked (B, T, d) encoder states and their additive (B, 1, 1, T) key mask."""
+def _encoder_side(enc_hidden, enc_mask, cfg: DecoderConfig) -> tuple[Tensor, np.ndarray | None]:
+    """Checked (B, T, d) encoder states and their additive (B, 1, 1, T) key
+    mask, None when no column is padding."""
     if not isinstance(enc_hidden, Tensor):
         enc_hidden = Tensor(np.asarray(enc_hidden, dtype=np.float32))
     if enc_hidden.data.ndim == 2:
@@ -266,6 +271,8 @@ def _encoder_side(enc_hidden, enc_mask, cfg: DecoderConfig) -> tuple[Tensor, np.
     if enc_mask.shape != enc_hidden.data.shape[:2]:
         raise ShapeMismatch(
             f"encoder mask {enc_mask.shape} vs hidden {enc_hidden.data.shape[:2]}")
+    if enc_mask.all():
+        return enc_hidden, None
     return enc_hidden, expand_mask(enc_mask).reshape(enc_mask.shape[0], 1, 1, enc_mask.shape[1])
 
 
@@ -309,12 +316,14 @@ def decoder_forward(
         raise ShapeMismatch(
             f"prefix length {offset + n} exceeds max_positions {cfg.max_positions}")
 
-    if cache.cross_mask is None:  # first call: resolve the layers, project the encoder side
+    if not cache.layers:  # first call: resolve the layers, project the encoder side
         enc_hidden, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
         cache.layers = [_layer_params(params, i) for i in range(cfg.layers)]
         cache.cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, layer.cross)
                           for layer in cache.layers]
-    self_mask = self_attention_mask(cache.consume(label_mask), queries=n)
+    key_mask = cache.consume(label_mask)
+    self_mask = (None if n == 1 and key_mask.all()
+                 else self_attention_mask(key_mask, queries=n))
 
     le = ad.add(ad.embed(params["word_embed"], label_ids),
                 ad.embed(params["pos_embed"], np.arange(offset, offset + n)))

@@ -77,8 +77,68 @@ def _decays(name: str, p: Parameter) -> bool:
     return p.data.ndim >= 2 and "embed" not in name
 
 
+class _FlatGroup:
+    """One group's parameters and AdamW moments in three flat buffers.
+
+    Matrices that take weight decay come first, so decay is the leading
+    slice ``[:n_decay]``. ``entries`` holds, per parameter, the
+    ``Parameter``, its state key and its reshaped views of the parameter,
+    moment and gradient buffers; ``p.data`` and ``state[key]["m"/"v"]`` are
+    those views. ``grad`` is the one vector a step gathers gradients into.
+    """
+
+    __slots__ = ("entries", "p", "m", "v", "grad", "n_decay")
+
+    def __init__(self, group: dict, state: dict):
+        params = group["params"]
+        decayed = [n for n in params if _decays(n, params[n])]
+        names = decayed + [n for n in params if not _decays(n, params[n])]
+        dtype = np.result_type(*{p.data.dtype for p in params.values()})
+        total = sum(params[n].data.size for n in names)
+        self.p, self.m, self.v, self.grad = (np.empty(total, dtype) for _ in range(4))
+        self.n_decay = sum(params[n].data.size for n in decayed)
+        self.entries = []
+        lo = 0
+        for n in names:
+            p = params[n]
+            key = f"{group['name']}/{n}"
+            hi = lo + p.data.size
+            pv, mv, vv, gv = (b[lo:hi].reshape(p.data.shape)
+                              for b in (self.p, self.m, self.v, self.grad))
+            pv[...] = p.data
+            st = state.get(key)
+            if st is None:
+                mv.fill(0)
+                vv.fill(0)
+            else:
+                mv[...] = st["m"]
+                vv[...] = st["v"]
+            p.data = pv
+            state[key] = {"m": mv, "v": vv}
+            self.entries.append((p, key, pv, mv, vv, gv))
+            lo = hi
+
+    def current(self, state: dict) -> bool:
+        """Whether every parameter and moment is still its buffer view."""
+        for p, key, pv, mv, vv, _ in self.entries:
+            st = state.get(key)
+            if p.data is not pv or st is None or st["m"] is not mv or st["v"] is not vv:
+                return False
+        return True
+
+
 class AdamW:
-    """Bias-corrected adaptive-moment optimizer with decoupled weight decay."""
+    """Bias-corrected adaptive-moment optimizer with decoupled weight decay.
+
+    Each group steps as one flat vector (see ``_FlatGroup``): its first
+    step copies the parameters and moments into flat buffers and points
+    every ``Parameter.data`` and ``state[key]["m"/"v"]`` at a view of them,
+    as does the next step after any of those arrays is replaced (a resume's
+    ``p.data = ...``, ``load_state_dict``, a dtype cast). A step gathers the
+    gradients into one vector, an absent one as zeros, and updates in place
+    with the elementwise operations of the per-tensor recurrence, in its
+    order, so every value is the same to the bit.
+    """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
         self.beta1 = beta1
@@ -90,7 +150,7 @@ class AdamW:
 
     def add_group(self, name: str, params: dict[str, Parameter], lr: float) -> None:
         self.groups.append({"name": name, "params": params, "lr": lr,
-                            "frozen": False, "t": 0})
+                            "frozen": False, "t": 0, "flat": None})
 
     def group(self, name: str) -> dict:
         for g in self.groups:
@@ -99,29 +159,56 @@ class AdamW:
         raise KeyError(name)
 
     def step(self) -> None:
-        for g in self.groups:
-            if g["frozen"] or not g["params"]:
-                continue
-            g["t"] += 1
-            t = g["t"]
-            c1 = 1.0 - self.beta1 ** t
-            c2 = 1.0 - self.beta2 ** t
+        """One update of every group that is not frozen.
+
+        Every gradient's shape is checked before anything changes, so a
+        ``ShapeMismatch`` leaves parameters, moments and step counts as
+        they were.
+        """
+        live = [g for g in self.groups if not g["frozen"] and g["params"]]
+        for g in live:
             for pname, p in g["params"].items():
-                grad = p.grad
-                if grad is None:
-                    grad = np.zeros_like(p.data)
-                elif grad.shape != p.data.shape:
+                if p.grad is not None and p.grad.shape != p.data.shape:
                     raise ShapeMismatch(
-                        f"{pname}: grad shape {grad.shape} != param {p.data.shape}")
-                key = f"{g['name']}/{pname}"
-                st = self.state.setdefault(key, {
-                    "m": np.zeros_like(p.data), "v": np.zeros_like(p.data)})
-                st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * grad
-                st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * grad * grad
-                step_dir = (st["m"] / c1) / (np.sqrt(st["v"] / c2) + self.eps)
-                if self.weight_decay and _decays(pname, p):
-                    step_dir = step_dir + self.weight_decay * p.data
-                p.data = p.data - g["lr"] * step_dir
+                        f"{pname}: grad shape {p.grad.shape} != param {p.data.shape}")
+        for g in live:
+            self._step_group(g)
+
+    def _step_group(self, g: dict) -> None:
+        flat = g["flat"]
+        if flat is None or not flat.current(self.state):
+            flat = g["flat"] = _FlatGroup(g, self.state)
+        g["t"] += 1
+        t = g["t"]
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** t
+        c2 = 1.0 - b2 ** t
+        grad, m, v, p = flat.grad, flat.m, flat.v, flat.p
+        for param, _, _, _, _, gv in flat.entries:
+            if param.grad is None:
+                gv.fill(0)
+            else:
+                gv[...] = param.grad
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        s = np.multiply(grad, 1.0 - b2)
+        s *= grad
+        v *= b2
+        v += s
+        m *= b1
+        grad *= 1.0 - b1
+        m += grad
+        # p = p - lr ((m / c1) / (sqrt(v / c2) + eps) + wd p), decay on [:n_decay]
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, c1, out=grad)
+        grad /= s
+        nd = flat.n_decay if self.weight_decay else 0
+        if nd:
+            np.multiply(p[:nd], self.weight_decay, out=s[:nd])
+            grad[:nd] += s[:nd]
+        grad *= g["lr"]
+        p -= grad
 
     def zero_grad(self) -> None:
         for g in self.groups:
@@ -139,7 +226,8 @@ class AdamW:
         return {
             "groups": [{"name": g["name"], "lr": g["lr"], "frozen": g["frozen"],
                         "t": g["t"]} for g in self.groups],
-            "moments": {k: {"m": v["m"], "v": v["v"]} for k, v in self.state.items()},
+            "moments": {k: {"m": v["m"].copy(), "v": v["v"].copy()}
+                        for k, v in self.state.items()},
         }
 
     def load_state_dict(self, meta: dict, moments: dict) -> None:
@@ -157,7 +245,7 @@ def grad_norm(params: dict[str, Parameter]) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float(np.sum(np.asarray(p.grad, dtype=np.float64) ** 2))
+            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
     return float(np.sqrt(total))
 
 

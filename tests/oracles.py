@@ -163,6 +163,32 @@ def adamw_reference_steps(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.
     return trace
 
 
+def adamw_reference_step(params, grads, state, lr, t, beta1=0.9, beta2=0.999,
+                         eps=1e-8, weight_decay=0.01):
+    """One AdamW step as a loop over parameters, fresh arrays per tensor.
+
+    ``params`` maps names to arrays and ``grads`` names to arrays (an
+    absent one counts as zeros); ``state`` maps names to their ``m``/``v``
+    moments and is updated. A matrix whose name has no "embed" decays.
+    Returns the new parameter arrays.
+    """
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    out = {}
+    for name, p in params.items():
+        grad = grads.get(name)
+        if grad is None:
+            grad = np.zeros_like(p)
+        st = state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
+        st["m"] = beta1 * st["m"] + (1.0 - beta1) * grad
+        st["v"] = beta2 * st["v"] + (1.0 - beta2) * grad * grad
+        step_dir = (st["m"] / c1) / (np.sqrt(st["v"] / c2) + eps)
+        if weight_decay and p.ndim >= 2 and "embed" not in name:
+            step_dir = step_dir + weight_decay * p
+        out[name] = p - lr * step_dir
+    return out
+
+
 # ---------------------------------------------------------------------------
 # fused tape ops, composed from primitive ops
 # ---------------------------------------------------------------------------

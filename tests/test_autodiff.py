@@ -620,6 +620,36 @@ class TestEngine:
         backward(loss)
         assert np.allclose(x.grad, 2 * first)
 
+    def test_leaf_grads_own_their_arrays(self):
+        """``add`` hands one gradient array to both leaves; each keeps its own."""
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+        loss = ad.tsum(ad.add(a, b))
+        backward(loss)
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad[...] = 100.0
+        assert np.array_equal(b.grad, [1.0, 1.0])
+        backward(loss)  # the graph is as it was: one more contribution each
+        assert np.array_equal(a.grad, [101.0, 101.0])
+        assert np.array_equal(b.grad, [2.0, 2.0])
+
+    def test_leaf_grads_sum_micro_batches(self):
+        """A loss summed over two micro-batches gives each leaf the sum of
+        both contributions, in an array no other leaf shares."""
+        w = Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), name="w")
+        bias = Parameter(np.array([0.0, 1.0]), name="b")
+        x1 = np.array([[1.0, 2.0], [3.0, 4.0]])
+        x2 = np.array([[-1.0, 0.5]])
+        loss = ad.add(ad.tsum(ad.linear(Tensor(x1), w, bias)),
+                      ad.tsum(ad.linear(Tensor(x2), w, bias)))
+        backward(loss)
+        col = (x1.sum(axis=0) + x2.sum(axis=0))[:, None]
+        assert np.array_equal(w.grad, np.repeat(col, 2, axis=1))
+        assert np.array_equal(bias.grad, [3.0, 3.0])
+        assert not np.shares_memory(w.grad, bias.grad)
+        w.grad[...] = 0.0
+        assert np.array_equal(bias.grad, [3.0, 3.0])
+
     def test_interior_grads_not_retained(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         mid = ad.mul(x, x)

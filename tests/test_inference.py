@@ -428,6 +428,42 @@ class TestCachedStep:
         np.testing.assert_allclose(np.stack(steps, axis=1), full, atol=1e-5)
         assert np.abs(full[0, 1:] - by_id[0, 1:]).max() > 1e-4
 
+    def test_masks_that_mask_nothing_are_dropped(self, rng, monkeypatch):
+        """With no padded encoder column, cross-attention gets no mask; a
+        one-query step gets no self-attention mask until a masked key is
+        consumed. The logits are the bits an all-zero mask gives."""
+        bundle = tiny_bundle(seed=5)
+        ids, mask, hidden, emask = step_inputs(rng, bundle)  # row 1 has PAD at 2
+        emask[:] = 1
+        real = ad.attend
+
+        def run(fill):
+            masks = []
+
+            def spy(x_q, k, v, m, *args, **kwargs):
+                masks.append(m)
+                return real(x_q, k, v, np.float32(0) if m is None and fill else m,
+                            *args, **kwargs)
+
+            monkeypatch.setattr(ad, "attend", spy)
+            cache = DecodeCache()
+            with no_grad():
+                out = [bundle.decoder_logits(ids[:, t:t + 1], mask[:, t:t + 1], hidden,
+                                             emask, cache=cache).data
+                       for t in range(4)]
+            return out, masks, cache
+
+        steps, masks, cache = run(fill=False)
+        assert cache.cross_mask is None
+        layers = bundle.dec_cfg.layers
+        self_masks = [m for i, m in enumerate(masks) if i % 2 == 0]
+        assert all(m is None for i, m in enumerate(masks) if i % 2 == 1)
+        assert all(m is None for m in self_masks[:2 * layers])
+        assert all(m is not None for m in self_masks[2 * layers:])
+        filled, _, _ = run(fill=True)
+        for a, b in zip(steps, filled):
+            assert np.array_equal(a, b)
+
     def test_cache_cannot_pass_max_positions(self, rng):
         bundle = tiny_bundle()
         ids, mask, hidden, emask = step_inputs(rng, bundle)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import adamw_reference_steps
+from oracles import adamw_reference_step, adamw_reference_steps
 
 from taxseq import trainer as tr
 from taxseq.autodiff import Parameter, backward
@@ -141,6 +141,82 @@ class TestAdamW:
         opt.step()
         assert np.array_equal(a.data, before)
         assert opt.group("enc")["t"] == 0
+
+    def test_flat_step_equals_per_parameter_reference(self):
+        """Bit for bit against the per-parameter loop, over decayed matrices,
+        exempt vectors and an embedding with one gradient absent; then a
+        replaced parameter array and replaced moments are what steps next."""
+        rng = np.random.default_rng(3)
+        shapes = {"word_embed": (6, 4), "l0.norm.g": (4,), "l0.ff.w1": (4, 8),
+                  "l0.ff.b1": (8,), "l0.ff.w2": (8, 4), "l0.norm.b": (4,)}
+
+        def draw(shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        params = {n: Parameter(draw(s), name=n) for n, s in shapes.items()}
+        ref = {n: p.data.copy() for n, p in params.items()}
+        ref_state: dict = {}
+        opt = AdamW(weight_decay=0.1)
+        opt.add_group("g", params, 1e-2)
+
+        def step_both(t):
+            grads = {n: draw(s) for n, s in shapes.items() if n != "l0.ff.b1"}
+            for n, p in params.items():
+                p.grad = grads.get(n)
+            opt.step()
+            assert opt.group("g")["t"] == t
+            return adamw_reference_step(ref, grads, ref_state, 1e-2, t, weight_decay=0.1)
+
+        def assert_same_bits():
+            for n, p in params.items():
+                assert p.data.dtype == np.float32 and p.data.shape == shapes[n]
+                assert p.data.tobytes() == ref[n].tobytes(), n
+                for which in ("m", "v"):
+                    got = opt.state[f"g/{n}"][which]
+                    assert got.tobytes() == ref_state[n][which].tobytes(), (n, which)
+
+        for t in range(1, 6):
+            ref = step_both(t)
+            assert_same_bits()
+
+        replaced = draw(shapes["l0.ff.w1"])
+        params["l0.ff.w1"].data = replaced  # as resume assigns a loaded array
+        ref["l0.ff.w1"] = replaced.copy()
+        moments = {}
+        for n, s in shapes.items():
+            pair = {"m": draw(s), "v": np.abs(draw(s))}
+            moments[f"g/{n}"] = pair
+            ref_state[n] = {k: a.copy() for k, a in pair.items()}
+        opt.load_state_dict({"groups": [{"name": "g", "lr": 1e-2, "frozen": False,
+                                         "t": 5}]}, moments)
+        ref = step_both(6)
+        assert_same_bits()
+        assert not np.array_equal(params["l0.ff.w1"].data, replaced)
+
+    def test_bad_grad_shape_changes_nothing(self):
+        """A gradient of the wrong shape raises before any group moves."""
+        a = Parameter(np.ones((2, 2), dtype=np.float32), name="w")
+        b = Parameter(np.ones(3, dtype=np.float32), name="b")
+        c = Parameter(np.ones((3, 2), dtype=np.float32), name="w")
+        opt = AdamW()
+        opt.add_group("enc", {"w": a}, 1e-2)
+        opt.add_group("dec", {"b": b, "w": c}, 1e-2)
+        for p in (a, b, c):
+            p.grad = np.full(p.data.shape, 0.5, dtype=np.float32)
+        opt.step()
+        before = ({k: p.data.copy() for k, p in (("a", a), ("b", b), ("c", c))},
+                  {k: {w: mv[w].copy() for w in mv} for k, mv in opt.state.items()})
+        for p in (a, b):
+            p.grad = np.full(p.data.shape, 0.25, dtype=np.float32)
+        c.grad = np.full((2, 3), 0.25, dtype=np.float32)
+        with pytest.raises(ShapeMismatch):
+            opt.step()
+        for k, p in (("a", a), ("b", b), ("c", c)):
+            assert np.array_equal(p.data, before[0][k]), k
+        for k, mv in opt.state.items():
+            for w in mv:
+                assert np.array_equal(mv[w], before[1][k][w]), (k, w)
+        assert opt.group("enc")["t"] == 1 and opt.group("dec")["t"] == 1
 
     def test_frozen_encoder_records_no_graph(self):
         bundle = tiny_bundle(dropout=0.1)
