@@ -18,7 +18,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, EmptyCorpus, MalformedLine, MissingRawData, NotClosureConsistent
-from .taxonomy import ROOT, LabelHierarchy, dataset_stats, load_hierarchy, save_hierarchy
+from .taxonomy import (ROOT, LabelHierarchy, dataset_stats, load_hierarchy, read_text_lines,
+                       save_hierarchy)
 
 log = logging.getLogger(__name__)
 
@@ -38,23 +39,22 @@ class Sample:
 def read_jsonl(path, expected: str = "a JSON object") -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
 
-    A line that is not JSON, or not a JSON object, raises ``MalformedLine``
-    naming ``path:line``; ``expected`` says in that message what the caller
-    wants each line to hold.
+    A line that is not UTF-8, not JSON, or not a JSON object, raises
+    ``MalformedLine`` naming ``path:line``; ``expected`` says in that message
+    what the caller wants each line to hold.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedLine(f"{path}:{n}: invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict):
-                raise MalformedLine(f"{path}:{n}: expected {expected}")
-            yield n, obj
+    for n, raw in read_text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise MalformedLine(f"{path}:{n}: invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict):
+            raise MalformedLine(f"{path}:{n}: expected {expected}")
+        yield n, obj
 
 
 def _names(value) -> bool:
@@ -234,16 +234,15 @@ def _read_raw_taxonomy(path: Path) -> list[tuple[str, str]]:
     """Raw taxonomies list one parent per line followed by its children,
     tab-separated, with the virtual root spelled ``Root``."""
     edges = []
-    with path.open(encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            fields = [f for f in raw.rstrip("\n").split("\t") if f]
-            if not fields:
-                continue
-            if len(fields) < 2:
-                raise MalformedLine(f"{path}:{n}: parent with no children")
-            parent = ROOT if fields[0] in ("Root", "root", ROOT) else fields[0]
-            for child in fields[1:]:
-                edges.append((parent, child))
+    for n, raw in read_text_lines(path):
+        fields = [f for f in raw.rstrip("\n").split("\t") if f]
+        if not fields:
+            continue
+        if len(fields) < 2:
+            raise MalformedLine(f"{path}:{n}: parent with no children")
+        parent = ROOT if fields[0] in ("Root", "root", ROOT) else fields[0]
+        for child in fields[1:]:
+            edges.append((parent, child))
     return edges
 
 

@@ -215,15 +215,17 @@ def encode_tokens(
 
     ``T`` may be any width up to ``max_len``. Self-attention keys at padded
     positions are masked out, so real positions never depend on pad-token
-    embeddings. Dropout runs when ``rng`` is given; each of its
-    ``1 + 2 * layers`` masks covers the (B, T, d) states it drops.
+    embeddings; a batch with no padded position passes no mask, since an
+    all-zero additive mask changes no score. Dropout runs when ``rng`` is
+    given; each of its ``1 + 2 * layers`` masks covers the (B, T, d) states
+    it drops.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask))
     b, t = ids.shape
     if t > cfg.max_len:
         raise ShapeMismatch(f"sequence length {t} exceeds max_len {cfg.max_len}")
-    key_mask = expand_mask(mask).reshape(b, 1, 1, t)
+    key_mask = None if mask.all() else expand_mask(mask).reshape(b, 1, 1, t)
 
     x = ad.add(ad.embed(params["embed"], ids), ad.embed(params["pos_embed"], np.arange(t)))
     x = ad.dropout(x, cfg.dropout, rng)

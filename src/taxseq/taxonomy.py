@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CycleDetected,
@@ -197,6 +197,25 @@ class DatasetStats:
     empty: bool = False
 
 
+def read_text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file.
+
+    Lines split and end as text-mode iteration gives them. A line holding
+    bytes that are not UTF-8 raises ``MalformedLine`` naming ``path:line``
+    and the first such byte; the lines before it have been yielded.
+    """
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:  # a surrogate escaping a bad byte
+                    byte = ord(line[e.start]) - 0xDC00
+                    raise MalformedLine(f"{path}:{n}: not UTF-8 (byte 0x{byte:02x} "
+                                        f"at column {e.start + 1})") from None
+            yield n, line
+
+
 def load_hierarchy(source: str | Path) -> LabelHierarchy:
     """Load a hierarchy from an edge-list file.
 
@@ -206,15 +225,14 @@ def load_hierarchy(source: str | Path) -> LabelHierarchy:
     """
     edges = []
     path = Path(source)
-    with path.open(encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].rstrip("\n").rstrip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise MalformedLine(f"{path}:{n}: expected 'parent<TAB>child', got {raw!r}")
-            edges.append((fields[0], fields[1]))
+    for n, raw in read_text_lines(path):
+        line = raw.split("#", 1)[0].rstrip("\n").rstrip()
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise MalformedLine(f"{path}:{n}: expected 'parent<TAB>child', got {raw!r}")
+        edges.append((fields[0], fields[1]))
     if not edges:
         raise EmptyHierarchy(f"{path}: no edges")
     return LabelHierarchy.from_edges(edges)

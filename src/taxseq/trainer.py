@@ -5,7 +5,8 @@ forcing, and gradient accumulation.
 Accumulation windows are exact: per-micro-batch loss terms are combined
 on the autodiff tape into a single window objective before one backward
 pass, so a 2 x 32 window produces the same update as one 64-sample batch
-up to float summation order.
+up to float summation order. A window's tape lives only for its window,
+so training holds the saved activations of one window at a time.
 
 Checkpoints are directories holding a JSON manifest (configs, taxonomy
 edges, token-id maps, vocab hash, rng state, metric history) plus one raw
@@ -525,6 +526,35 @@ def _load_moments(ckpt_dir, manifest: dict, optimizer: AdamW) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _train_window(bundle: ModelBundle, data: PreparedData, targets: np.ndarray,
+                  rows: np.ndarray, rng, cfg: TrainConfig, opt: AdamW,
+                  params: dict[str, Parameter], where: str) -> tuple[float, float]:
+    """One accumulation window over ``rows``: record each micro-batch's
+    tape, combine the loss pieces, run one backward and one optimizer step.
+
+    Returns the window's loss value and its gradient norm before the step.
+    The tape is referenced only from this frame, so it is freed on return,
+    before the next window records its own. ``where`` opens the
+    ``NonFiniteLoss`` message.
+    """
+    pieces = []
+    for lo in range(0, len(rows), cfg.micro_batch):
+        idx = rows[lo:lo + cfg.micro_batch]
+        logits = _micro_logits(bundle, data, idx, rng)
+        pieces.append(loss_pieces(logits, targets[idx], cfg.loss))
+    loss = combine_pieces(pieces, cfg.loss)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NonFiniteLoss(f"{where}: loss={value}, "
+                            f"lr_enc={opt.group('enc')['lr']:g}, "
+                            f"lr_dec={opt.group('dec')['lr']:g}")
+    ad.backward(loss)
+    norm = grad_norm(params)
+    opt.step()
+    opt.zero_grad()
+    return value, norm
+
+
 @dataclass
 class TrainResult:
     history: list[dict]
@@ -555,6 +585,11 @@ def train(
     ``grad_norm``, the mean over the epoch's windows of the gradient norm
     taken before the optimizer step, and ``docs_per_s``, training documents
     over the time spent in the windows, evaluation and checkpoints excluded.
+
+    Each accumulation window runs in ``_train_window``, and its tape (every
+    activation its micro-batches saved for backward) is freed when that
+    window returns: before the next window's first forward, and after an
+    epoch's last window before evaluation and the checkpoint writes.
     """
     if train_data.n == 0:
         raise EmptyCorpus("empty training split")
@@ -603,26 +638,13 @@ def train(
         perm = rng.permutation(train_data.n)
         window_losses: list[float] = []
         window_norms: list[float] = []
-        pieces = []
-        n_micros = int(np.ceil(train_data.n / cfg.micro_batch))
-        for w in range(n_micros):
-            idx = perm[w * cfg.micro_batch:(w + 1) * cfg.micro_batch]
-            logits = _micro_logits(bundle, train_data, idx, rng)
-            pieces.append(loss_pieces(logits, targets_all[idx], cfg.loss))
-            if len(pieces) == cfg.accumulation_steps or w == n_micros - 1:
-                loss = combine_pieces(pieces, cfg.loss)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NonFiniteLoss(
-                        f"epoch {epoch} step {len(window_losses)}: loss={value}, "
-                        f"lr_enc={opt.group('enc')['lr']:g}, "
-                        f"lr_dec={opt.group('dec')['lr']:g}")
-                ad.backward(loss)
-                window_norms.append(grad_norm(params))
-                opt.step()
-                opt.zero_grad()
-                window_losses.append(value)
-                pieces = []
+        span = cfg.micro_batch * cfg.accumulation_steps
+        for lo in range(0, train_data.n, span):
+            value, norm = _train_window(bundle, train_data, targets_all,
+                                        perm[lo:lo + span], rng, cfg, opt, params,
+                                        f"epoch {epoch} step {len(window_losses)}")
+            window_losses.append(value)
+            window_norms.append(norm)
         train_s = time.perf_counter() - t0
 
         val_loss = evaluate_epoch(bundle, dev_data, cfg.loss, cfg.micro_batch)

@@ -347,6 +347,7 @@ def test_criterion_05_decoder_causality(rng):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_06_desk_scale_learnability(tmp_path):
     start = time.time()
     res = generate_synthetic(
@@ -401,6 +402,7 @@ def test_criterion_06_desk_scale_learnability(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_07_ordering_ablation(tmp_path):
     generate_synthetic(
         SynthConfig(depth=5, branching=2, vocab_size=800, docs_per_leaf=20,

@@ -492,6 +492,16 @@ class TestPredictCommand:
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_input_not_utf8_exits_2(self, workdir, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        inp.write_bytes(b'{"text": "fine"}\n{"text": "bad \xff"}\n')
+        code = main(["predict", "--checkpoint", str(workdir["run"] / "best"),
+                     "--input", str(inp)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {inp}:2: not UTF-8")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("line", ['["a list"]', '{"id": "no-text"}', '{"text": null}'],
                              ids=["not-object", "no-text", "null-text"])
     def test_line_without_text_object_exits_2(self, workdir, tmp_path, capsys, line):

@@ -72,6 +72,13 @@ class TestLoadJsonl:
         with pytest.raises(MalformedLine, match=f"x.jsonl:2: {message}"):
             load_jsonl(path, tiny_tree)
 
+    def test_bytes_not_utf8_are_malformed(self, tmp_path, tiny_tree):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"id": "s0", "text": "caf\xc3\xa9", "labels": ["A"]}\n'
+                         b'{"id": "s1", "text": "caf\xe9", "labels": ["A"]}\n')
+        with pytest.raises(MalformedLine, match=r"x.jsonl:2: not UTF-8 \(byte 0xe9 at column 26\)"):
+            load_jsonl(path, tiny_tree)
+
     def test_blank_lines_skipped_and_empty_fatal(self, tmp_path, tiny_tree):
         path = tmp_path / "x.jsonl"
         path.write_text(
@@ -231,6 +238,13 @@ class TestAdapters:
         self.make_raw(raw)
         (raw / "wos.taxonomy").write_text("CS\n", encoding="utf-8")
         with pytest.raises(MalformedLine, match="no children"):
+            adapt_dataset("wos", raw, tmp_path / "out")
+
+    def test_raw_taxonomy_not_utf8(self, tmp_path):
+        raw = tmp_path / "raw"
+        self.make_raw(raw)
+        (raw / "wos.taxonomy").write_bytes(b"Root\tCS\tMed\nCS\tSymbolic\xff\n")
+        with pytest.raises(MalformedLine, match="wos.taxonomy:2: not UTF-8"):
             adapt_dataset("wos", raw, tmp_path / "out")
 
     def test_load_splits_requires_some_split(self, tmp_path, tiny_tree):

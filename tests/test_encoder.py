@@ -136,6 +136,32 @@ class TestEncodeTokens:
             single = encode_tokens(ids[i], mask[i], cfg, params)
             assert np.allclose(batch.data[i], single.data[0], atol=1e-5)
 
+    def test_unpadded_batch_passes_no_mask(self, rng, monkeypatch):
+        cfg = small_cfg()
+        params = init_encoder_params(cfg, rng)
+        ids = np.array([[2, 3, 4, 5], [6, 7, 8, 9]])
+        real = ad._attention
+        masks = []
+
+        def spy(q, k, v, mask, capture):
+            masks.append(mask)
+            return real(q, k, v, mask, capture)
+
+        monkeypatch.setattr(ad, "_attention", spy)
+        bare = encode_tokens(ids, np.ones_like(ids), cfg, params)
+        assert len(masks) == cfg.layers and all(m is None for m in masks)
+        padded = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
+        encode_tokens(ids, padded, cfg, params)
+        assert all(m is not None for m in masks[cfg.layers:])
+
+        def zero_mask(q, k, v, mask, capture):
+            zeros = np.zeros((q.shape[0], 1, 1, k.shape[-2]), np.float32)
+            return real(q, k, v, zeros if mask is None else mask, capture)
+
+        monkeypatch.setattr(ad, "_attention", zero_mask)
+        zeroed = encode_tokens(ids, np.ones_like(ids), cfg, params)
+        assert np.array_equal(bare.data, zeroed.data)
+
     def test_too_long_rejected(self, rng):
         cfg = small_cfg(max_len=3)
         params = init_encoder_params(cfg, rng)

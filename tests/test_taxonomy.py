@@ -12,7 +12,7 @@ from taxseq.errors import (CycleDetected, EmptyHierarchy, MalformedLine,
                            MultipleParents, NotClosureConsistent, UnknownLabel,
                            UnknownParent)
 from taxseq.taxonomy import (ROOT, LabelHierarchy, dataset_stats,
-                             load_hierarchy, save_hierarchy)
+                             load_hierarchy, read_text_lines, save_hierarchy)
 
 
 class TestConstruction:
@@ -145,6 +145,19 @@ class TestFiles:
         path.write_text("ROOT\tA\nA B no tab\n", encoding="utf-8")
         with pytest.raises(MalformedLine, match=":2"):
             load_hierarchy(path)
+
+    def test_bytes_not_utf8_are_malformed(self, tmp_path):
+        path = tmp_path / "tax.tsv"
+        path.write_bytes(b"ROOT\tA\nA\tB\xff\n")
+        with pytest.raises(MalformedLine, match=r"tax.tsv:2: not UTF-8 \(byte 0xff at column 4\)"):
+            load_hierarchy(path)
+
+    def test_lines_read_as_text_mode_reads_them(self, tmp_path):
+        path = tmp_path / "tax.tsv"
+        path.write_bytes("ROOT\tCaf\u00e9\r\nCaf\u00e9\tB\rB\tC".encode("utf-8"))
+        assert list(read_text_lines(path)) == [
+            (1, "ROOT\tCaf\u00e9\n"), (2, "Caf\u00e9\tB\n"), (3, "B\tC")]
+        assert load_hierarchy(path).labels == ["Caf\u00e9", "B", "C"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "tax.tsv"

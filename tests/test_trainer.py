@@ -1,9 +1,11 @@
 """Optimizer, scheduler, accumulation, checkpointing, and resume."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -532,6 +534,43 @@ class TestTrainLoop:
             train(bundle, empty, data, quick_cfg())
         with pytest.raises(EmptyCorpus):
             train(bundle, data, empty, quick_cfg())
+
+    def test_window_tape_dies_with_its_window(self, monkeypatch):
+        """Each training micro-batch's logits are freed, by reference count
+        alone, before the next window's first forward, and the last window's
+        before ``evaluate_epoch`` runs."""
+        # 8 docs in micro-batches of 2: micro-batch i is in window i // 2
+        cfg = quick_cfg(max_epochs=2, micro_batch=2, accumulation_steps=2)
+        refs = []
+        real_logits, real_evaluate = tr._micro_logits, tr.evaluate_epoch
+
+        def tracked_logits(bundle, data, idx, rng=None):
+            if rng is not None:
+                live = [j for j, r in enumerate(refs)
+                        if r() is not None and j // 2 < len(refs) // 2]
+                assert not live, f"micro-batch {len(refs)} starts with {live} alive"
+            logits = real_logits(bundle, data, idx, rng)
+            if rng is not None:
+                refs.append(weakref.ref(logits.data))
+            return logits
+
+        def tracked_evaluate(*args, **kw):
+            live = [j for j, r in enumerate(refs) if r() is not None]
+            assert not live, f"evaluation starts with {live} alive"
+            return real_evaluate(*args, **kw)
+
+        monkeypatch.setattr(tr, "_micro_logits", tracked_logits)
+        monkeypatch.setattr(tr, "evaluate_epoch", tracked_evaluate)
+        bundle = tiny_bundle()
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(bundle, data, data, cfg)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(refs) == 8
 
     def test_numerics_match_recorded_run(self):
         """Per-epoch validation losses and a digest of the final parameters of
