@@ -95,7 +95,12 @@ class RunConfig:
     @classmethod
     def from_file(cls, path, overrides: list[str] | None = None) -> "RunConfig":
         parser = configparser.ConfigParser()
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            line = e.object.count(b"\n", 0, e.start) + 1
+            raise ConfigError(f"{path}:{line}: not UTF-8 "
+                              f"(byte 0x{e.object[e.start]:02x})") from None
         try:
             parser.read_string(text, source=str(path))
         except configparser.Error as e:

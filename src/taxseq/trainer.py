@@ -8,6 +8,11 @@ pass, so a 2 x 32 window produces the same update as one 64-sample batch
 up to float summation order. A window's tape lives only for its window,
 so training holds the saved activations of one window at a time.
 
+Teacher forcing decodes only the label columns some target scores: a
+batch's decoder input stops just before its last EOS column, whose target
+(like that of every later column) is PAD. So the label capacity is a cap,
+not a cost: a batch pays for its longest label sequence less one column.
+
 Checkpoints are directories holding a JSON manifest (configs, taxonomy
 edges, token-id maps, vocab hash, rng state, metric history) plus one raw
 float32 little-endian blob per named parameter, and the optimizer moment
@@ -242,11 +247,14 @@ class AdamW:
 
 
 def grad_norm(params: dict[str, Parameter]) -> float:
-    """L2 norm over all present gradients; absent gradients count as zero."""
+    """L2 norm over all present gradients; absent gradients count as zero.
+
+    Each square sum is ``np.add.reduce`` over every axis, the reduction
+    ``np.sum`` makes, without its Python-level wrapper."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
+            total += float(np.add.reduce(np.square(p.grad, dtype=np.float64), axis=None))
     return float(np.sqrt(total))
 
 
@@ -333,11 +341,29 @@ def prepare_data(
                         text_ids=text_ids, text_mask=text_mask)
 
 
+def _label_columns(data: PreparedData, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher-forcing decoder input (label ids and mask) for rows ``idx``.
+
+    This is the one place that picks a batch's label columns. The input
+    stops just before the batch's last EOS column, the last column of its
+    longest sequence: the target of an EOS input is PAD, and so is that of
+    every column after the last EOS, so no scored position needs them, and
+    causal self-attention keeps them from every position before. At least
+    one column stays.
+    """
+    mask = data.seq_mask[idx]
+    width = max(1, int(mask.sum(axis=1).max()) - 1)
+    return data.seq_ids[idx, :width], mask[:, :width]
+
+
 def _micro_logits(bundle: ModelBundle, data: PreparedData, idx: np.ndarray,
                   rng=None) -> Tensor:
-    """Teacher-forced logits for rows ``idx``; dropout runs when ``rng`` is given."""
+    """Teacher-forced logits for rows ``idx`` over the columns
+    ``_label_columns`` keeps; dropout runs when ``rng`` is given. Score them
+    against ``targets[idx, :logits.shape[1]]``."""
     h, enc_mask = bundle.encoder_states(data, idx, rng)
-    return bundle.decoder_logits(data.seq_ids[idx], data.seq_mask[idx], h, enc_mask, rng)
+    ids, mask = _label_columns(data, idx)
+    return bundle.decoder_logits(ids, mask, h, enc_mask, rng)
 
 
 def evaluate_epoch(bundle: ModelBundle, data: PreparedData,
@@ -351,7 +377,8 @@ def evaluate_epoch(bundle: ModelBundle, data: PreparedData,
         for lo in range(0, data.n, micro_batch):
             idx = np.arange(lo, min(lo + micro_batch, data.n))
             logits = _micro_logits(bundle, data, idx)
-            losses.append(compute_loss(logits, targets[idx], loss_cfg).item())
+            losses.append(compute_loss(logits, targets[idx, :logits.shape[1]],
+                                       loss_cfg).item())
     return float(np.mean(losses))
 
 
@@ -541,7 +568,7 @@ def _train_window(bundle: ModelBundle, data: PreparedData, targets: np.ndarray,
     for lo in range(0, len(rows), cfg.micro_batch):
         idx = rows[lo:lo + cfg.micro_batch]
         logits = _micro_logits(bundle, data, idx, rng)
-        pieces.append(loss_pieces(logits, targets[idx], cfg.loss))
+        pieces.append(loss_pieces(logits, targets[idx, :logits.shape[1]], cfg.loss))
     loss = combine_pieces(pieces, cfg.loss)
     value = loss.item()
     if not np.isfinite(value):

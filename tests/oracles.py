@@ -189,6 +189,16 @@ def adamw_reference_step(params, grads, state, lr, t, beta1=0.9, beta2=0.999,
     return out
 
 
+def embed_grad_reference(table, ids, g):
+    """An embedding table's gradient as a 2-D row scatter: one
+    ``np.add.at`` that adds each upstream row ``g[i]`` into row ``ids[i]``,
+    in the order of the flattened ids."""
+    gt = np.zeros_like(table)
+    d = table.shape[1]
+    np.add.at(gt, np.asarray(ids).reshape(-1), g.reshape(-1, d).astype(table.dtype, copy=False))
+    return gt
+
+
 # ---------------------------------------------------------------------------
 # fused tape ops, composed from primitive ops
 # ---------------------------------------------------------------------------

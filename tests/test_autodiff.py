@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (add_norm_composed, attend_composed, attention_composed,
-                     fd_gradient, feed_forward_composed, kv_heads_composed,
-                     layer_norm_reference, linear_composed, relative_error)
+                     embed_grad_reference, fd_gradient, feed_forward_composed,
+                     kv_heads_composed, layer_norm_reference, linear_composed,
+                     relative_error)
 
 from taxseq import autodiff as ad
 from taxseq.autodiff import Parameter, Tensor, backward, no_grad
@@ -209,6 +210,42 @@ class TestFusedOps:
         for key in arrays:
             assert got_g[key].shape == arrays[key].shape
             np.testing.assert_allclose(got_g[key], want_g[key], rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [-1, 0], ids=["below", "at"])
+    @pytest.mark.parametrize("case", ["padded", "beam"])
+    def test_attention_row_max_paths_agree(self, rng, monkeypatch, dtype, side, case):
+        """``_attention`` gives the same outputs and probabilities, to the
+        bit, with its row max over a key-major copy as with the plain
+        reduce, at score row counts on both sides of
+        ``KEY_MAJOR_MIN_ROWS``. "padded": per-row key padding and one fully
+        blocked row. "beam": one row of keys, values and mask broadcast over
+        every query row, as beam search shares the encoder side."""
+        rows, keys = ad.KEY_MAJOR_MIN_ROWS + 4 * side, 7
+        assert keys < ad.KEY_MAJOR_MAX_KEYS and rows % 4 == 0
+        b = rows // 4
+        if case == "padded":  # 2 heads x 2 query positions
+            heads, t, kb = 2, 2, b
+            mask = np.zeros((b, 1, t, keys))
+            mask[b // 2:, ..., 5:] = ad.NEG_INF
+            mask[0, 0, 1] = ad.NEG_INF
+        else:  # 4 heads x 1 query position, as in a decode step
+            heads, t, kb = 4, 1, 1
+            mask = np.zeros((1, 1, 1, keys))
+            mask[..., 6:] = ad.NEG_INF
+        q, k, v = (arr(rng, *s).astype(dtype) for s in
+                   ((b, heads, t, 8), (kb, heads, keys, 8), (kb, heads, keys, 8)))
+        assert b * heads * t == rows
+        got = {}
+        for path, min_rows in (("key-major", 0), ("plain", rows + 1),
+                               ("default", ad.KEY_MAJOR_MIN_ROWS)):
+            monkeypatch.setattr(ad, "KEY_MAJOR_MIN_ROWS", min_rows)
+            cap = []
+            out, p = ad._attention(q, k, v, mask.astype(dtype), cap)
+            got[path] = (out.tobytes(), p.tobytes(), cap[0]["all_masked_rows"])
+        assert got["key-major"] == got["plain"] == got["default"]
+        # "padded" blocks every key of query 1 in batch row 0, in each head
+        assert got["plain"][2] == (heads if case == "padded" else 0)
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2d", "3d", "4d"])
     @pytest.mark.parametrize("bias, frozen", [(True, ()), (False, ()), (True, ("w",))],
@@ -466,6 +503,24 @@ class TestShapeOpGrads:
         backward(ad.tsum(ad.embed(tab, ids)))
         assert np.allclose(tab.grad[1], 0) and np.allclose(tab.grad[3], 0)
         assert np.allclose(tab.grad[2], 2.0)  # looked up twice
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ids_shape, ids_dtype", [((40,), np.int64), ((32, 17), np.int32)],
+                             ids=["1d", "batch"])
+    def test_embed_grad_equals_row_scatter(self, rng, dtype, ids_shape, ids_dtype):
+        """The table gradient is the 2-D row scatter's to the bit. The ids
+        repeat (6 of 9 rows, the rest never looked up) and the upstream
+        values span six orders of magnitude, so an order of addition other
+        than the row scatter's would show."""
+        d = 16
+        ids = rng.integers(0, 6, size=ids_shape).astype(ids_dtype)
+        g = (arr(rng, *ids_shape, d) * 10.0 ** rng.uniform(-3, 3, (*ids_shape, 1))).astype(dtype)
+        tab = Tensor(arr(rng, 9, d).astype(dtype), requires_grad=True)
+        backward(ad.tsum(ad.mul_const(ad.embed(tab, ids), g)))
+        want = embed_grad_reference(tab.data, ids, g)
+        assert tab.grad.dtype == dtype
+        assert tab.grad.tobytes() == want.tobytes()
+        assert not want[6:].any()
 
     def test_indivisible_heads(self, rng):
         params = {k: Tensor(arr(rng, 6, 6)) for k in ("wk", "wv")}

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -162,6 +163,12 @@ class TestRunConfig:
         assert cfg.get("train", "micro_batch") == 4
         assert cfg.get("train", "seed") == 5
         assert cfg.get("train", "max_epochs") == 100
+
+    def test_config_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_bytes(b"[train]\nmax_epochs = 1 \xff\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:2: not UTF-8 \(byte 0xff\)"):
+            RunConfig.from_file(p)
 
     def test_cli_overrides_beat_file(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -491,6 +498,16 @@ class TestPredictCommand:
                      "--input", str(inp)])
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_2(self, workdir, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(b"[train]\nmax_epochs = 1 \xff\n")
+        code = main(["train", "--config", str(ini), "--data", str(workdir["data"]),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {ini}:2: not UTF-8")
+        assert "Traceback" not in err
 
     def test_input_not_utf8_exits_2(self, workdir, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"

@@ -14,14 +14,15 @@ import pytest
 
 from oracles import adamw_reference_step, adamw_reference_steps
 
+from taxseq import autodiff as ad
 from taxseq import trainer as tr
 from taxseq.autodiff import Parameter, backward
-from taxseq.codec import PAD_ID, Ordering, capacity_for
+from taxseq.codec import EOS_ID, PAD_ID, Ordering, capacity_for
 from taxseq.corpus import Sample
 from taxseq.decoder import DecoderConfig
 from taxseq.encoder import EncoderConfig, PrecomputedStates, TextVocab
 from taxseq.errors import ConfigError, EmptyCorpus, NonFiniteLoss, ShapeMismatch
-from taxseq.loss import LossConfig, compute_loss
+from taxseq.loss import LossConfig, compute_loss, loss_pieces
 from taxseq.model import ModelBundle
 from taxseq.taxonomy import ROOT, LabelHierarchy
 from taxseq.trainer import (AdamW, PreparedData, TrainConfig, evaluate_epoch,
@@ -259,6 +260,11 @@ class TestAdamW:
         assert grad_norm({"a": a, "b": b}) == pytest.approx(3.0)
         b.grad = np.array([0.0, 4.0])
         assert grad_norm({"a": a, "b": b}) == pytest.approx(5.0)
+        # a matrix's squares sum over every axis, as np.sum sums them
+        w = Parameter(np.zeros((3, 5), dtype=np.float32), name="w")
+        w.grad = np.random.default_rng(0).standard_normal((3, 5)).astype(np.float32)
+        want = np.sqrt(9.0 + 16.0 + float(np.sum(np.square(w.grad, dtype=np.float64))))
+        assert grad_norm({"a": a, "b": b, "w": w}) == float(want)
 
 
 class TestDataPreparation:
@@ -343,6 +349,48 @@ class TestDataPreparation:
     def test_empty_split(self):
         with pytest.raises(EmptyCorpus):
             prepare_data(tiny_bundle(), [], seed=0)
+
+
+class TestLabelColumns:
+    """Teacher forcing stops just before a batch's last EOS column."""
+
+    # {"D"} encodes shorter than {"A", "B"} and {"A", "C"}, which fill capacity
+    SHORT, MIXED = np.array([4, 5]), np.array([4, 0, 5])
+
+    @pytest.mark.parametrize("rows", ["short", "mixed"])
+    def test_input_stops_before_last_eos(self, rows):
+        bundle = tiny_bundle()
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        idx = self.SHORT if rows == "short" else self.MIXED
+        lengths = data.seq_mask[idx].sum(axis=1)
+        assert (data.seq_ids[idx, lengths - 1] == EOS_ID).all()
+        assert (lengths < bundle.capacity).all() == (rows == "short")
+        ids, mask = tr._label_columns(data, idx)
+        width = int(lengths.max()) - 1
+        assert ids.shape == mask.shape == (len(idx), width)
+        assert np.array_equal(ids, data.seq_ids[idx, :width])
+        assert np.array_equal(mask, data.seq_mask[idx, :width])
+        assert tr._micro_logits(bundle, data, idx).data.shape[:2] == (len(idx), width)
+
+    def test_loss_and_count_match_full_width(self):
+        """Every cut column's target is PAD: the count of scored positions
+        stays, and the loss moves only by float32 rounding."""
+        bundle = tiny_bundle(layers=2)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        targets = make_targets(data.seq_ids)
+        idx, cfg = self.SHORT, LossConfig()
+        with ad.no_grad():
+            cut = tr._micro_logits(bundle, data, idx)
+            h, enc_mask = bundle.encoder_states(data, idx)
+            full = bundle.decoder_logits(data.seq_ids[idx], data.seq_mask[idx], h, enc_mask)
+            width = cut.data.shape[1]
+            assert width < full.data.shape[1] == bundle.capacity
+            assert (targets[idx, width:] == PAD_ID).all()
+            cut_sum, cut_n = loss_pieces(cut, targets[idx, :width], cfg)
+            full_sum, full_n = loss_pieces(full, targets[idx], cfg)
+        assert cut_n == full_n == int(data.seq_mask[idx].sum()) - len(idx)
+        np.testing.assert_allclose(cut.data, full.data[:, :width], rtol=1e-5, atol=1e-6)
+        assert cut_sum.item() == pytest.approx(full_sum.item(), rel=1e-6)
 
 
 class TestEvaluateEpoch:
@@ -574,12 +622,14 @@ class TestTrainLoop:
 
     def test_numerics_match_recorded_run(self):
         """Per-epoch validation losses and a digest of the final parameters of
-        a seeded run (two layers, dropout, accumulation), recorded since each
-        dropout mask covers only the columns its batch keeps: a change to the
-        optimizer, the loss, a kernel's numerics or the random stream fails
-        here. The run gets one BLAS thread,
-        so its float sums have one order; the values are those of numpy 2.4.6
-        with OpenBLAS 0.3.31, and another BLAS build may need new ones."""
+        a seeded run (two layers, dropout, accumulation), recorded since
+        teacher forcing stops before each batch's last EOS column, so that
+        each dropout mask covers only the columns its batch keeps: a change
+        to the optimizer, the loss, a kernel's numerics or the random stream
+        fails here, and the failure shows the observed values. The run gets
+        one BLAS thread, so its float sums have one order; the values are
+        those of numpy 2.4.6 with OpenBLAS 0.3.31, and another BLAS build may
+        need new ones."""
         script = """
 import hashlib, json
 from test_trainer import SAMPLES, quick_cfg, tiny_bundle
@@ -602,8 +652,11 @@ print(json.dumps([[r["val_loss"] for r in result.history], digest.hexdigest()]))
                               capture_output=True, timeout=300, check=True,
                               cwd=Path(__file__).parent)
         val_losses, digest = json.loads(done.stdout)
-        assert val_losses == [1.580951711772323, 1.5596026207340836, 1.5386599086865103]
-        assert digest == "e3b7d92a11ac032703f67486dbe6daac0610d2b3f49e04642721a82a1d9a98e1"
+        # A declared re-record copies these from the failure message.
+        observed = f"observed val_losses {val_losses!r}, digest {digest!r}"
+        assert val_losses == [1.5817161322460818, 1.5608514651784473,
+                              1.540813487660723], observed
+        assert digest == "aa703c9e4c1a158cb8ea0963fb5ebd7fa084ef61ca3cd62befeb6854bfadb1d6", observed
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
