@@ -135,8 +135,8 @@ def _load_config(args):
 
 
 def _build_bundle(cfg, h, splits, store=None):
-    """Construct a ModelBundle (plus codec capacity) from a RunConfig; a
-    states ``store`` selects the precomputed encoder, else it is trainable."""
+    """Construct a ModelBundle (plus codec capacity) from a RunConfig; with a
+    states ``store`` it has no text vocabulary, else its encoder is trainable."""
     from .codec import Ordering, capacity_for
     from .encoder import TextVocab
     from .errors import ConfigError
@@ -157,8 +157,7 @@ def _build_bundle(cfg, h, splits, store=None):
 
     text_vocab = None
     if store is not None:
-        enc_cfg = dataclasses.replace(enc_cfg, mode="precomputed",
-                                      d_model=store.d_model, max_len=store.max_len)
+        enc_cfg = dataclasses.replace(enc_cfg, d_model=store.d_model, max_len=store.max_len)
     else:
         text_vocab = TextVocab.build(
             (s.text for s in splits["train"]),
@@ -244,9 +243,9 @@ def cmd_evaluate(args) -> int:
     if args.precomputed:  # prepare_data rejects it for a trainable encoder
         from .encoder import PrecomputedStates
         store = PrecomputedStates.open(args.precomputed)
-    elif bundle.enc_cfg.mode == "precomputed":
+    elif bundle.text_vocab is None:
         from .errors import ConfigError
-        raise ConfigError("precomputed-mode checkpoint needs --precomputed DIR")
+        raise ConfigError("a checkpoint without a text vocabulary needs --precomputed DIR")
     samples = load_jsonl(Path(args.data) / f"{args.split}.jsonl", bundle.hierarchy)
     report = _score_split(bundle, samples, store, args.macro_all_labels)
     prefix = Path(args.out) if args.out else Path(args.checkpoint) / f"eval_{args.split}"

@@ -23,9 +23,9 @@ __all__ = ["RunConfig", "DEFAULTS"]
 
 # The dataclass behind each section, and the fields code fills in, which
 # therefore are not INI keys. Every other field is a key with the field's
-# default. The encoder's mode follows from whether a states store is given.
+# default.
 _SECTIONS = {
-    "encoder": (EncoderConfig, {"vocab_size", "mode"}),
+    "encoder": (EncoderConfig, {"vocab_size"}),
     "decoder": (DecoderConfig, {"vocab_size", "d_model", "max_positions"}),
     "loss": (LossConfig, {"ignore_id"}),
     "train": (TrainConfig, {"loss"}),

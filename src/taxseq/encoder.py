@@ -109,7 +109,6 @@ class EncodedText:
 
 @dataclass
 class EncoderConfig:
-    mode: str = "trainable"  # "precomputed" when a run is given a states store
     vocab_size: int = 0
     d_model: int = 128
     layers: int = 2
@@ -118,8 +117,6 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.mode not in ("trainable", "precomputed"):
-            raise ConfigError(f"unknown encoder mode {self.mode!r}")
         if self.d_model < 1:
             raise ConfigError(f"d_model must be >= 1, got {self.d_model}")
         if not 0.0 <= self.dropout < 1.0:
@@ -166,8 +163,6 @@ def _ffn_init(rng, d: int, ff: int, prefix: str, out: dict) -> None:
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, Parameter]:
-    if cfg.mode == "precomputed":
-        return {}
     if cfg.vocab_size < 2:
         raise ConfigError("trainable encoder needs vocab_size >= 2")
     d = cfg.d_model

@@ -179,7 +179,7 @@ def predict_prepared(bundle: ModelBundle, data: PreparedData,
 
 def predict_texts(bundle: ModelBundle, texts, sample_ids=None,
                   batch_size: int = 32) -> list[Prediction]:
-    """End-to-end prediction for raw texts (trainable encoder mode).
+    """End-to-end prediction for raw texts (a model with a text vocabulary).
 
     The texts are tokenized as ``prepare_data`` tokenizes a split and
     decoded by ``predict_prepared``; no texts give no predictions.

@@ -2,9 +2,9 @@
 
 ``ModelBundle`` owns everything needed to map raw text to a label set:
 the label hierarchy, the symbolic label vocabulary and sequence layout,
-the word vocabulary (trainable mode only), both parameter dictionaries,
-and the configs that shaped them. Training, checkpointing, and inference
-all operate on this one object.
+the word vocabulary (none when encoder states come from a store), both
+parameter dictionaries, and the configs that shaped them. Training,
+checkpointing, and inference all operate on this one object.
 """
 
 from __future__ import annotations
@@ -55,15 +55,14 @@ class ModelBundle:
         vocab = build_vocab(hierarchy)
         dec_cfg = replace(dec_cfg, vocab_size=vocab.size,
                           max_positions=max(dec_cfg.max_positions, capacity))
-        if enc_cfg.mode == "trainable":
-            if text_vocab is None:
-                raise ConfigError("trainable encoder requires a text vocabulary")
-            enc_cfg = replace(enc_cfg, vocab_size=text_vocab.size)
         if enc_cfg.d_model != dec_cfg.d_model:
             raise ConfigError(
                 f"encoder d_model {enc_cfg.d_model} != decoder d_model {dec_cfg.d_model}")
         rng = np.random.default_rng(seed)
-        enc_params = init_encoder_params(enc_cfg, rng)
+        enc_params = {}
+        if text_vocab is not None:  # else the encoder states come from a store
+            enc_cfg = replace(enc_cfg, vocab_size=text_vocab.size)
+            enc_params = init_encoder_params(enc_cfg, rng)
         dec_params = init_decoder_params(dec_cfg, rng, vocab=vocab, label_init=label_init)
         return cls(hierarchy, vocab, text_vocab, ordering, capacity,
                    enc_cfg, dec_cfg, enc_params, dec_params)
@@ -78,9 +77,9 @@ class ModelBundle:
 
     def encode_batch(self, text_ids, text_mask, rng=None) -> Tensor:
         """Encoder states over exactly the columns given: (B, T) -> (B, T, d)."""
-        if self.enc_cfg.mode != "trainable":
+        if self.text_vocab is None:
             raise ConfigError("encode_batch needs a trainable encoder; "
-                              "precomputed runs read states from the store")
+                              "a model without a text vocabulary reads stored states")
         return encode_tokens(text_ids, text_mask, self.enc_cfg, self.enc_params, rng)
 
     def encoder_states(self, data, idx, rng=None) -> tuple[Tensor, np.ndarray]:

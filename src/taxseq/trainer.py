@@ -16,7 +16,8 @@ not a cost: a batch pays for its longest label sequence less one column.
 Checkpoints are directories holding a JSON manifest (configs, taxonomy
 edges, token-id maps, vocab hash, rng state, metric history) plus one raw
 float32 little-endian blob per named parameter, and the optimizer moment
-vectors so a resumed run continues bit-identically.
+vectors so a resumed run continues bit-identically. Resume restores into
+the bundle it is given, once the manifest describes that bundle's model.
 """
 
 from __future__ import annotations
@@ -228,14 +229,6 @@ class AdamW:
             p.requires_grad = False
             p.grad = None
 
-    def state_dict(self) -> dict:
-        return {
-            "groups": [{"name": g["name"], "lr": g["lr"], "frozen": g["frozen"],
-                        "t": g["t"]} for g in self.groups],
-            "moments": {k: {"m": v["m"].copy(), "v": v["v"].copy()}
-                        for k, v in self.state.items()},
-        }
-
     def load_state_dict(self, meta: dict, moments: dict) -> None:
         for saved in meta["groups"]:
             g = self.group(saved["name"])
@@ -317,9 +310,9 @@ def prepare_data(
         ids.append(s.id)
         gold.append(set(s.labels))
 
-    if bundle.enc_cfg.mode == "precomputed":
+    if bundle.text_vocab is None:
         if store is None:
-            raise ConfigError("precomputed encoder mode needs a states store")
+            raise ConfigError("a model without a text vocabulary needs a states store")
         if store.d_model != bundle.dec_cfg.d_model:
             raise ConfigError(
                 f"store d_model {store.d_model} != model {bundle.dec_cfg.d_model}")
@@ -333,7 +326,7 @@ def prepare_data(
                             enc_hidden=hidden, enc_mask=mask)
     if store is not None:
         raise ConfigError("a states store was given for a model whose encoder "
-                          "is trainable; only a precomputed encoder reads one")
+                          "is trainable; only a model without a text vocabulary reads one")
 
     text_ids, text_mask = tokenize_texts([s.text for s in samples], bundle.text_vocab,
                                          bundle.enc_cfg.max_len)
@@ -439,21 +432,41 @@ def _describe_model(bundle: ModelBundle) -> dict:
 
 def _write_checkpoint(out: Path, bundle: ModelBundle, train_state: dict | None,
                       optimizer: AdamW | None) -> None:
+    """Write the manifest, and each parameter and moment from its live array."""
     (out / "params").mkdir(parents=True)
-    params = bundle.all_params()
     manifest = {"format": 1, **_describe_model(bundle), "train_state": train_state}
     if optimizer is not None:
-        sd = optimizer.state_dict()
-        manifest["optimizer"] = sd["groups"]
-        mdir = out / "moments"
-        mdir.mkdir(exist_ok=True)
-        for key, mv in sd["moments"].items():
-            stem = key.replace("/", ".")
-            (mdir / f"{stem}.m.bin").write_bytes(mv["m"].astype("<f4").tobytes())
-            (mdir / f"{stem}.v.bin").write_bytes(mv["v"].astype("<f4").tobytes())
+        manifest["optimizer"] = [{"name": g["name"], "lr": g["lr"], "frozen": g["frozen"],
+                                  "t": g["t"]} for g in optimizer.groups]
+        (out / "moments").mkdir()
+        for key, mv in optimizer.state.items():
+            for which in ("m", "v"):
+                path = out / "moments" / f"{key.replace('/', '.')}.{which}.bin"
+                path.write_bytes(np.ascontiguousarray(mv[which], "<f4"))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-    for k, p in params.items():
-        (out / "params" / f"{k}.bin").write_bytes(p.data.astype("<f4").tobytes())
+    for k, p in bundle.all_params().items():
+        (out / "params" / f"{k}.bin").write_bytes(np.ascontiguousarray(p.data, "<f4"))
+
+
+def _read_manifest(ckpt_dir) -> tuple[Path, dict]:
+    """A checkpoint's manifest path and content: JSON of format 1 with every
+    key that describes the model, else ``ConfigError`` names the file. An
+    older version's ``enc_cfg.mode`` is dropped: ``text_vocab`` records it."""
+    mf = Path(ckpt_dir) / "manifest.json"
+    try:
+        manifest = json.loads(mf.read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"{mf}: not a JSON manifest ({e})") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != 1:
+        fmt = manifest.get("format") if isinstance(manifest, dict) else None
+        raise ConfigError(f"{mf}: unsupported checkpoint format {fmt!r}")
+    for key in ("enc_cfg", "dec_cfg", "ordering", "capacity", "taxonomy", "label_map",
+                "token_ids", "vocab_hash", "text_vocab", "param_shapes"):
+        if key not in manifest:
+            raise ConfigError(f"{mf}: missing key {key!r}")
+    if isinstance(manifest["enc_cfg"], dict):
+        manifest["enc_cfg"].pop("mode", None)
+    return mf, manifest
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
@@ -464,24 +477,15 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
     shape or blob size differs from what the configs build raises
     ``ShapeMismatch``. Both name the file.
     """
-    out = Path(ckpt_dir)
-    mf = out / "manifest.json"
-    try:
-        manifest = json.loads(mf.read_text(encoding="utf-8"))
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ConfigError(f"{mf}: not a JSON manifest ({e})") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != 1:
-        fmt = manifest.get("format") if isinstance(manifest, dict) else None
-        raise ConfigError(f"{out}: unsupported checkpoint format {fmt!r}")
+    mf, manifest = _read_manifest(ckpt_dir)
     try:
         h = LabelHierarchy.from_parts(manifest["taxonomy"]["labels"],
                                       manifest["taxonomy"]["parents"])
         enc_cfg = EncoderConfig(**manifest["enc_cfg"])
         dec_cfg = DecoderConfig(**manifest["dec_cfg"])
         text_vocab = (TextVocab.from_json(manifest["text_vocab"])
-                      if manifest.get("text_vocab") else None)
+                      if manifest["text_vocab"] else None)
         ordering, capacity = Ordering(manifest["ordering"]), int(manifest["capacity"])
-        vocab_hash = manifest["vocab_hash"]
         shapes = {k: tuple(v) for k, v in manifest["param_shapes"].items()}
     except KeyError as e:
         raise ConfigError(f"{mf}: missing key {e}") from None
@@ -489,7 +493,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
         raise ConfigError(f"{mf}: {e}") from None
     bundle = ModelBundle.build(h, ordering, capacity, enc_cfg, dec_cfg, seed=0,
                                text_vocab=text_vocab)
-    if _vocab_hash(bundle) != vocab_hash:
+    if _vocab_hash(bundle) != manifest["vocab_hash"]:
         raise ConfigError("checkpoint vocabulary does not match its taxonomy")
     for k, p in bundle.all_params().items():
         if k not in shapes:
@@ -497,7 +501,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
         if shapes[k] != p.data.shape:
             raise ShapeMismatch(f"{mf}: parameter {k} has shape {shapes[k]}, "
                                 f"the configs give {p.data.shape}")
-        p.data = _read_blob(out / "params" / f"{k}.bin", p.data.shape)
+        p.data = _read_blob(mf.parent / "params" / f"{k}.bin", p.data.shape)
     return bundle, manifest
 
 
@@ -514,16 +518,17 @@ def _read_blob(path: Path, shape) -> np.ndarray:
 def _check_same_model(mf: Path, manifest: dict, bundle: ModelBundle) -> None:
     """Raise unless the checkpoint behind ``mf`` describes the model
     ``bundle`` holds, compared in the JSON form the manifest stores:
-    resuming copies arrays and moments by parameter name."""
+    resuming reads arrays and moments by parameter name."""
     for key, want in json.loads(json.dumps(_describe_model(bundle))).items():
         have = manifest[key]
         if have == want:
             continue
-        if key.endswith("_cfg"):
-            sub = next(k for k in want if have[k] != want[k])
-            key, have, want = f"{key}.{sub}", have[sub], want[sub]
-        shown = ("" if isinstance(want, (dict, list))
-                 else f" ({have!r} in the checkpoint, {want!r} here)")
+        if key.endswith("_cfg") and isinstance(have, dict):
+            sub = next(k for k in {**want, **have}
+                       if k not in have or k not in want or have[k] != want[k])
+            key, have, want = f"{key}.{sub}", have.get(sub, "absent"), want.get(sub, "absent")
+        shown = ("" if isinstance(want, (dict, list)) or isinstance(have, (dict, list))
+                 else f" ({have} in the checkpoint, {want} here)")
         raise ConfigError(f"{mf}: cannot resume a different model; {key} differs{shown}")
 
 
@@ -640,15 +645,18 @@ def train(
     start_epoch = 1
 
     if resume is not None:
-        loaded, manifest = load_checkpoint(resume)
+        mf, manifest = _read_manifest(resume)
         if not manifest.get("train_state") or "optimizer" not in manifest:
             raise ConfigError(f"{resume}: no training state to resume from; "
                               "resume from a run's last/ checkpoint")
-        _check_same_model(Path(resume) / "manifest.json", manifest, bundle)
-        for k, p in bundle.all_params().items():
-            p.data = loaded.all_params()[k].data
-        state = manifest["train_state"]
+        _check_same_model(mf, manifest, bundle)
+        # every blob is read before the caller's bundle takes the first array
+        arrays = {k: _read_blob(mf.parent / "params" / f"{k}.bin", p.data.shape)
+                  for k, p in params.items()}
         _load_moments(resume, manifest, opt)
+        for k, p in params.items():
+            p.data = arrays[k]
+        state = manifest["train_state"]
         rng.bit_generator.state = state["rng_state"]
         history = list(state["history"])
         sched = dict(state["scheduler"])
@@ -727,8 +735,6 @@ def train(
         if sched["stall"] >= cfg.early_stop_patience:
             stopped = "early_stop"
             break
-    else:
-        stopped = "max_epochs"
 
     return TrainResult(
         history=history,

@@ -303,7 +303,7 @@ class TestTrainCommand:
                      "--set", f"data.precomputed_dir={store}",
                      "--set", "train.max_epochs=1"]) == 0
         manifest = json.loads((run / "best" / "manifest.json").read_text())
-        assert manifest["enc_cfg"]["mode"] == "precomputed"
+        assert "mode" not in manifest["enc_cfg"]
         assert manifest["enc_cfg"]["d_model"] == 8 and manifest["text_vocab"] is None
         capsys.readouterr()
         evaluate = ["evaluate", "--checkpoint", str(run / "best"),

@@ -96,8 +96,6 @@ class TestInit:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            EncoderConfig(mode="frozen")
-        with pytest.raises(ConfigError):
             EncoderConfig(d_model=10, heads=4)
         with pytest.raises(ConfigError):
             EncoderConfig(max_len=0)

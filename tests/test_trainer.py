@@ -47,14 +47,14 @@ def tiny_hierarchy():
 
 
 def tiny_bundle(seed=0, dropout=0.0, ordering=Ordering.CHILD_TO_PARENT,
-                mode="trainable", layers=1, d_model=16, dec_heads=2, h=None):
+                precomputed=False, layers=1, d_model=16, dec_heads=2, h=None):
     h = h or tiny_hierarchy()
     cap = capacity_for([s.labels for s in SAMPLES], h, strategy=ordering)
-    enc_cfg = EncoderConfig(mode=mode, d_model=d_model, layers=layers, heads=2,
+    enc_cfg = EncoderConfig(d_model=d_model, layers=layers, heads=2,
                             max_len=6, dropout=dropout)
     dec_cfg = DecoderConfig(d_model=d_model, layers=layers, heads=dec_heads,
                             dropout=dropout, max_positions=8)
-    tv = TextVocab.build([s.text for s in SAMPLES]) if mode == "trainable" else None
+    tv = None if precomputed else TextVocab.build([s.text for s in SAMPLES])
     return ModelBundle.build(h, ordering, cap, enc_cfg, dec_cfg, seed=seed,
                              text_vocab=tv)
 
@@ -239,20 +239,6 @@ class TestAdamW:
         assert all(g is None for k, g in grads.items() if k.startswith("enc."))
         assert all(g is not None for k, g in grads.items() if k.startswith("dec."))
 
-    def test_state_round_trip(self):
-        a = Parameter(np.array([[1.0]]), name="w")
-        opt = AdamW()
-        opt.add_group("enc", {"w": a}, 1e-2)
-        a.grad = np.array([[0.5]])
-        opt.step()
-        sd = opt.state_dict()
-        b = Parameter(np.array([[1.0]]), name="w")
-        opt2 = AdamW()
-        opt2.add_group("enc", {"w": b}, 9.0)
-        opt2.load_state_dict({"groups": sd["groups"]}, sd["moments"])
-        assert opt2.group("enc")["lr"] == 1e-2 and opt2.group("enc")["t"] == 1
-        assert np.array_equal(opt2.state["enc/w"]["m"], opt.state["enc/w"]["m"])
-
     def test_grad_norm(self):
         a = Parameter(np.zeros(2), name="a")
         b = Parameter(np.zeros(2), name="b")
@@ -292,7 +278,7 @@ class TestDataPreparation:
         assert not np.array_equal(a.seq_ids, c.seq_ids)
 
     def test_precomputed_mode_reads_store(self, tmp_path, rng):
-        bundle = tiny_bundle(mode="precomputed")
+        bundle = tiny_bundle(precomputed=True)
         store = PrecomputedStates.create(tmp_path / "st", d_model=16, max_len=6)
         for s in SAMPLES:
             store.write(s.id, rng.standard_normal((6, 16)).astype(np.float32),
@@ -307,7 +293,7 @@ class TestDataPreparation:
         assert np.array_equal(hidden.data, data.enc_hidden[[2, 5], :4])
 
     def test_store_mask_hole_keeps_last_real_column(self, tmp_path, rng):
-        bundle = tiny_bundle(mode="precomputed")
+        bundle = tiny_bundle(precomputed=True)
         store = PrecomputedStates.create(tmp_path / "st", d_model=16, max_len=6)
         masks = {"s0": [1, 0, 0, 1, 0, 0], "s1": [1, 1, 0, 0, 0, 0]}
         for s in SAMPLES:
@@ -337,7 +323,7 @@ class TestDataPreparation:
         assert np.array_equal(mask, data.text_mask)
 
     def test_precomputed_mode_errors(self, tmp_path):
-        bundle = tiny_bundle(mode="precomputed")
+        bundle = tiny_bundle(precomputed=True)
         with pytest.raises(ConfigError, match="store"):
             prepare_data(bundle, SAMPLES, seed=0)
         store = PrecomputedStates.create(tmp_path / "st", d_model=8, max_len=6)
@@ -829,6 +815,102 @@ class TestCheckpointing:
         assert named in str(err.value)
         for k, p in other.all_params().items():
             assert np.array_equal(p.data, before[k]), k
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda m: m.pop("label_map"), "missing key 'label_map'"),
+        (lambda m: m.pop("token_ids"), "missing key 'token_ids'"),
+        (lambda m: m["dec_cfg"].pop("dropout"),
+         "dec_cfg.dropout differs (absent in the checkpoint, 0.0 here)"),
+        (lambda m: m["enc_cfg"].update(depth=3),
+         "enc_cfg.depth differs (3 in the checkpoint, absent here)"),
+    ], ids=["no-label-map", "no-token-ids", "no-dec-dropout", "unknown-enc-field"])
+    def test_resume_from_incomplete_manifest_rejected(self, tmp_path, corrupt, named):
+        bundle = tiny_bundle(seed=2)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        train(bundle, data, data, quick_cfg(max_epochs=1), out_dir=tmp_path / "run")
+        mf = tmp_path / "run" / "last" / "manifest.json"
+        manifest = json.loads(mf.read_text())
+        corrupt(manifest)
+        mf.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError) as err:
+            train(tiny_bundle(seed=2), data, data, quick_cfg(max_epochs=2),
+                  resume=mf.parent)
+        assert str(err.value).startswith(str(mf)) and named in str(err.value)
+
+    def test_resume_builds_no_model(self, tmp_path, monkeypatch):
+        bundle = tiny_bundle(seed=2)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        train(bundle, data, data, quick_cfg(max_epochs=1), out_dir=tmp_path / "run")
+        builds = []
+        real_build = ModelBundle.build.__func__
+
+        def counting_build(cls, *args, **kw):
+            builds.append(args)
+            return real_build(cls, *args, **kw)
+
+        resumed = tiny_bundle(seed=2)
+        monkeypatch.setattr(ModelBundle, "build", classmethod(counting_build))
+        train(resumed, data, data, quick_cfg(max_epochs=2), resume=tmp_path / "run" / "last")
+        assert builds == []
+
+    def test_blobs_hold_live_arrays(self, tmp_path, monkeypatch):
+        optimizers = []
+
+        class RecordingAdamW(AdamW):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                optimizers.append(self)
+
+        monkeypatch.setattr(tr, "AdamW", RecordingAdamW)
+        bundle = tiny_bundle(seed=2)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        train(bundle, data, data, quick_cfg(max_epochs=1), out_dir=tmp_path / "run")
+        last = tmp_path / "run" / "last"
+        for k, p in bundle.all_params().items():
+            want = np.asarray(p.data, "<f4").tobytes()
+            assert (last / "params" / f"{k}.bin").read_bytes() == want, k
+        [opt] = optimizers
+        blobs = sorted(f.name for f in (last / "moments").iterdir())
+        assert len(blobs) == 2 * len(opt.state) == 2 * len(bundle.all_params())
+        for key, mv in opt.state.items():
+            for which in ("m", "v"):
+                blob = last / "moments" / f"{key.replace('/', '.')}.{which}.bin"
+                assert blob.read_bytes() == np.asarray(mv[which], "<f4").tobytes(), blob
+
+    def test_legacy_mode_field_loads_and_resumes(self, tmp_path):
+        """Checkpoints written while ``EncoderConfig`` had a ``mode`` field
+        carry it in ``enc_cfg``; they still load, and resume bit-identically."""
+        def add_mode(ckpt, mode):
+            mf = ckpt / "manifest.json"
+            manifest = json.loads(mf.read_text())
+            manifest["enc_cfg"] = {"mode": mode, **manifest["enc_cfg"]}
+            mf.write_text(json.dumps(manifest, indent=1))
+
+        stored = tiny_bundle(seed=3, precomputed=True)
+        save_checkpoint(tmp_path / "stored", stored)
+        add_mode(tmp_path / "stored", "precomputed")
+        loaded, manifest = load_checkpoint(tmp_path / "stored")
+        assert loaded.text_vocab is None and loaded.enc_params == {}
+        assert "mode" not in manifest["enc_cfg"]
+        for k, p in stored.all_params().items():
+            assert np.array_equal(p.data, loaded.all_params()[k].data), k
+
+        def run(out, epochs, resume=None):
+            bundle = tiny_bundle(seed=11, dropout=0.1)
+            data = prepare_data(bundle, SAMPLES, seed=0)
+            cfg = quick_cfg(max_epochs=epochs, seed=6, micro_batch=2)
+            return bundle, train(bundle, data, data, cfg, out_dir=out, resume=resume)
+
+        full_bundle, full = run(tmp_path / "full", 3)
+        run(tmp_path / "part", 2)
+        add_mode(tmp_path / "part" / "last", "trainable")
+        loaded, _ = load_checkpoint(tmp_path / "part" / "last")
+        assert loaded.text_vocab is not None and loaded.enc_params
+        resumed_bundle, resumed = run(tmp_path / "cont", 3, resume=tmp_path / "part" / "last")
+        for k, p in full_bundle.all_params().items():
+            assert np.array_equal(p.data, resumed_bundle.all_params()[k].data), k
+        assert ([r["val_loss"] for r in full.history]
+                == [r["val_loss"] for r in resumed.history])
 
     def test_resume_is_bit_identical(self, tmp_path):
         def run(out, epochs, resume=None, seed=6):
