@@ -126,6 +126,8 @@ class SynthConfig:
             raise ConfigError("noise_rate must lie in [0, 1)")
         if self.signal_strength < 1 or self.docs_per_leaf < 1:
             raise ConfigError("signal_strength and docs_per_leaf must be >= 1")
+        if self.vocab_size < 1:
+            raise ConfigError(f"vocab_size must be >= 1, got {self.vocab_size}")
 
 
 @dataclass
@@ -175,29 +177,32 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> SynthResult:
     save_hierarchy(h, tax_path)
 
     share = max(1, (3 * cfg.vocab_size // 4) // len(h))
-    pools = {lb: [f"w_{lb}_{j}" for j in range(share)] for lb in h.labels}
     n_noise_words = max(1, cfg.vocab_size - share * len(h))
-    noise_pool = [f"nz{j}" for j in range(n_noise_words)]
+    # One word table: each label's pool of ``share`` words in label order,
+    # then the noise pool.
+    table = np.array([f"w_{lb}_{j}" for lb in h.labels for j in range(share)]
+                     + [f"nz{j}" for j in range(n_noise_words)], dtype=object)
+    pool_start = {lb: k * share for k, lb in enumerate(h.labels)}
 
     leaves = [lb for lb in h.labels if not h.children[lb]]
     splits: dict[str, list[Sample]] = {name: [] for name in SPLIT_NAMES}
     counter = 0
     for leaf in leaves:
         chain = [leaf] + h.ancestors(leaf)
+        n_signal = cfg.signal_strength * len(chain)
+        n_noise = int(round(n_signal * cfg.noise_rate / (1.0 - cfg.noise_rate)))
+        # A document's slot i reads table[offsets[i] + a draw below highs[i]]:
+        # ``signal_strength`` slots per label of the chain, then the noise.
+        # One draw over the array of bounds takes the same stream as one
+        # scalar-bound draw per pool, a one-word pool (bound 1) taking none.
+        offsets = np.repeat([pool_start[lb] for lb in chain] + [share * len(h)],
+                            [cfg.signal_strength] * len(chain) + [n_noise])
+        highs = np.repeat([share, n_noise_words], [n_signal, n_noise])
         docs = []
         for _ in range(cfg.docs_per_leaf):
-            words: list[str] = []
-            for lb in chain:
-                pool = pools[lb]
-                picks = rng.integers(0, len(pool), size=cfg.signal_strength)
-                words.extend(pool[k] for k in picks)
-            n_signal = len(words)
-            n_noise = int(round(n_signal * cfg.noise_rate / (1.0 - cfg.noise_rate)))
-            picks = rng.integers(0, len(noise_pool), size=n_noise)
-            words.extend(noise_pool[k] for k in picks)
-            order = rng.permutation(len(words))
-            text = " ".join(words[k] for k in order)
-            docs.append(Sample(f"s{counter}", text, set(chain)))
+            picks = offsets + rng.integers(0, highs)
+            order = rng.permutation(len(picks))
+            docs.append(Sample(f"s{counter}", " ".join(table[picks[order]]), set(chain)))
             counter += 1
         order = rng.permutation(len(docs))
         n_train = int(round(0.70 * len(docs)))

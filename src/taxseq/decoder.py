@@ -37,8 +37,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .codec import SymbolicVocab
-from .encoder import (_ffn_init, _ffn_params, _mha_init, _mha_params, _norm_init, _norm_params,
-                      expand_mask, trunc_normal)
+from .encoder import (NORMAL, ZEROS, ParamSpec, _ffn_params, _ffn_specs, _mha_params,
+                      _mha_specs, _norm_params, _norm_specs, expand_mask, init_params)
 from .errors import ConfigError, InitDimensionMismatch, ShapeMismatch, UnknownLabel
 
 __all__ = [
@@ -109,6 +109,25 @@ def read_label_embeddings(path) -> tuple[int, dict[str, np.ndarray]]:
     return d, {name: rows[i].copy() for i, name in enumerate(labels)}
 
 
+def decoder_param_specs(cfg: DecoderConfig) -> dict[str, ParamSpec]:
+    """Every decoder parameter's name, shape and start, in draw order."""
+    d = cfg.d_model
+    if cfg.vocab_size < 5:
+        raise ConfigError("decoder vocab_size must cover specials plus labels")
+    specs: dict[str, ParamSpec] = {"word_embed": ((cfg.vocab_size, d), NORMAL),
+                                   "pos_embed": ((cfg.max_positions, d), NORMAL)}
+    for i in range(cfg.layers):
+        _mha_specs(d, f"l{i}.self", specs)
+        _norm_specs(d, f"l{i}.norm_q", specs)
+        _mha_specs(d, f"l{i}.cross", specs)
+        _norm_specs(d, f"l{i}.norm_c", specs)
+        _ffn_specs(d, cfg.ff_dim, f"l{i}.ff", specs)
+        _norm_specs(d, f"l{i}.norm_f", specs)
+    specs["out.w"] = ((d, cfg.vocab_size), NORMAL)
+    specs["out.b"] = ((cfg.vocab_size,), ZEROS)
+    return specs
+
+
 def init_decoder_params(
     cfg: DecoderConfig,
     rng: np.random.Generator,
@@ -121,37 +140,29 @@ def init_decoder_params(
     rows and the output projection columns of the matching label tokens;
     all other entries keep their random draws.
     """
-    d = cfg.d_model
-    if cfg.vocab_size < 5:
-        raise ConfigError("decoder vocab_size must cover specials plus labels")
-    params: dict[str, Parameter] = {
-        "word_embed": Parameter(trunc_normal(rng, (cfg.vocab_size, d)), name="word_embed"),
-        "pos_embed": Parameter(trunc_normal(rng, (cfg.max_positions, d)), name="pos_embed"),
-    }
-    for i in range(cfg.layers):
-        _mha_init(rng, d, f"l{i}.self", params)
-        _norm_init(d, f"l{i}.norm_q", params)
-        _mha_init(rng, d, f"l{i}.cross", params)
-        _norm_init(d, f"l{i}.norm_c", params)
-        _ffn_init(rng, d, cfg.ff_dim, f"l{i}.ff", params)
-        _norm_init(d, f"l{i}.norm_f", params)
-    params["out.w"] = Parameter(trunc_normal(rng, (d, cfg.vocab_size)), name="out.w")
-    params["out.b"] = Parameter(np.zeros(cfg.vocab_size, dtype=np.float32), name="out.b")
-
+    params = init_params(decoder_param_specs(cfg), rng)
     if label_init is not None:
-        if vocab is None:
-            raise ConfigError("label_init requires the symbolic vocabulary")
-        file_d, vectors = read_label_embeddings(label_init)
-        if file_d != d:
-            raise InitDimensionMismatch(
-                f"label vectors have d_model {file_d}, decoder uses {d}")
-        for name, vec in vectors.items():
-            if name not in vocab.symbol_of:
-                raise UnknownLabel(f"{label_init}: label {name!r} is not in the taxonomy")
-            tid = vocab.id_of(name)
-            params["word_embed"].data[tid] = vec
-            params["out.w"].data[:, tid] = vec
+        seed_label_vectors(params, vocab, label_init)
     return params
+
+
+def seed_label_vectors(params: dict[str, Parameter], vocab: SymbolicVocab | None,
+                       label_init: str | Path) -> None:
+    """Write the stored label vectors of ``label_init`` into the embedding
+    rows and output projection columns of their label tokens."""
+    if vocab is None:
+        raise ConfigError("label_init requires the symbolic vocabulary")
+    d = params["word_embed"].data.shape[1]
+    file_d, vectors = read_label_embeddings(label_init)
+    if file_d != d:
+        raise InitDimensionMismatch(
+            f"label vectors have d_model {file_d}, decoder uses {d}")
+    for name, vec in vectors.items():
+        if name not in vocab.symbol_of:
+            raise UnknownLabel(f"{label_init}: label {name!r} is not in the taxonomy")
+        tid = vocab.id_of(name)
+        params["word_embed"].data[tid] = vec
+        params["out.w"].data[:, tid] = vec
 
 
 _ALLOWED, _BLOCKED = np.float32(0.0), np.float32(ad.NEG_INF)

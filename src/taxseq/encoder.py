@@ -142,40 +142,60 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
 
 _MHA_WEIGHTS, _MHA_BIASES = ("wq", "wk", "wv", "wo"), ("bq", "bk", "bv", "bo")
 
+# How a parameter starts: a ``trunc_normal`` draw, zeros or ones.
+NORMAL, ZEROS, ONES = "normal", "zeros", "ones"
+ParamSpec = tuple[tuple[int, ...], str]  # (shape, one of NORMAL/ZEROS/ONES)
 
-def _mha_init(rng, d: int, prefix: str, out: dict) -> None:
+
+def _mha_specs(d: int, prefix: str, out: dict) -> None:
     for part in _MHA_WEIGHTS:
-        out[f"{prefix}.{part}"] = Parameter(trunc_normal(rng, (d, d)), name=f"{prefix}.{part}")
+        out[f"{prefix}.{part}"] = ((d, d), NORMAL)
     for part in _MHA_BIASES:
-        out[f"{prefix}.{part}"] = Parameter(np.zeros(d, dtype=np.float32), name=f"{prefix}.{part}")
+        out[f"{prefix}.{part}"] = ((d,), ZEROS)
 
 
-def _norm_init(d: int, prefix: str, out: dict) -> None:
-    out[f"{prefix}.g"] = Parameter(np.ones(d, dtype=np.float32), name=f"{prefix}.g")
-    out[f"{prefix}.b"] = Parameter(np.zeros(d, dtype=np.float32), name=f"{prefix}.b")
+def _norm_specs(d: int, prefix: str, out: dict) -> None:
+    out[f"{prefix}.g"] = ((d,), ONES)
+    out[f"{prefix}.b"] = ((d,), ZEROS)
 
 
-def _ffn_init(rng, d: int, ff: int, prefix: str, out: dict) -> None:
-    out[f"{prefix}.w1"] = Parameter(trunc_normal(rng, (d, ff)), name=f"{prefix}.w1")
-    out[f"{prefix}.b1"] = Parameter(np.zeros(ff, dtype=np.float32), name=f"{prefix}.b1")
-    out[f"{prefix}.w2"] = Parameter(trunc_normal(rng, (ff, d)), name=f"{prefix}.w2")
-    out[f"{prefix}.b2"] = Parameter(np.zeros(d, dtype=np.float32), name=f"{prefix}.b2")
+def _ffn_specs(d: int, ff: int, prefix: str, out: dict) -> None:
+    out[f"{prefix}.w1"] = ((d, ff), NORMAL)
+    out[f"{prefix}.b1"] = ((ff,), ZEROS)
+    out[f"{prefix}.w2"] = ((ff, d), NORMAL)
+    out[f"{prefix}.b2"] = ((d,), ZEROS)
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, Parameter]:
+def encoder_param_specs(cfg: EncoderConfig) -> dict[str, ParamSpec]:
+    """Every encoder parameter's name, shape and start, in draw order."""
     if cfg.vocab_size < 2:
         raise ConfigError("trainable encoder needs vocab_size >= 2")
     d = cfg.d_model
-    params: dict[str, Parameter] = {
-        "embed": Parameter(trunc_normal(rng, (cfg.vocab_size, d)), name="embed"),
-        "pos_embed": Parameter(trunc_normal(rng, (cfg.max_len, d)), name="pos_embed"),
-    }
+    specs: dict[str, ParamSpec] = {"embed": ((cfg.vocab_size, d), NORMAL),
+                                   "pos_embed": ((cfg.max_len, d), NORMAL)}
     for i in range(cfg.layers):
-        _mha_init(rng, d, f"l{i}.attn", params)
-        _norm_init(d, f"l{i}.norm1", params)
-        _ffn_init(rng, d, 4 * d, f"l{i}.ff", params)
-        _norm_init(d, f"l{i}.norm2", params)
-    return params
+        _mha_specs(d, f"l{i}.attn", specs)
+        _norm_specs(d, f"l{i}.norm1", specs)
+        _ffn_specs(d, 4 * d, f"l{i}.ff", specs)
+        _norm_specs(d, f"l{i}.norm2", specs)
+    return specs
+
+
+def init_params(specs: dict[str, ParamSpec], rng: np.random.Generator) -> dict[str, Parameter]:
+    """Fresh parameters for ``specs``: the NORMAL ones drawn from ``rng``
+    in the specs' order, the others filled."""
+    out = {}
+    for name, (shape, start) in specs.items():
+        if start == NORMAL:
+            data = trunc_normal(rng, shape)
+        else:
+            data = (np.ones if start == ONES else np.zeros)(shape, dtype=np.float32)
+        out[name] = Parameter(data, name=name)
+    return out
+
+
+def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, Parameter]:
+    return init_params(encoder_param_specs(cfg), rng)
 
 
 def _mha_params(params: dict[str, Parameter], prefix: str) -> dict[str, Parameter]:

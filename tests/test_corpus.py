@@ -1,5 +1,6 @@
 """Corpus IO, the synthetic generator, and raw-dataset adapters."""
 
+import hashlib
 import json
 import logging
 
@@ -156,6 +157,52 @@ class TestSyntheticGenerator:
                     owner = "_".join(w.split("_")[1:-1])
                     assert seen.setdefault(w, owner) == owner
 
+    # sha256 of taxonomy.tsv, train.jsonl, dev.jsonl and test.jsonl, recorded
+    # from the generator that drew each word with its own ``rng.integers``
+    # call; the output for a given config and seed must never change.
+    GOLDEN = {
+        "desk": (dict(depth=3, branching=4, vocab_size=2000, docs_per_leaf=94,
+                      noise_rate=0.3, signal_strength=4, seed=0), (
+            "c9c3052c6191e60894f9feafc23cefaa874b17a83655fc5ff90ace0e90f9a446",
+            "1492b221abb092b16787f7ea93ac5c7e3a1126f3f6415717cc425781b077c80a",
+            "5ad208dc819e05c4025b1afa63c33a1b70dc1e51b8793bb4c108272fe8abf286",
+            "ab45e78ab3ee1b3211312ebdced57499a5d158c29ab62f31640ea4ebf9bdafcc")),
+        "deep": (dict(depth=5, branching=2, vocab_size=800, docs_per_leaf=40,
+                      noise_rate=0.3, signal_strength=3, seed=1), (
+            "26b94509200838dd18f62b3df83933ac3e55a869a73a4146c7c7ba39e46c04d8",
+            "06ca3ce58d3b609468e7ef1454c346175e2a58e9a29d1dca2819179c1e69db2d",
+            "1004d11811b70440d3abf6ac2047bedf064100ee75bf158dee4453d63314df12",
+            "10c1f2520f93f72df3f387c8fe7dd7d3e49f4f4851a89429cb65b1b374bce500")),
+        "no-noise": (dict(depth=2, branching=3, vocab_size=300, docs_per_leaf=20,
+                          noise_rate=0.0, signal_strength=3, seed=11), (
+            "1626cb1b474a96ff413a80249b96e747038d7394cbc42fd940167f2173909a34",
+            "722daae310683ce03bc6764e99c4d60ebbfb6effdf6ab180a305c28f2b68b899",
+            "ab1ae86f656ef24db8726727725641c238722d2a33560d693ec6a1bcc131a28c",
+            "321396f0d8403ba3c1504bf2a8e1677c3dd855daca6bc910dd7ac63a73004000")),
+        # 12 labels share 10 words: every label pool and the noise pool hold one
+        "one-word-pools": (dict(depth=2, branching=3, vocab_size=10, docs_per_leaf=20,
+                                noise_rate=0.25, signal_strength=3, seed=5), (
+            "1626cb1b474a96ff413a80249b96e747038d7394cbc42fd940167f2173909a34",
+            "c5ac90d25022ac7d5fe2f2b1c767eec1e1ffaf90bd7e3cc108f47fe864b7b206",
+            "84fe000e3b94ae149afa2b545b7f81570b5121f397f1ea1519b23fd2dfcd4039",
+            "b3f7016f0333f837053136a950b936c232b4a4ebce1fb092969c40e0b97bc406")),
+        "high-noise": (dict(depth=2, branching=2, vocab_size=200, docs_per_leaf=30,
+                            noise_rate=0.9, signal_strength=2, seed=3), (
+            "5b0168c793e2107dec4bc5e9b9e3d30428e7d15f3cf845bfd7779d5023498e1c",
+            "3fd018dac7abe52a0f4e667dee1c99164f3cdca7352472f257829950df04d6d5",
+            "8745b3203b8e7bf62a978a299431ee46e89915096b95de9e80c1bc825b38646c",
+            "f71074213ebb1fe3afcc0587fdba89a9d456847629ffb6c2070ed907849f7ddb")),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_bytes_match_recorded_digests(self, tmp_path, name):
+        cfg, digests = self.GOLDEN[name]
+        generate_synthetic(SynthConfig(**cfg), tmp_path / name)
+        files = ("taxonomy.tsv", "train.jsonl", "dev.jsonl", "test.jsonl")
+        got = tuple(hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+                    for f in files)
+        assert dict(zip(files, got)) == dict(zip(files, digests))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SynthConfig(depth=1)
@@ -165,6 +212,8 @@ class TestSyntheticGenerator:
             SynthConfig(noise_rate=1.0)
         with pytest.raises(ConfigError):
             SynthConfig(signal_strength=0)
+        with pytest.raises(ConfigError, match="vocab_size"):
+            SynthConfig(vocab_size=0)
 
 
 class TestAdapters:

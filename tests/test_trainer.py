@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -15,6 +16,7 @@ import pytest
 from oracles import adamw_reference_step, adamw_reference_steps
 
 from taxseq import autodiff as ad
+from taxseq import encoder
 from taxseq import trainer as tr
 from taxseq.autodiff import Parameter, backward
 from taxseq.codec import EOS_ID, PAD_ID, Ordering, capacity_for
@@ -852,6 +854,82 @@ class TestCheckpointing:
         monkeypatch.setattr(ModelBundle, "build", classmethod(counting_build))
         train(resumed, data, data, quick_cfg(max_epochs=2), resume=tmp_path / "run" / "last")
         assert builds == []
+
+    @pytest.fixture(scope="class")
+    def one_epoch_last(self, tmp_path_factory):
+        """The ``last`` checkpoint of a 1-epoch run; copy it before editing."""
+        out = tmp_path_factory.mktemp("run")
+        bundle = tiny_bundle(seed=2)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        train(bundle, data, data, quick_cfg(max_epochs=1), out_dir=out)
+        return out / "last"
+
+    @pytest.mark.parametrize("path", [
+        ("train_state", "rng_state"), ("train_state", "history"),
+        ("train_state", "scheduler"), ("train_state", "best"), ("train_state", "epoch"),
+        ("train_state", "scheduler", "stall"), ("train_state", "best", "val"),
+        ("optimizer", 0, "name"), ("optimizer", 1, "lr"), ("optimizer", 0, "frozen"),
+        ("optimizer", 1, "t"),
+    ], ids=lambda path: "-".join(map(str, path)))
+    def test_resume_state_missing_key_rejected(self, tmp_path, one_epoch_last, path):
+        last = shutil.copytree(one_epoch_last, tmp_path / "last")
+        mf = last / "manifest.json"
+        manifest = json.loads(mf.read_text())
+        *parents, key = path
+        owner = manifest
+        for step in parents:
+            owner = owner[step]
+        del owner[key]
+        mf.write_text(json.dumps(manifest))
+        resumed = tiny_bundle(seed=2)
+        data = prepare_data(resumed, SAMPLES, seed=0)
+        before = {k: p.data.copy() for k, p in resumed.all_params().items()}
+        with pytest.raises(ConfigError) as err:
+            train(resumed, data, data, quick_cfg(max_epochs=2), resume=last)
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+        assert str(err.value) == f"{mf}: missing key '{where[1:]}'"
+        for k, p in resumed.all_params().items():
+            assert np.array_equal(p.data, before[k]), k
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda m: m["train_state"].update(scheduler=[]),
+         "'train_state.scheduler' must be a JSON object"),
+        (lambda m: m["optimizer"].__setitem__(1, "dec"), "'optimizer[1]' must be a JSON object"),
+        (lambda m: m.update(optimizer={}), "'optimizer' must be a list of groups"),
+    ], ids=["scheduler-list", "group-string", "optimizer-object"])
+    def test_resume_state_wrong_type_rejected(self, tmp_path, one_epoch_last, corrupt, named):
+        last = shutil.copytree(one_epoch_last, tmp_path / "last")
+        mf = last / "manifest.json"
+        manifest = json.loads(mf.read_text())
+        corrupt(manifest)
+        mf.write_text(json.dumps(manifest))
+        resumed = tiny_bundle(seed=2)
+        data = prepare_data(resumed, SAMPLES, seed=0)
+        with pytest.raises(ConfigError) as err:
+            train(resumed, data, data, quick_cfg(max_epochs=2), resume=last)
+        assert str(err.value) == f"{mf}: {named}"
+
+    @pytest.mark.parametrize("precomputed", [False, True], ids=["tokens", "store"])
+    def test_load_draws_no_random_model(self, tmp_path, monkeypatch, precomputed):
+        bundle = tiny_bundle(seed=4, precomputed=precomputed)
+        save_checkpoint(tmp_path / "ck", bundle)
+
+        def refuse(*args, **kw):
+            raise AssertionError("a random initialization was drawn")
+
+        monkeypatch.setattr(encoder, "trunc_normal", refuse)
+        with pytest.raises(AssertionError, match="random initialization"):
+            tiny_bundle(seed=4, precomputed=precomputed)
+        monkeypatch.setattr(ModelBundle, "build", classmethod(refuse))
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        assert list(loaded.all_params()) == list(bundle.all_params())
+        for k, p in loaded.all_params().items():
+            assert p.name == k.split(".", 1)[1]
+            assert p.data.dtype == np.float32 and p.data.flags.writeable, k
+            assert p.data.ctypes.data % 64 == 0, k
+            assert p.data.tobytes() == (tmp_path / "ck" / "params" / f"{k}.bin").read_bytes(), k
+        assert asdict(loaded.enc_cfg) == asdict(bundle.enc_cfg)
+        assert asdict(loaded.dec_cfg) == asdict(bundle.dec_cfg)
 
     def test_blobs_hold_live_arrays(self, tmp_path, monkeypatch):
         optimizers = []
