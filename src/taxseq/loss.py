@@ -62,9 +62,11 @@ def loss_pieces(logits: Tensor, targets, cfg: LossConfig) -> tuple[Tensor, int]:
 
     Pieces from several micro-batches combine in ``combine_pieces`` so the
     objective over an accumulation window is identical to a single large
-    batch. For the batch-modulated and plain variants the term is the
-    summed smoothed negative log likelihood; for the per-token variant
-    each position is modulated before summation.
+    batch; it depends on the terms only through their sum, which is what
+    lets the trainer run each micro-batch's backward on its own term. For
+    the batch-modulated and plain variants the term is the summed smoothed
+    negative log likelihood; for the per-token variant each position is
+    modulated before summation.
     """
     per_pos, n = ad.smoothed_nll_per_position(
         logits, targets, cfg.smoothing, cfg.ignore_id)

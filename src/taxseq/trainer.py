@@ -2,11 +2,14 @@
 plateau-driven decay with encoder freezing, early stopping, teacher
 forcing, and gradient accumulation.
 
-Accumulation windows are exact: per-micro-batch loss terms are combined
-on the autodiff tape into a single window objective before one backward
-pass, so a 2 x 32 window produces the same update as one 64-sample batch
-up to float summation order. A window's tape lives only for its window,
-so training holds the saved activations of one window at a time.
+Accumulation windows are exact and hold one micro-batch's tape at a time:
+each micro-batch runs its forward and a backward of its own summed loss
+term, and its tape is freed before the next one records. The window
+objective depends on the terms only through their sum, so one backward
+through that objective, built on a leaf holding the sum, gives the factor
+that scales every accumulated gradient once before the optimizer step.
+Backward is linear in its seed, so a 2 x 32 window makes the update of one
+64-sample batch up to float32 rounding.
 
 Teacher forcing decodes only the label columns some target scores: a
 batch's decoder input stops just before its last EOS column, whose target
@@ -606,30 +609,77 @@ def _load_moments(ckpt_dir, manifest: dict, optimizer: AdamW) -> None:
 def _train_window(bundle: ModelBundle, data: PreparedData, targets: np.ndarray,
                   rows: np.ndarray, rng, cfg: TrainConfig, opt: AdamW,
                   params: dict[str, Parameter], where: str) -> tuple[float, float]:
-    """One accumulation window over ``rows``: record each micro-batch's
-    tape, combine the loss pieces, run one backward and one optimizer step.
+    """One accumulation window over ``rows``: each micro-batch records its
+    tape and runs ``ad.backward`` on its own summed loss term in
+    ``_micro_backward``, and its tape is freed before the next micro-batch
+    records; then the window objective scales the summed gradients once
+    and one optimizer step follows.
 
-    Returns the window's loss value and its gradient norm before the step.
-    The tape is referenced only from this frame, so it is freed on return,
-    before the next window records its own. ``where`` opens the
-    ``NonFiniteLoss`` message.
+    The objective depends on the micro-batches only through the float64 sum
+    of their terms (see ``loss_pieces``), so it is built by
+    ``combine_pieces`` on one scalar leaf holding that sum, and one backward
+    through that head gives d objective / d sum: f'(ce) / n for the
+    batch-modulated loss, 1 / n for the others. Backward is linear in its
+    seed, so scaling every summed gradient by that value is the update of
+    one backward through the whole window; only float32 rounding differs.
+
+    The last micro-batch's tape is released when the window returns, after
+    the optimizer step. The arrays the step allocates (on the first step,
+    the optimizer's flat buffers) then lie above that tape on the heap, so
+    freeing it leaves its memory mapped for the next window instead of
+    handing it back to the operating system for the next forward to fault
+    in again. Holding it costs no peak memory: its backward needed more.
+
+    A term or window loss that is not finite raises ``NonFiniteLoss``
+    (``where`` opens its message) before its backward, and every gradient
+    the window accumulated is cleared, so no step is taken and nothing of
+    the window remains. Returns the window's loss value and its gradient
+    norm before the step.
     """
-    pieces = []
-    for lo in range(0, len(rows), cfg.micro_batch):
-        idx = rows[lo:lo + cfg.micro_batch]
-        logits = _micro_logits(bundle, data, idx, rng)
-        pieces.append(loss_pieces(logits, targets[idx, :logits.shape[1]], cfg.loss))
-    loss = combine_pieces(pieces, cfg.loss)
-    value = loss.item()
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"{where}: loss={value}, "
-                            f"lr_enc={opt.group('enc')['lr']:g}, "
-                            f"lr_dec={opt.group('dec')['lr']:g}")
-    ad.backward(loss)
+    total, n = 0.0, 0
+    try:
+        for k, lo in enumerate(range(0, len(rows), cfg.micro_batch)):
+            term = None  # the previous tape goes before this micro-batch records
+            term, count = _micro_backward(bundle, data, targets,
+                                          rows[lo:lo + cfg.micro_batch], rng,
+                                          cfg.loss, opt, f"{where} micro-batch {k}")
+            total = total + term.data
+            n += count
+        head = Tensor(total, requires_grad=True)
+        loss = combine_pieces([(head, n)], cfg.loss)
+        value = loss.item()
+        _check_finite(value, opt, where)
+        ad.backward(loss)
+    except BaseException:
+        opt.zero_grad()
+        raise
+    for p in params.values():
+        if p.grad is not None:
+            np.multiply(p.grad, head.grad, out=p.grad)
     norm = grad_norm(params)
     opt.step()
     opt.zero_grad()
     return value, norm
+
+
+def _micro_backward(bundle: ModelBundle, data: PreparedData, targets: np.ndarray,
+                    idx: np.ndarray, rng, loss_cfg: LossConfig, opt: AdamW,
+                    where: str) -> tuple[Tensor, int]:
+    """Forward and backward of micro-batch ``idx``: adds d term / d leaf to
+    every gradient and returns the summed loss term (float64), which holds
+    the micro-batch's tape, and its position count."""
+    logits = _micro_logits(bundle, data, idx, rng)
+    term, n = loss_pieces(logits, targets[idx, :logits.shape[1]], loss_cfg)
+    _check_finite(term.item(), opt, where)
+    ad.backward(term)
+    return term, n
+
+
+def _check_finite(value: float, opt: AdamW, where: str) -> None:
+    if not np.isfinite(value):
+        raise NonFiniteLoss(f"{where}: loss={value}, "
+                            f"lr_enc={opt.group('enc')['lr']:g}, "
+                            f"lr_dec={opt.group('dec')['lr']:g}")
 
 
 @dataclass
@@ -663,10 +713,11 @@ def train(
     taken before the optimizer step, and ``docs_per_s``, training documents
     over the time spent in the windows, evaluation and checkpoints excluded.
 
-    Each accumulation window runs in ``_train_window``, and its tape (every
-    activation its micro-batches saved for backward) is freed when that
-    window returns: before the next window's first forward, and after an
-    epoch's last window before evaluation and the checkpoint writes.
+    Each accumulation window runs in ``_train_window``, and each
+    micro-batch's tape (every activation it saved for backward) is freed
+    before the next micro-batch's forward, a window's last one when the
+    window returns: so after an epoch's last window, before evaluation and
+    the checkpoint writes.
     """
     if train_data.n == 0:
         raise EmptyCorpus("empty training split")

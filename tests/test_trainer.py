@@ -494,20 +494,125 @@ class TestSchedulerAndStopping:
         assert result.stopped == "max_epochs" and result.epochs_run == 2
 
 
+def window_optimizer(bundle, cfg):
+    """The optimizer ``train`` builds, for calling ``_train_window`` directly."""
+    opt = AdamW()
+    opt.add_group("enc", dict(bundle.enc_params), cfg.lr_encoder)
+    opt.add_group("dec", dict(bundle.dec_params), cfg.lr_decoder)
+    return opt
+
+
+LOSSES = {"focal_batch": LossConfig(),
+          "focal_batch-gamma0": LossConfig(gamma=0.0),
+          "focal_per_token": LossConfig(variant="focal_per_token"),
+          "plain_ce": LossConfig(variant="plain_ce")}
+
+
 class TestTrainLoop:
     def test_accumulation_matches_single_large_batch(self):
-        params = {}
-        for micro, acc, key in ((2, 2, "split"), (4, 1, "whole")):
-            bundle = tiny_bundle(seed=5)
-            data = prepare_data(bundle, SAMPLES, seed=0)
-            cfg = quick_cfg(micro_batch=micro, accumulation_steps=acc,
-                            max_epochs=2, seed=9)
-            train(bundle, data, data, cfg)
-            params[key] = {k: p.data.copy()
-                           for k, p in bundle.all_params().items()}
-        worst = max(float(np.abs(params["split"][k] - params["whole"][k]).max())
-                    for k in params["split"])
-        assert worst < 1e-5
+        """For every loss variant, two epochs in windows of 2 micro-batches
+        end where windows of one batch of the same rows end. With
+        micro-batches of 3 the 8 documents make windows of 6 and 2, so the
+        last window is ragged: one micro-batch, smaller than the rest."""
+        for name, loss in LOSSES.items():
+            for micro, whole in ((2, 4), (3, 6)):
+                params = {}
+                for m, acc, key in ((micro, 2, "split"), (whole, 1, "whole")):
+                    bundle = tiny_bundle(seed=5)
+                    data = prepare_data(bundle, SAMPLES, seed=0)
+                    cfg = quick_cfg(micro_batch=m, accumulation_steps=acc,
+                                    max_epochs=2, seed=9, loss=loss)
+                    train(bundle, data, data, cfg)
+                    params[key] = {k: p.data.copy()
+                                   for k, p in bundle.all_params().items()}
+                worst = max(float(np.abs(params["split"][k] - params["whole"][k]).max())
+                            for k in params["split"])
+                assert worst < 1e-5, (name, micro)
+
+    @pytest.mark.parametrize("loss", LOSSES.values(), ids=LOSSES.keys())
+    def test_window_gradients_match_one_batch(self, loss, monkeypatch):
+        """The gradients a window of 2 x 2 documents hands to the optimizer
+        equal those of one backward through the loss of one 4-document
+        batch of the same rows, up to float32 rounding: the scale applied
+        after the per-micro-batch backward passes is d loss / d summed term
+        for every loss variant."""
+        rows = np.array([5, 0, 7, 2])
+        bundle = tiny_bundle(seed=5)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        targets = make_targets(data.seq_ids)
+        logits = tr._micro_logits(bundle, data, rows)
+        backward(compute_loss(logits, targets[rows, :logits.shape[1]], loss))
+        params = bundle.all_params()
+        whole = {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+        ad.zero_grads(params.values())
+
+        split = {}
+        real_norm = tr.grad_norm
+
+        def capture(params):
+            split.update({k: p.grad.copy() for k, p in params.items()
+                          if p.grad is not None})
+            return real_norm(params)
+
+        monkeypatch.setattr(tr, "grad_norm", capture)
+        cfg = quick_cfg(micro_batch=2, accumulation_steps=2, loss=loss)
+        opt = window_optimizer(bundle, cfg)
+        tr._train_window(bundle, data, targets, rows, np.random.default_rng(0), cfg,
+                         opt, params, "window")
+        assert set(split) == set(whole)
+        scale = max(float(np.abs(g).max()) for g in whole.values())
+        worst = max(float(np.abs(split[k] - g).max()) for k, g in whole.items())
+        assert worst < 1e-6 * scale
+
+    def test_non_finite_micro_batch_leaves_no_trace(self, monkeypatch):
+        """A term that is not finite in a window's second micro-batch raises
+        before that micro-batch's backward; the gradients the first
+        micro-batch accumulated are cleared and no step runs, so parameters,
+        AdamW moments, step counts and ``.grad`` are as before the window."""
+        bundle = tiny_bundle(seed=3)
+        data = prepare_data(bundle, SAMPLES, seed=0)
+        targets = make_targets(data.seq_ids)
+        cfg = quick_cfg(micro_batch=2, accumulation_steps=2)
+        opt = window_optimizer(bundle, cfg)
+        params = bundle.all_params()
+        rng = np.random.default_rng(0)
+        # one good window first, so that the moments and step counts are set
+        tr._train_window(bundle, data, targets, np.arange(4), rng, cfg, opt,
+                         params, "epoch 1 step 0")
+        before_params = {k: p.data.copy() for k, p in params.items()}
+        before_moments = {k: {m: a.copy() for m, a in st.items()}
+                          for k, st in opt.state.items()}
+        before_steps = [g["t"] for g in opt.groups]
+        assert before_steps == [1, 1] and len(before_moments) == len(params)
+        assert all(p.grad is None for p in params.values())
+
+        forwards, backwards = [], []
+        real_logits, real_backward = tr._micro_logits, ad.backward
+
+        def poisoned(bundle, data, idx, rng=None):
+            logits = real_logits(bundle, data, idx, rng)
+            forwards.append(idx)
+            return ad.mul_const(logits, np.nan) if len(forwards) == 2 else logits
+
+        def counted(loss):
+            backwards.append(loss)
+            real_backward(loss)
+
+        monkeypatch.setattr(tr, "_micro_logits", poisoned)
+        monkeypatch.setattr(ad, "backward", counted)
+        with pytest.raises(NonFiniteLoss, match="epoch 1 step 1 micro-batch 1: loss=nan"):
+            tr._train_window(bundle, data, targets, np.arange(4, 8), rng, cfg, opt,
+                             params, "epoch 1 step 1")
+        # the first micro-batch did accumulate; the second ran no backward
+        assert len(forwards) == 2 and len(backwards) == 1
+        assert all(p.grad is None for p in params.values())
+        assert [g["t"] for g in opt.groups] == before_steps
+        for k, p in params.items():
+            assert np.array_equal(p.data, before_params[k]), k
+        assert set(opt.state) == set(before_moments)
+        for k, st in opt.state.items():
+            for m in ("m", "v"):
+                assert np.array_equal(st[m], before_moments[k][m]), (k, m)
 
     def test_loss_decreases_on_separable_data(self):
         bundle = tiny_bundle(seed=2)
@@ -573,17 +678,17 @@ class TestTrainLoop:
 
     def test_window_tape_dies_with_its_window(self, monkeypatch):
         """Each training micro-batch's logits are freed, by reference count
-        alone, before the next window's first forward, and the last window's
-        before ``evaluate_epoch`` runs."""
-        # 8 docs in micro-batches of 2: micro-batch i is in window i // 2
+        alone, before the next micro-batch's forward starts, in its own
+        window or the next, and the last one's before ``evaluate_epoch``
+        runs."""
+        # 8 docs in micro-batches of 2, two to a window
         cfg = quick_cfg(max_epochs=2, micro_batch=2, accumulation_steps=2)
         refs = []
         real_logits, real_evaluate = tr._micro_logits, tr.evaluate_epoch
 
         def tracked_logits(bundle, data, idx, rng=None):
             if rng is not None:
-                live = [j for j, r in enumerate(refs)
-                        if r() is not None and j // 2 < len(refs) // 2]
+                live = [j for j, r in enumerate(refs) if r() is not None]
                 assert not live, f"micro-batch {len(refs)} starts with {live} alive"
             logits = real_logits(bundle, data, idx, rng)
             if rng is not None:
@@ -611,8 +716,9 @@ class TestTrainLoop:
     def test_numerics_match_recorded_run(self):
         """Per-epoch validation losses and a digest of the final parameters of
         a seeded run (two layers, dropout, accumulation), recorded since
-        teacher forcing stops before each batch's last EOS column, so that
-        each dropout mask covers only the columns its batch keeps: a change
+        each micro-batch of a window runs its own backward and the window
+        objective then scales the summed gradients once, which moves their
+        float32 rounding and so the last digits of every value: a change
         to the optimizer, the loss, a kernel's numerics or the random stream
         fails here, and the failure shows the observed values. The run gets
         one BLAS thread, so its float sums have one order; the values are
@@ -642,9 +748,9 @@ print(json.dumps([[r["val_loss"] for r in result.history], digest.hexdigest()]))
         val_losses, digest = json.loads(done.stdout)
         # A declared re-record copies these from the failure message.
         observed = f"observed val_losses {val_losses!r}, digest {digest!r}"
-        assert val_losses == [1.5817161322460818, 1.5608514651784473,
-                              1.540813487660723], observed
-        assert digest == "aa703c9e4c1a158cb8ea0963fb5ebd7fa084ef61ca3cd62befeb6854bfadb1d6", observed
+        assert val_losses == [1.5817161314110866, 1.5608514654624293,
+                              1.540813486662456], observed
+        assert digest == "8d906f57a44ee49c90e01ea0ebdad3fb8e3b6ffb13a7105c2e0bda34d50a33a3", observed
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
