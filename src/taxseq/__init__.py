@@ -19,8 +19,8 @@ _EXPORTS = {
               "SymbolicVocab", "build_vocab", "capacity_for", "decode", "encode"),
     "corpus": ("Sample", "SynthConfig", "generate_synthetic", "load_jsonl", "load_splits"),
     "decoder": ("DecoderConfig", "decoder_forward", "init_decoder_params"),
-    "encoder": ("EncodedText", "EncoderConfig", "PrecomputedStates", "TextVocab",
-                "encode_tokens", "tokenize_text"),
+    "encoder": ("EncoderConfig", "PrecomputedStates", "TextVocab", "encode_tokens",
+                "tokenize_text"),
     "errors": ("TaxseqError",),
     "inference": ("Prediction", "beam_decode_ids", "greedy_decode", "predict_texts"),
     "loss": ("LossConfig", "LossVariant", "compute_loss"),

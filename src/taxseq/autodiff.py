@@ -861,7 +861,8 @@ def attend(
 # ---------------------------------------------------------------------------
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, in ``x``'s dtype."""
     m = x.max(axis=-1, keepdims=True)
     z = x - m
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -894,7 +895,7 @@ def smoothed_nll_per_position(
     if n == 0:
         raise AllIgnored("every target position is ignored")
 
-    logp = _log_softmax(flat[keep].astype(np.float64))
+    logp = log_softmax(flat[keep].astype(np.float64))
     rows = np.arange(n)
     safe_tgt = tgt[keep]
     vals = (1.0 - smoothing) * (-logp[rows, safe_tgt]) + smoothing * (-logp.mean(axis=-1))

@@ -196,12 +196,12 @@ def _run_training(cfg, data_dir, out_dir):
     store_dir = cfg.get("data", "precomputed_dir")
     store = PrecomputedStates.open(store_dir) if store_dir else None
     bundle = _build_bundle(cfg, h, splits, store)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_resolved(out / "resolved.ini")
     seed = cfg.get("train", "seed")
     prep_train = prepare_data(bundle, splits["train"], seed=seed, store=store)
     prep_dev = prepare_data(bundle, splits["dev"], seed=seed + 1, store=store)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg.write_resolved(out / "resolved.ini")
     result = train(bundle, prep_train, prep_dev, train_cfg, out_dir=out)
     return bundle, result, h, store
 

@@ -58,6 +58,8 @@ class DecoderConfig:
     max_positions: int = 64
 
     def __post_init__(self):
+        if self.ff_dim < 0:
+            raise ConfigError(f"ff_dim must be >= 0, got {self.ff_dim}")
         if self.ff_dim == 0:
             self.ff_dim = 4 * self.d_model
         if self.d_model < 1:
@@ -73,16 +75,18 @@ class DecoderConfig:
 
 
 def write_label_embeddings(path, d_model: int, vectors: dict[str, np.ndarray]) -> None:
-    """Write label vectors: one JSON header line, then raw float32 LE rows."""
+    """Write label vectors: one JSON header line, then raw float32 LE rows.
+    Every vector is checked before the file is opened."""
     labels = list(vectors)
+    rows = [np.asarray(vectors[name], dtype="<f4") for name in labels]
+    for name, v in zip(labels, rows):
+        if v.shape != (d_model,):
+            raise InitDimensionMismatch(
+                f"vector for {name!r} has shape {v.shape}, expected ({d_model},)")
     header = {"d_model": d_model, "count": len(labels), "labels": labels}
     with Path(path).open("wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for name in labels:
-            v = np.asarray(vectors[name], dtype="<f4")
-            if v.shape != (d_model,):
-                raise InitDimensionMismatch(
-                    f"vector for {name!r} has shape {v.shape}, expected ({d_model},)")
+        for v in rows:
             fh.write(v.tobytes())
 
 

@@ -4,16 +4,16 @@ Two interchangeable sources of the (T, d) context representation: a small
 trainable transformer encoder over a word-level vocabulary, and a reader
 for externally precomputed hidden states (so outputs of any large
 pretrained encoder can be plugged in without this package depending on
-one). Both yield the same ``EncodedText`` interface.
+one). Both give the decoder (B, T, d) states and a (B, T) mask of real
+positions.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,18 +93,6 @@ def tokenize_texts(texts, vocab: TextVocab, max_len: int) -> tuple[np.ndarray, n
     for i, text in enumerate(texts):
         ids[i], mask[i] = tokenize_text(text, vocab, max_len)
     return ids, mask
-
-
-@dataclass
-class EncodedText:
-    """Encoder output for one sample: hidden (T, d) plus the token mask."""
-
-    hidden: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        if self.mask.sum() < 1:
-            raise ShapeMismatch("encoded text must contain at least one real token")
 
 
 @dataclass
@@ -261,76 +249,71 @@ def encode_tokens(
 
 
 class PrecomputedStates:
-    """Directory of per-sample encoder outputs.
+    """Encoder states for a set of samples, one row a sample.
 
-    Layout: ``manifest.json`` with {"d_model", "max_len"}; one ``<id>.bin``
-    per sample holding max_len*d_model float32 little-endian hidden values
-    followed by max_len float32 mask values.
+    A store is a directory of three files: ``manifest.json``, the sample
+    ids as a JSON list in row order; ``hidden.npy``, the (n, T, d) float32
+    states; and ``mask.npy``, the (n, T) 0/1 marks of real positions, at
+    least one a row. Any encoder's output can be written with ``np.save``;
+    ``open`` memory-maps the states.
     """
 
-    MANIFEST = "manifest.json"
+    MANIFEST, HIDDEN, MASK = "manifest.json", "hidden.npy", "mask.npy"
 
-    def __init__(self, root: Path, d_model: int, max_len: int):
+    def __init__(self, root, ids: list[str], hidden: np.ndarray, mask: np.ndarray):
         self.root = Path(root)
-        self.d_model = d_model
-        self.max_len = max_len
+        where = f"states store {self.root}"
+        if hidden.ndim != 3 or hidden.dtype != np.float32:
+            raise ShapeMismatch(f"{where}: hidden must be (n, T, d) float32, "
+                                f"got {hidden.dtype} of shape {hidden.shape}")
+        if mask.shape != hidden.shape[:2]:
+            raise ShapeMismatch(f"{where}: mask shape {mask.shape} != {hidden.shape[:2]}")
+        if not ((mask == 0) | (mask == 1)).all():
+            raise ShapeMismatch(f"{where}: mask holds values other than 0 and 1")
+        if not mask.any(axis=1).all():
+            raise ShapeMismatch(
+                f"{where}: row {int(np.argmin(mask.any(axis=1)))} has no real position")
+        self._row = {sid: i for i, sid in enumerate(ids)}
+        if len(ids) != len(hidden) or len(self._row) != len(ids):
+            raise ShapeMismatch(f"{where}: {len(ids)} sample ids ({len(self._row)} distinct) "
+                                f"for {len(hidden)} rows")
+        self.ids, self.hidden, self.mask = ids, hidden, mask.astype(np.int8)
+        self.max_len, self.d_model = hidden.shape[1:]
 
     @classmethod
-    def create(cls, root, d_model: int, max_len: int) -> "PrecomputedStates":
-        root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
-        (root / cls.MANIFEST).write_text(
-            json.dumps({"d_model": d_model, "max_len": max_len}), encoding="utf-8")
-        return cls(root, d_model, max_len)
+    def save(cls, root, ids, hidden: np.ndarray, mask: np.ndarray) -> "PrecomputedStates":
+        """Check and write a store; nothing is written if a check fails."""
+        store = cls(root, list(ids), np.asarray(hidden), np.asarray(mask))
+        store.root.mkdir(parents=True, exist_ok=True)
+        np.save(store.root / cls.HIDDEN, store.hidden)
+        np.save(store.root / cls.MASK, store.mask)
+        (store.root / cls.MANIFEST).write_text(json.dumps(store.ids), encoding="utf-8")
+        return store
 
     @classmethod
     def open(cls, root) -> "PrecomputedStates":
         root = Path(root)
         mf = root / cls.MANIFEST
-        if not mf.exists():
-            raise MissingPrecomputed(f"no manifest at {mf}")
         try:
-            meta = json.loads(mf.read_text(encoding="utf-8"))
-            d_model, max_len = meta["d_model"], meta["max_len"]
+            ids = json.loads(mf.read_text(encoding="utf-8"))
+        except OSError as e:
+            raise MissingPrecomputed(f"{mf}: {e.strerror or e}") from None
         except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
             raise MissingPrecomputed(f"{mf}: not a JSON manifest ({e})") from None
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise MissingPrecomputed(f"{mf}: not a JSON list of sample ids")
+        arrays = []
+        for name, mmap_mode in ((cls.HIDDEN, "r"), (cls.MASK, None)):
+            try:
+                arrays.append(np.load(root / name, mmap_mode=mmap_mode))
+            except (OSError, ValueError) as e:
+                raise MissingPrecomputed(f"{root / name}: not a readable .npy array ({e})") from None
+        return cls(root, ids, *arrays)
+
+    def rows(self, ids) -> np.ndarray:
+        """The row of each sample id; an id the store lacks raises ``MissingPrecomputed``."""
+        try:
+            return np.array([self._row[i] for i in ids], dtype=np.intp)
         except KeyError as e:
-            raise MissingPrecomputed(f"{mf}: missing key {e}") from None
-        except TypeError:
-            raise MissingPrecomputed(f"{mf}: manifest is not a JSON object") from None
-        for key, value in (("d_model", d_model), ("max_len", max_len)):
-            if type(value) is not int or value < 1:
-                raise MissingPrecomputed(
-                    f"{mf}: {key} must be a positive integer, got {value!r}")
-        return cls(root, d_model, max_len)
-
-    def _path(self, sample_id: str) -> Path:
-        if sample_id in ("", ".", "..") or any(
-                sep and sep in sample_id for sep in ("/", os.sep, os.altsep)):
             raise MissingPrecomputed(
-                f"sample id {sample_id!r} cannot name a file inside {self.root}")
-        return self.root / f"{sample_id}.bin"
-
-    def write(self, sample_id: str, hidden: np.ndarray, mask: np.ndarray) -> None:
-        hidden = np.asarray(hidden, dtype="<f4")
-        mask = np.asarray(mask, dtype="<f4")
-        if hidden.shape != (self.max_len, self.d_model):
-            raise ShapeMismatch(
-                f"hidden shape {hidden.shape} != ({self.max_len}, {self.d_model})")
-        if mask.shape != (self.max_len,):
-            raise ShapeMismatch(f"mask shape {mask.shape} != ({self.max_len},)")
-        with self._path(sample_id).open("wb") as fh:
-            fh.write(hidden.tobytes())
-            fh.write(mask.tobytes())
-
-    def read(self, sample_id: str) -> EncodedText:
-        path = self._path(sample_id)
-        if not path.exists():
-            raise MissingPrecomputed(f"no precomputed states for sample {sample_id!r}")
-        raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-        expect = self.max_len * self.d_model + self.max_len
-        if raw.size != expect:
-            raise ShapeMismatch(f"{path}: expected {expect} floats, found {raw.size}")
-        hidden = raw[: self.max_len * self.d_model].reshape(self.max_len, self.d_model)
-        mask = raw[self.max_len * self.d_model:].astype(np.int8)
-        return EncodedText(hidden=hidden.copy(), mask=mask)
+                f"no precomputed states for sample {e.args[0]!r} in {self.root}") from None

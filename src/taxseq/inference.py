@@ -140,9 +140,8 @@ def beam_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask,
     with ad.no_grad():
         while beams and len(beams[0][0]) < cap:
             tokens = np.asarray([ids[-1] for ids, _ in beams], dtype=np.int32)
-            logits = _step(bundle, tokens, enc_hidden, enc_mask, cache).astype(np.float64)
-            top = logits.max(axis=1, keepdims=True)
-            logp = logits - (np.log(np.sum(np.exp(logits - top), axis=1, keepdims=True)) + top)
+            logp = ad.log_softmax(
+                _step(bundle, tokens, enc_hidden, enc_mask, cache).astype(np.float64))
             best = np.argsort(-logp, axis=1, kind="stable")[:, :beam_width]
             best_logp = np.take_along_axis(logp, best, axis=1).tolist()
             candidates = [(ids + [tok], score + lp, parent)

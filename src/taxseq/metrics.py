@@ -46,14 +46,13 @@ def _check_lengths(preds, golds) -> None:
         raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} gold sets")
 
 
-def micro_macro_f1(preds, golds, all_labels=None,
-                   macro_all_labels: bool = False) -> tuple[float, float]:
+def micro_macro_f1(preds, golds, all_labels=None) -> tuple[float, float]:
     """F1 over label sets -> (micro, macro).
 
-    ``all_labels`` supplies the label universe for ``macro_all_labels``;
+    ``all_labels``, when given, is the label universe of the macro mean;
     otherwise the universe is whatever occurs in ``preds`` or ``golds``.
     """
-    scores = per_label_scores(preds, golds, all_labels if macro_all_labels else None)
+    scores = per_label_scores(preds, golds, all_labels)
     return _micro_f1(preds, golds), _macro_f1(scores)
 
 

@@ -79,6 +79,11 @@ class TrainConfig:
             raise ConfigError("micro_batch must be >= 1")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not 0.0 < self.plateau_factor <= 1.0:
+            raise ConfigError(f"plateau_factor must be in (0, 1], got {self.plateau_factor}")
+        for key in ("improve_eps", "encoder_freeze_threshold"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 def _decays(name: str, p: Parameter) -> bool:
@@ -292,7 +297,8 @@ def prepare_data(
     seed: int = 0,
     store: PrecomputedStates | None = None,
 ) -> PreparedData:
-    """Tokenize texts and encode label sets for one split.
+    """Tokenize texts, or gather their rows of a states store, and encode
+    label sets for one split.
 
     The shuffled ordering draws its per-sample permutations from a
     generator seeded here, so preparation is reproducible.
@@ -319,14 +325,9 @@ def prepare_data(
         if store.d_model != bundle.dec_cfg.d_model:
             raise ConfigError(
                 f"store d_model {store.d_model} != model {bundle.dec_cfg.d_model}")
-        hidden = np.zeros((n, store.max_len, store.d_model), dtype=np.float32)
-        mask = np.zeros((n, store.max_len), dtype=np.int8)
-        for i, s in enumerate(samples):
-            enc = store.read(s.id)
-            hidden[i] = enc.hidden
-            mask[i] = enc.mask
+        rows = store.rows(ids)
         return PreparedData(ids, seq_ids, seq_mask, gold,
-                            enc_hidden=hidden, enc_mask=mask)
+                            enc_hidden=store.hidden[rows], enc_mask=store.mask[rows])
     if store is not None:
         raise ConfigError("a states store was given for a model whose encoder "
                           "is trainable; only a model without a text vocabulary reads one")

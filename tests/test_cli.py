@@ -100,13 +100,10 @@ def write_store(data_dir, root, d_model, max_len):
     from taxseq.corpus import load_splits
     from taxseq.encoder import PrecomputedStates
 
-    rng = np.random.default_rng(0)
-    store = PrecomputedStates.create(root, d_model=d_model, max_len=max_len)
-    mask = (np.arange(max_len) < 3).astype(np.float32)
-    for samples in load_splits(data_dir)[1].values():
-        for s in samples:
-            store.write(s.id, rng.standard_normal((max_len, d_model)).astype(np.float32),
-                        mask)
+    ids = [s.id for samples in load_splits(data_dir)[1].values() for s in samples]
+    hidden = np.random.default_rng(0).standard_normal((len(ids), max_len, d_model))
+    mask = np.broadcast_to(np.arange(max_len) < 3, (len(ids), max_len))
+    PrecomputedStates.save(root, ids, hidden.astype(np.float32), mask)
     return root
 
 
@@ -312,6 +309,27 @@ class TestTrainCommand:
         assert "micro_f1" in capsys.readouterr().out
         assert main(evaluate) == 2
         assert "needs --precomputed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault, named", [("old-layout", "manifest.json"),
+                                              ("missing-sample", "no precomputed states")])
+    def test_unusable_store_exits_2(self, workdir, tmp_path, capsys, fault, named):
+        """An old-layout store (one ``<id>.bin`` a sample, an object for a
+        manifest) and a store that lacks a sample both stop the run before
+        it writes anything."""
+        store = write_store(workdir["data"], tmp_path / "states", d_model=8, max_len=4)
+        manifest = store / "manifest.json"
+        if fault == "old-layout":
+            manifest.write_text('{"d_model": 8, "max_len": 4}')
+        else:
+            manifest.write_text(json.dumps(["extra"] + json.loads(manifest.read_text())[1:]))
+        code = main(["train", "--config", str(workdir["ini"]),
+                     "--data", str(workdir["data"]), "--out", str(tmp_path / "run"),
+                     "--set", f"data.precomputed_dir={store}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_empty_test_split_is_not_read(self, workdir, no_test_data, tmp_path, capsys):
         run = tmp_path / "run"
@@ -690,9 +708,15 @@ print(code, seen)
         ("encoder.d_model=0", "[encoder] d_model must be >= 1, got 0"),
         ("encoder.dropout=1.5", "[encoder] dropout must be in [0, 1), got 1.5"),
         ("decoder.dropout=-0.1", "[decoder] dropout must be in [0, 1), got -0.1"),
+        ("decoder.ff_dim=-5", "[decoder] ff_dim must be >= 0, got -5"),
+        ("train.plateau_factor=-1", "[train] plateau_factor must be in (0, 1], got -1.0"),
+        ("train.improve_eps=-1e-6", "[train] improve_eps must be >= 0, got -1e-06"),
+        ("train.encoder_freeze_threshold=-1",
+         "[train] encoder_freeze_threshold must be >= 0, got -1.0"),
     ], ids=["decoder-layers", "encoder-mode", "encoder-heads", "codec-capacity",
             "decoder-heads", "train-max-epochs", "encoder-d-model", "encoder-dropout",
-            "decoder-dropout"])
+            "decoder-dropout", "decoder-ff-dim", "train-plateau-factor",
+            "train-improve-eps", "train-encoder-freeze-threshold"])
     def test_bad_setting_exits_2_naming_it(self, workdir, tmp_path, capsys,
                                            override, named):
         code = main(["train", "--data", str(workdir["data"]),

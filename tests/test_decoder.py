@@ -263,6 +263,15 @@ class TestLabelInit:
         with pytest.raises(InitDimensionMismatch):
             write_label_embeddings(tmp_path / "v.bin", 4,
                                    {"A": np.zeros(5, dtype=np.float32)})
+        assert not (tmp_path / "v.bin").exists()
+        path = tmp_path / "v.bin"
+        write_label_embeddings(path, 4, {"A": np.ones(4, dtype=np.float32)})
+        before = path.read_bytes()
+        # a rejected write leaves a good file as it was
+        with pytest.raises(InitDimensionMismatch, match="'B'"):
+            write_label_embeddings(path, 4, {"A": np.zeros(4, dtype=np.float32),
+                                             "B": np.zeros(3, dtype=np.float32)})
+        assert path.read_bytes() == before
 
     def test_truncated_file_on_read(self, tmp_path):
         path = tmp_path / "v.bin"

@@ -1,12 +1,14 @@
 """Text front end: tokenizer, word vocabulary, encoder, state store."""
 
+import json
+
 import numpy as np
 import pytest
 
 from taxseq import autodiff as ad
 from taxseq.encoder import (TEXT_PAD, TEXT_PAD_ID, TEXT_UNK, TEXT_UNK_ID,
-                            EncodedText, EncoderConfig, PrecomputedStates,
-                            TextVocab, encode_tokens,
+                            EncoderConfig, PrecomputedStates, TextVocab,
+                            encode_tokens,
                             init_encoder_params, tokenize_text, trunc_normal,
                             words_of)
 from taxseq.errors import ConfigError, MissingPrecomputed, ShapeMismatch
@@ -198,58 +200,95 @@ class TestEncodeTokens:
         for name, p in params.items():
             assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 
-    def test_encoded_text_needs_a_real_token(self):
-        with pytest.raises(ShapeMismatch):
-            EncodedText(hidden=np.zeros((3, 4)), mask=np.zeros(3, dtype=np.int8))
+
+def write_raw(root, ids, hidden, mask):
+    """A store written past ``save``'s checks, as any framework could write it."""
+    root.mkdir(parents=True, exist_ok=True)
+    np.save(root / "hidden.npy", hidden)
+    np.save(root / "mask.npy", mask)
+    (root / "manifest.json").write_text(json.dumps(ids), encoding="utf-8")
+
+
+def rejected_at_save_and_open(tmp_path, ids, hidden, mask, match):
+    """``save`` refuses the arrays and writes nothing; ``open`` refuses them
+    written past it."""
+    with pytest.raises(ShapeMismatch, match=match):
+        PrecomputedStates.save(tmp_path / "saved", ids, hidden, mask)
+    assert not (tmp_path / "saved").exists()
+    write_raw(tmp_path / "raw", ids, hidden, mask)
+    with pytest.raises(ShapeMismatch, match=match):
+        PrecomputedStates.open(tmp_path / "raw")
 
 
 class TestPrecomputedStates:
     def test_round_trip(self, tmp_path, rng):
-        store = PrecomputedStates.create(tmp_path / "enc", d_model=8, max_len=6)
-        hidden = rng.standard_normal((6, 8)).astype(np.float32)
-        mask = np.array([1, 1, 1, 0, 0, 0], dtype=np.float32)
-        store.write("doc-1", hidden, mask)
+        hidden = rng.standard_normal((2, 6, 8)).astype(np.float32)
+        mask = np.array([[1, 1, 1, 0, 0, 0], [1, 0, 1, 0, 0, 1]], dtype=np.float32)
+        PrecomputedStates.save(tmp_path / "enc", ["doc-1", "doc-2"], hidden, mask)
         again = PrecomputedStates.open(tmp_path / "enc")
         assert (again.d_model, again.max_len) == (8, 6)
-        enc = again.read("doc-1")
-        assert np.array_equal(enc.hidden, hidden)
-        assert enc.mask.tolist() == [1, 1, 1, 0, 0, 0]
+        assert isinstance(again.hidden, np.memmap)
+        rows = again.rows(["doc-2", "doc-1"])
+        assert rows.tolist() == [1, 0]
+        assert np.array_equal(again.hidden[rows], hidden[::-1])
+        assert again.mask.dtype == np.int8
+        assert again.mask[rows].tolist() == [[1, 0, 1, 0, 0, 1], [1, 1, 1, 0, 0, 0]]
 
     def test_missing_manifest_and_sample(self, tmp_path):
-        with pytest.raises(MissingPrecomputed):
+        with pytest.raises(MissingPrecomputed, match="manifest.json"):
             PrecomputedStates.open(tmp_path / "nope")
-        store = PrecomputedStates.create(tmp_path / "enc", d_model=4, max_len=2)
-        with pytest.raises(MissingPrecomputed):
-            store.read("ghost")
+        store = PrecomputedStates.save(tmp_path / "enc", ["a"], np.zeros((1, 2, 4), np.float32),
+                                       np.ones((1, 2)))
+        with pytest.raises(MissingPrecomputed, match="'ghost'"):
+            store.rows(["a", "ghost"])
 
-    def test_shape_validation(self, tmp_path, rng):
-        store = PrecomputedStates.create(tmp_path / "enc", d_model=4, max_len=2)
-        with pytest.raises(ShapeMismatch):
-            store.write("x", rng.standard_normal((3, 4)), np.ones(2))
-        with pytest.raises(ShapeMismatch):
-            store.write("x", rng.standard_normal((2, 4)), np.ones(3))
-        (tmp_path / "enc" / "bad.bin").write_bytes(b"\x00" * 12)
-        with pytest.raises(ShapeMismatch):
-            store.read("bad")
+    def test_shape_validation(self, tmp_path):
+        hidden, mask = np.zeros((2, 3, 4), np.float32), np.ones((2, 3), np.int8)
+        for i, (ids, h, m, match) in enumerate([
+            (["a", "b"], hidden[0], mask[0], "float32 of shape \\(3, 4\\)"),
+            (["a", "b"], hidden, mask[:, :2], "mask shape"),
+            (["a", "b"], hidden.astype(np.float64), mask, "got float64"),
+            (["a"], hidden, mask, "1 sample ids \\(1 distinct\\) for 2 rows"),
+            (["a", "a"], hidden, mask, "2 sample ids \\(1 distinct\\) for 2 rows"),
+            (["a", "b"], hidden, mask * 2, "other than 0 and 1"),
+        ]):
+            rejected_at_save_and_open(tmp_path / str(i), ids, h, m, match)
+
+    def test_row_needs_a_real_token(self, tmp_path):
+        mask = np.array([[1, 0, 0], [0, 0, 0]], dtype=np.int8)
+        rejected_at_save_and_open(tmp_path, ["a", "b"], np.zeros((2, 3, 4), np.float32),
+                                  mask, "row 1 has no real position")
 
     @pytest.mark.parametrize("text, match", [
         ('{"d_model": 4, "max_len"', "not a JSON manifest"),
-        ('{"d_model": 4}', "missing key 'max_len'"),
-        ('{"d_model": 4, "max_len": 2.5}', "max_len must be a positive integer"),
-    ], ids=["not-json", "missing-key", "non-integer"])
+        ('{"d_model": 4}', "not a JSON list of sample ids"),
+        ('{"d_model": 4, "max_len": 2.5}', "not a JSON list of sample ids"),
+        ('{"d_model": 4, "max_len": 2}', "not a JSON list of sample ids"),
+        (b"\xff[]", "not a JSON manifest"),
+        ('["a", ["b"]]', "not a JSON list of sample ids"),
+    ], ids=["not-json", "missing-key", "non-integer", "old-layout", "not-utf8",
+            "non-string-id"])
     def test_corrupt_manifest(self, tmp_path, text, match):
-        PrecomputedStates.create(tmp_path / "enc", d_model=4, max_len=2)
-        (tmp_path / "enc" / "manifest.json").write_text(text, encoding="utf-8")
+        """Old-layout manifests (objects, whole or damaged) are rejected too."""
+        PrecomputedStates.save(tmp_path / "enc", ["a"], np.zeros((1, 2, 4), np.float32),
+                               np.ones((1, 2)))
+        mf = tmp_path / "enc" / "manifest.json"
+        mf.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with pytest.raises(MissingPrecomputed, match=match) as info:
             PrecomputedStates.open(tmp_path / "enc")
         assert "manifest.json" in str(info.value)
 
-    @pytest.mark.parametrize("bad_id", ["../x", "", ".", "..", "sub/x", "/abs"])
-    def test_ids_stay_under_the_root(self, tmp_path, bad_id):
-        store = PrecomputedStates.create(tmp_path / "enc", d_model=4, max_len=2)
-        before = sorted(tmp_path.rglob("*"))
-        with pytest.raises(MissingPrecomputed):
-            store.write(bad_id, np.zeros((2, 4)), np.ones(2))
-        with pytest.raises(MissingPrecomputed):
-            store.read(bad_id)
-        assert sorted(tmp_path.rglob("*")) == before
+    @pytest.mark.parametrize("name", ["hidden.npy", "mask.npy"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "not-npy"])
+    def test_missing_or_corrupt_array(self, tmp_path, name, damage):
+        PrecomputedStates.save(tmp_path / "enc", ["a", "b"], np.zeros((2, 8, 4), np.float32),
+                               np.ones((2, 8)))
+        path = tmp_path / "enc" / name
+        if damage == "missing":
+            path.unlink()
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            path.write_bytes(b"0.5 0.5 0.5")
+        with pytest.raises(MissingPrecomputed, match=name):
+            PrecomputedStates.open(tmp_path / "enc")

@@ -72,8 +72,7 @@ class TestAgainstRecount:
     def test_macro_universe_widening(self, tiny_tree):
         preds, golds = [{"A"}], [{"A"}]
         _, macro_seen = micro_macro_f1(preds, golds)
-        _, macro_all = micro_macro_f1(preds, golds, all_labels=tiny_tree.labels,
-                                      macro_all_labels=True)
+        _, macro_all = micro_macro_f1(preds, golds, all_labels=tiny_tree.labels)
         assert macro_seen == 1.0
         assert macro_all == pytest.approx(1 / 4)  # three absent labels score 0
 

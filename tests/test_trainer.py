@@ -281,12 +281,14 @@ class TestDataPreparation:
 
     def test_precomputed_mode_reads_store(self, tmp_path, rng):
         bundle = tiny_bundle(precomputed=True)
-        store = PrecomputedStates.create(tmp_path / "st", d_model=16, max_len=6)
-        for s in SAMPLES:
-            store.write(s.id, rng.standard_normal((6, 16)).astype(np.float32),
-                        np.array([1, 1, 1, 1, 0, 0], dtype=np.float32))
+        # the store holds the samples in reverse order, and one sample more
+        ids = [s.id for s in SAMPLES][::-1] + ["extra"]
+        hidden = rng.standard_normal((9, 6, 16)).astype(np.float32)
+        store = PrecomputedStates.save(tmp_path / "st", ids, hidden,
+                                       np.tile([1, 1, 1, 1, 0, 0], (9, 1)))
         data = prepare_data(bundle, SAMPLES, seed=0, store=store)
         assert data.enc_hidden.shape == (8, 6, 16)
+        assert np.array_equal(data.enc_hidden, hidden[7::-1])
         assert data.text_ids is None
         hidden, mask = bundle.encoder_states(data, np.array([2, 5]))
         # the batch is cut after its last real column
@@ -296,11 +298,11 @@ class TestDataPreparation:
 
     def test_store_mask_hole_keeps_last_real_column(self, tmp_path, rng):
         bundle = tiny_bundle(precomputed=True)
-        store = PrecomputedStates.create(tmp_path / "st", d_model=16, max_len=6)
         masks = {"s0": [1, 0, 0, 1, 0, 0], "s1": [1, 1, 0, 0, 0, 0]}
-        for s in SAMPLES:
-            store.write(s.id, rng.standard_normal((6, 16)).astype(np.float32),
-                        np.array(masks.get(s.id, [1] * 6), dtype=np.float32))
+        store = PrecomputedStates.save(
+            tmp_path / "st", [s.id for s in SAMPLES],
+            rng.standard_normal((len(SAMPLES), 6, 16)).astype(np.float32),
+            np.array([masks.get(s.id, [1] * 6) for s in SAMPLES], dtype=np.float32))
         data = prepare_data(bundle, SAMPLES, seed=0, store=store)
         hidden, mask = bundle.encoder_states(data, np.array([0, 1]))
         assert mask.tolist() == [[1, 0, 0, 1], [1, 1, 0, 0]]
@@ -328,7 +330,9 @@ class TestDataPreparation:
         bundle = tiny_bundle(precomputed=True)
         with pytest.raises(ConfigError, match="store"):
             prepare_data(bundle, SAMPLES, seed=0)
-        store = PrecomputedStates.create(tmp_path / "st", d_model=8, max_len=6)
+        store = PrecomputedStates.save(tmp_path / "st", [s.id for s in SAMPLES],
+                                       np.zeros((len(SAMPLES), 6, 8), np.float32),
+                                       np.ones((len(SAMPLES), 6)))
         with pytest.raises(ConfigError, match="d_model"):
             prepare_data(bundle, SAMPLES, seed=0, store=store)
         with pytest.raises(ConfigError, match="trainable"):
