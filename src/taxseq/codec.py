@@ -191,6 +191,27 @@ def _sequence(labels: Iterable[str], h: LabelHierarchy, vocab: SymbolicVocab,
     return seq + [EOS_ID]
 
 
+def continuation(prefix: Sequence[int] | np.ndarray, h: LabelHierarchy,
+                 vocab: SymbolicVocab, strategy: Ordering) -> list[int]:
+    """The tokens that complete ``prefix`` into the sequence of the ancestor
+    closure of its labels: the rest of the sequence the hierarchy predicts.
+
+    ``[]`` when the prefix does not start that sequence (no BOS, a repeated
+    label, a label the closure places elsewhere, a token that is neither a
+    label nor SEP), and for the layouts without separators: shuffled,
+    whose order needs an rng, and child-to-parent without SEP, where no
+    token says that the leaf group is complete. Greedy decoding checks
+    this draft against the model (see ``inference``).
+    """
+    layout = LAYOUTS[strategy]
+    if not layout.sep:
+        return []
+    prefix = np.asarray(prefix).ravel().tolist()
+    labels = h.closure(vocab.name_of(t) for t in prefix if vocab.is_label_id(t))
+    seq = _sequence(labels, h, vocab, strategy)
+    return seq[len(prefix):] if seq[:len(prefix)] == prefix else []
+
+
 def capacity_for(
     label_sets: Sequence[Iterable[str]],
     h: LabelHierarchy,

@@ -14,11 +14,15 @@ vocabulary.
 keys and values of the positions already consumed and the cross-attention
 keys and values of the encoder states. Training is the first call on a
 fresh cache with the whole label sequence (teacher forcing); inference
-makes later calls on the same cache, one step at a time. A later call does
-only per-step work: the layers' parameters were resolved on the first call,
-a single-query step's self-attention mask is the consumed key mask (none
-at all while no consumed key is masked), and a one-row encoder side (beam
-search) is shared by every row of the cache.
+makes later calls on the same cache, mostly one step at a time. A later
+call does only per-step work: the layers' parameters were resolved on the
+first call, a single-query step's self-attention mask is the consumed key
+mask (none at all while no consumed key is masked), and a one-row encoder
+side (beam search) is shared by every row of the cache. A later call of
+several positions (greedy decoding checking a drafted run of tokens) gives
+the logits of that many one-position steps to the bit: it computes each
+position as its own row, and ``DecodeCache.truncate`` drops the positions
+of a rejected draft.
 
 Each sublayer records one tape node: ``ad.kv_heads`` (one node each for the
 keys and the values), ``ad.attend``, ``ad.add_norm`` for each residual sum
@@ -188,6 +192,12 @@ def self_attention_mask(label_mask: np.ndarray, queries: int | None = None) -> n
     return np.where(allowed, _ALLOWED, _BLOCKED).reshape(b, 1, q, n)
 
 
+def _step_mask(key_mask: np.ndarray) -> np.ndarray | None:
+    """A one-query step's self-attention mask over (B, t) keys: None while
+    no key is masked, since adding zeros changes nothing."""
+    return None if key_mask.all() else self_attention_mask(key_mask, queries=1)
+
+
 class _Layer(NamedTuple):
     """One decoder layer's parameters, resolved from their names once."""
 
@@ -256,6 +266,16 @@ class DecodeCache:
                                    Tensor(np.concatenate([pv.data, v.data], axis=2)))
         return self.self_kv[layer]
 
+    def truncate(self, length: int) -> None:
+        """Keep the first ``length`` consumed positions of every row, as if
+        the later ones had never been fed: greedy decoding drops the
+        positions of a rejected draft this way."""
+        if not 0 <= length <= self.length:
+            raise ShapeMismatch(f"cannot truncate {self.length} positions to {length}")
+        self.key_mask = self.key_mask[:, :length]
+        self.self_kv = [(Tensor(k.data[:, :, :length]), Tensor(v.data[:, :, :length]))
+                        for k, v in self.self_kv]
+
     def select(self, rows) -> None:
         """Keep batch rows ``rows``, in that order; a row may repeat.
 
@@ -316,7 +336,11 @@ def decoder_forward(
     Without ``cache`` the call runs on a fresh one: the teacher-forced pass,
     gradients included. Later calls on a kept cache (incremental decoding)
     run under ``no_grad``, as the keys and values they append are plain
-    arrays.
+    arrays. A later call of n > 1 positions (a draft to verify) gives, to
+    the bit, the logits of n one-position calls: it runs in the rows view,
+    (B, n, 1, d), so every product is the one-row product a step makes, its
+    query i reads exactly the first ``cache.length + i + 1`` keys
+    (``ad.attend_prefixes``), and cross-attention runs per row.
     """
     label_ids = np.atleast_2d(np.asarray(label_ids))
     label_mask = np.atleast_2d(np.asarray(label_mask))
@@ -325,33 +349,50 @@ def decoder_forward(
             f"label ids {label_ids.shape} vs mask {label_mask.shape}")
     if cache is None:
         cache = DecodeCache()
-    n = label_ids.shape[1]
+    b, n = label_ids.shape
     offset = cache.length
     if offset + n > cfg.max_positions:
         raise ShapeMismatch(
             f"prefix length {offset + n} exceeds max_positions {cfg.max_positions}")
 
+    rows = n > 1 and bool(cache.layers)  # a later call checking several positions
     if not cache.layers:  # first call: resolve the layers, project the encoder side
         enc_hidden, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
         cache.layers = [_layer_params(params, i) for i in range(cfg.layers)]
         cache.cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, layer.cross)
                           for layer in cache.layers]
     key_mask = cache.consume(label_mask)
-    self_mask = (None if n == 1 and key_mask.all()
-                 else self_attention_mask(key_mask, queries=n))
+    cross_kv, cross_mask = cache.cross_kv, cache.cross_mask
 
     le = ad.add(ad.embed(params["word_embed"], label_ids),
                 ad.embed(params["pos_embed"], np.arange(offset, offset + n)))
     le = ad.dropout(le, cfg.dropout, rng)
+    if rows:
+        le = ad.reshape(le, (b, n, 1, cfg.d_model))
+        self_mask = [_step_mask(key_mask[:, :offset + i + 1]) for i in range(n)]
+        # views, not copies: the step's products read these strides
+        cross_kv = [(ad.reshape(k, (len(k.data), 1) + k.shape[1:]),
+                     ad.reshape(v, (len(v.data), 1) + v.shape[1:])) for k, v in cross_kv]
+        if cross_mask is not None:
+            cross_mask = cross_mask[:, None]
+    elif n == 1:
+        self_mask = _step_mask(key_mask)
+    else:
+        self_mask = self_attention_mask(key_mask, queries=n)
     for i, layer in enumerate(cache.layers):
-        k, v = cache.extend_self(i, *ad.kv_heads(le, le, cfg.heads, layer.self_attn))
-        q = ad.add_norm(ad.attend(le, k, v, self_mask, cfg.heads, layer.self_attn), le,
+        k, v = ad.kv_heads(le, le, cfg.heads, layer.self_attn)
+        if rows:  # (B, n, heads, 1, d_h) -> the cache's (B, heads, n, d_h)
+            k, v = (Tensor(x.data[:, :, :, 0].swapaxes(1, 2)) for x in (k, v))
+        k, v = cache.extend_self(i, k, v)
+        attend = ad.attend_prefixes if rows else ad.attend
+        q = ad.add_norm(attend(le, k, v, self_mask, cfg.heads, layer.self_attn), le,
                         *layer.norm_q)
         q = ad.dropout(q, cfg.dropout, rng)
-        k, v = cache.cross_kv[i]
-        cross = ad.attend(q, k, v, cache.cross_mask, cfg.heads, layer.cross,
+        k, v = cross_kv[i]
+        cross = ad.attend(q, k, v, cross_mask, cfg.heads, layer.cross,
                           capture=capture_cross)
         x = ad.add_norm(q, ad.dropout(cross, cfg.dropout, rng), *layer.norm_c)
         ff = ad.feed_forward(x, *layer.ff)
         le = ad.add_norm(x, ad.dropout(ff, cfg.dropout, rng), *layer.norm_f)
-    return ad.linear(le, params["out.w"], params["out.b"])
+    logits = ad.linear(le, params["out.w"], params["out.b"])
+    return ad.reshape(logits, (b, n, -1)) if rows else logits

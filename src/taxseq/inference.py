@@ -1,16 +1,19 @@
 """Greedy and beam generation of label sequences.
 
 Decoding is incremental. Both searches advance through one step function,
-which feeds each row's newest token to ``ModelBundle.decoder_logits`` with
+which feeds each row's newest tokens to ``ModelBundle.decoder_logits`` with
 a ``DecodeCache``: the cache holds the self-attention keys and values of
 every position consumed so far, plus cross-attention keys and values
 projected from the encoder states once, so a step computes one position
 per row and its logits match a teacher-forced pass truncated to that
 position, to float32 rounding. Batched greedy decoding stops per sample:
-a row that emits EOS leaves the batch, its cache rows with it. Beam search
-stacks its live beams into one batch and moves the cache rows to follow
-their parents after each selection; its one-row encoder side is not
-copied per beam, as attention broadcasts it.
+a row that emits EOS leaves the batch, its cache rows with it. When one
+row is left and it has just emitted SEP, the hierarchy drafts the rest of
+its sequence and one call checks the whole draft, with the logits of
+one-position steps to the bit, so the ids stay those of one step per
+token. Beam search stacks its live beams into one batch and moves the
+cache rows to follow their parents after each selection; its one-row
+encoder side is not copied per beam, as attention broadcasts it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .codec import BOS_ID, EOS_ID, PAD_ID, decode
+from .codec import BOS_ID, EOS_ID, PAD_ID, SEP_ID, continuation, decode
 from .decoder import DecodeCache
 # perfbench/tracing.py wraps ``inference.tokenize_text`` by name
 from .encoder import tokenize_text, tokenize_texts  # noqa: F401
@@ -44,13 +47,11 @@ class Prediction:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _step(bundle: ModelBundle, tokens: np.ndarray, enc_hidden, enc_mask,
+def _step(bundle: ModelBundle, ids: np.ndarray, enc_hidden, enc_mask,
           cache: DecodeCache) -> np.ndarray:
-    """Feed one token per cached row -> (rows, V) next-token logits."""
-    ids = tokens[:, None]
-    logits = bundle.decoder_logits(ids, (ids != PAD_ID).astype(np.int8), enc_hidden,
-                                   enc_mask, cache=cache)
-    return logits.data[:, -1, :]
+    """Feed (rows, n) new tokens per cached row -> (rows, n, V) next-token logits."""
+    return bundle.decoder_logits(ids, (ids != PAD_ID).astype(np.int8), enc_hidden,
+                                 enc_mask, cache=cache).data
 
 
 def greedy_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask) -> tuple[list[list[int]], list[bool]]:
@@ -60,6 +61,14 @@ def greedy_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask) -> tuple[list[l
     once it emits EOS and then leaves the batch. PAD tokens the model
     emits stay in its prefix, masked as keys, and are stripped from the
     returned ids.
+
+    When one row is live and has just emitted SEP, the hierarchy drafts
+    the rest of its sequence (``codec.continuation``), clipped to capacity,
+    and one decoder call checks the draft: the row keeps the longest part
+    of it that the argmax agrees with, plus the model's own token where it
+    first disagrees, and the cache drops the positions after that. The
+    call's logits are those of one-position steps to the bit, so the ids
+    are those of plain greedy decoding.
     """
     b = np.atleast_2d(enc_mask).shape[0]
     cap = bundle.capacity
@@ -68,13 +77,24 @@ def greedy_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask) -> tuple[list[l
     seq[:, 0] = BOS_ID
     live = np.arange(b)  # rows still generating; the cache holds these, in order
     cache = DecodeCache()
+    t = 1  # the next position to fill
     with ad.no_grad():
-        for t in range(1, cap):
-            if live.size == 0:
-                break
-            nxt = _step(bundle, seq[live, t - 1], enc_hidden, enc_mask, cache).argmax(axis=-1)
-            seq[live, t] = nxt
-            going = nxt != EOS_ID
+        while live.size and t < cap:
+            ids = seq[live, t - 1:t]
+            draft = (continuation(seq[live[0], :t], bundle.hierarchy, bundle.vocab,
+                                  bundle.ordering)[:cap - t]
+                     if live.size == 1 and ids[0, 0] == SEP_ID else [])
+            if draft:
+                ids = np.asarray([[ids[0, 0], *draft[:-1]]], dtype=np.int32)
+            picks = _step(bundle, ids, enc_hidden, enc_mask, cache).argmax(axis=-1)
+            n = 1
+            if draft:
+                agree = picks[0] == draft
+                n = len(draft) if agree.all() else int(agree.argmin()) + 1
+                cache.truncate(t - 1 + n)
+            seq[live, t:t + n] = picks[:, :n]
+            t += n
+            going = picks[:, n - 1] != EOS_ID
             if not going.all():
                 live = live[going]
                 cache.select(np.flatnonzero(going))
@@ -139,9 +159,9 @@ def beam_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask,
     cache = DecodeCache()
     with ad.no_grad():
         while beams and len(beams[0][0]) < cap:
-            tokens = np.asarray([ids[-1] for ids, _ in beams], dtype=np.int32)
+            tokens = np.asarray([ids[-1:] for ids, _ in beams], dtype=np.int32)
             logp = ad.log_softmax(
-                _step(bundle, tokens, enc_hidden, enc_mask, cache).astype(np.float64))
+                _step(bundle, tokens, enc_hidden, enc_mask, cache)[:, 0].astype(np.float64))
             best = np.argsort(-logp, axis=1, kind="stable")[:, :beam_width]
             best_logp = np.take_along_axis(logp, best, axis=1).tolist()
             candidates = [(ids + [tok], score + lp, parent)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import build_news_tree, random_closed_sets
 
-from taxseq.codec import (BOS_ID, EOS_ID, N_SPECIALS, PAD_ID, SEP_ID,
+from taxseq import codec
+from taxseq.codec import (BOS_ID, EOS_ID, LAYOUTS, N_SPECIALS, PAD_ID, SEP_ID,
                           LabelSequence, Ordering, build_vocab, capacity_for,
-                          decode, encode)
+                          continuation, decode, encode)
 from taxseq.errors import CapacityExceeded, NotClosureConsistent, UnknownLabel
 from taxseq.taxonomy import ROOT, LabelHierarchy
 
@@ -207,6 +208,62 @@ class TestRoundTrip:
         seq = encode(s, h, vocab, strategy, 256,
                      **encode_kwargs(strategy, np.random.default_rng(1)))
         assert decode(seq.ids, vocab, h, strategy).labels == s
+
+
+class TestContinuation:
+    """``continuation`` drafts the rest of the sequence of a prefix's
+    closure; greedy decoding checks that draft against the model."""
+
+    @pytest.fixture(autouse=True)
+    def no_decode(self, monkeypatch):
+        """perfbench's tracer wraps ``codec.decode`` and counts its calls, so a
+        draft must not decode."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("continuation called codec.decode")
+        monkeypatch.setattr(codec, "decode", forbidden)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_prefixes_of_each_sets_own_sequence(self, deep_tree, rng, strategy):
+        vocab = build_vocab(deep_tree)
+        exact = 0
+        for s in random_closed_sets(deep_tree, rng, 80):
+            seq = encode(s, deep_tree, vocab, strategy, 128,
+                         **encode_kwargs(strategy, rng)).trimmed()
+            for t in range(1, len(seq)):
+                got = continuation(seq[:t], deep_tree, vocab, strategy)
+                if not LAYOUTS[strategy].sep:
+                    assert got == []
+                    continue
+                closure = deep_tree.closure(vocab.name_of(i) for i in seq[:t]
+                                            if vocab.is_label_id(i))
+                if got:  # the rest of the closure's own sequence
+                    assert seq[:t] + got == encode(closure, deep_tree, vocab, strategy,
+                                                   128).trimmed()
+                if seq[t - 1] == SEP_ID and closure == s:
+                    assert got == seq[t:]
+                    exact += 1
+        assert exact >= 80 or not LAYOUTS[strategy].sep  # at least every last SEP
+
+    @pytest.mark.parametrize("strategy", [Ordering.CHILD_TO_PARENT, Ordering.PATH_SEPARATED,
+                                          Ordering.MINIMAL_CHILDREN])
+    def test_ancestor_tail_is_drafted_after_the_leaf_group(self, deep_tree, strategy):
+        """One leaf, in a layout that starts with the leaves: the first SEP
+        ends a prefix whose closure is the whole set."""
+        vocab = build_vocab(deep_tree)
+        seq = encode(deep_tree.closure(["g010"]), deep_tree, vocab, strategy, 128).trimmed()
+        first_sep = seq.index(SEP_ID) + 1
+        assert continuation(seq[:first_sep], deep_tree, vocab, strategy) == seq[first_sep:]
+
+    @pytest.mark.parametrize("strategy", [o for o in ALL_STRATEGIES if LAYOUTS[o].sep])
+    def test_prefixes_the_closure_would_not_start_get_nothing(self, deep_tree, strategy):
+        vocab = build_vocab(deep_tree)
+        parent, child = vocab.id_of("g0"), vocab.id_of("g01")
+        for prefix in ([BOS_ID, child, child, SEP_ID],   # a repeated label
+                       [BOS_ID, parent, child, SEP_ID],  # the parent placed before its child
+                       [child, SEP_ID],                  # no BOS
+                       [BOS_ID, child, PAD_ID],          # neither label nor SEP
+                       [BOS_ID, child, EOS_ID, SEP_ID]):
+            assert continuation(prefix, deep_tree, vocab, strategy) == [], prefix
 
 
 class TestDecodeLenient:

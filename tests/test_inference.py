@@ -129,20 +129,22 @@ def script_decoder(bundle, table):
     """Replace the decoder step with a prefix->log-prob lookup table.
 
     The prefix of each row is read from the ids the step's cache has
-    consumed, PADs stripped.
+    consumed, PADs stripped; each new position answers for its own prefix.
     """
     vsize = bundle.vocab.size
 
     def fake_logits(label_ids, label_mask, enc_hidden, enc_mask,
                     rng=None, capture_cross=None, cache=None):
         label_ids = np.atleast_2d(label_ids)
-        out = np.full((label_ids.shape[0], label_ids.shape[1], vsize), -30.0)
+        n = label_ids.shape[1]
+        out = np.full((label_ids.shape[0], n, vsize), -30.0)
         for i, row in enumerate(consumed_ids(cache, label_ids, label_mask)):
-            prefix = tuple(int(t) for t in row if t != PAD_ID)
-            probs = np.full(vsize, 1e-9)
-            for tok, p in table.get(prefix, {EOS_ID: 1.0}).items():
-                probs[tok] = p
-            out[i, :, :] = np.log(probs / probs.sum())
+            for j in range(n):
+                prefix = tuple(int(t) for t in row[:len(row) - n + j + 1] if t != PAD_ID)
+                probs = np.full(vsize, 1e-9)
+                for tok, p in table.get(prefix, {EOS_ID: 1.0}).items():
+                    probs[tok] = p
+                out[i, j, :] = np.log(probs / probs.sum())
         return Tensor(out)
 
     bundle.decoder_logits = fake_logits
@@ -232,6 +234,29 @@ class TestGreedy:
                                      np.ones((2, 3), np.int8))
         assert ids[0] == ids[1] == [BOS_ID, 4, EOS_ID]
         assert hit == [False, False]
+
+    @pytest.mark.parametrize("model, calls", [
+        ("ADE", [(1, 1), (1, 1), (1, 3), (1, 1)]),
+        ("DSE", [(1, 1), (1, 1), (1, 3), (1, 1), (1, 1)]),
+    ], ids=["agrees-then-differs", "differs-at-once"])
+    def test_draft_keeps_agreeing_prefix_then_model_token(self, rng, model, calls):
+        """After B and SEP the hierarchy drafts A, SEP, EOS, checked in one
+        call that feeds SEP, A, SEP. The row keeps the part of the draft the
+        model agrees with and the model's token where it differs, the cache
+        drops the later positions, and the ids are those the table gives
+        one token at a time."""
+        bundle = tiny_bundle()
+        tok = {"A": bundle.vocab.id_of("A"), "D": bundle.vocab.id_of("D"),
+               "S": SEP_ID, "E": EOS_ID}
+        b = bundle.vocab.id_of("B")
+        want = [BOS_ID, b, SEP_ID] + [tok[c] for c in model]
+        table = {tuple(want[:i]): {want[i]: 0.9} for i in range(1, len(want))}
+        script_decoder(bundle, table)
+        got = count_decoder_calls(bundle)
+        ids, hit = greedy_decode_ids(bundle, np.zeros((1, 3, 16), np.float32),
+                                     np.ones((1, 3), np.int8))
+        assert ids == [want] and hit == [False]
+        assert got == calls
 
     def test_termination_always_within_capacity(self, rng):
         bundle = tiny_bundle(seed=9)
@@ -333,6 +358,26 @@ def count_decoder_calls(bundle):
 
     bundle.decoder_logits = counting
     return calls
+
+
+def one_position_logits(bundle, ids, mask, hidden, emask, cache):
+    """Feed ``ids`` to ``cache`` one position per call -> stacked logits."""
+    return np.concatenate([
+        bundle.decoder_logits(ids[:, t:t + 1], mask[:, t:t + 1], hidden, emask,
+                              cache=cache).data
+        for t in range(ids.shape[1])], axis=1)
+
+
+def plain_greedy_ids(bundle, hidden, mask) -> list[int]:
+    """Batch-1 greedy decoding with one decoder call per generated token."""
+    seq, cache = [BOS_ID], DecodeCache()
+    with no_grad():
+        while len(seq) < bundle.capacity and seq[-1] != EOS_ID:
+            ids = np.asarray([[seq[-1]]])
+            logits = bundle.decoder_logits(ids, (ids != PAD_ID).astype(np.int8), hidden,
+                                           mask, cache=cache).data
+            seq.append(int(logits[0, -1].argmax()))
+    return [t for t in seq if t != PAD_ID]
 
 
 class TestBeamEncoderSide:
@@ -474,13 +519,84 @@ class TestCachedStep:
                 bundle.decoder_logits(ids[:, :1], mask[:, :1], hidden, emask, cache=cache)
 
     def test_greedy_passes_one_position_per_live_row(self, rng):
+        """Batched calls feed one position per live row; only a call on the
+        one live row may carry a draft, so there is at most one call per
+        generated position."""
         bundle = tiny_bundle(seed=3)
         calls = count_decoder_calls(bundle)
         hidden, mask = fake_encoding(rng, b=5)
         ids, _ = greedy_decode_ids(bundle, hidden, mask)
         assert calls[0] == (5, 1)
-        assert all(n == 1 and 1 <= rows <= 5 for rows, n in calls)
-        assert len(calls) == max(len(row) for row in ids) - 1
+        assert all(1 <= rows <= 5 and (n == 1 or rows == 1) for rows, n in calls)
+        assert len(calls) <= max(len(row) for row in ids) - 1
+
+    @pytest.mark.parametrize("rows", [[0], [1], [0, 1, 2, 3, 4]],
+                             ids=["padded-encoder", "pad-key", "batch-5"])
+    def test_later_multi_position_call_equals_one_position_calls(self, rng, rows):
+        """A later call of n positions gives the bits of n one-position calls,
+        whatever the split: row 0 has a padded encoder side, row 1 a PAD
+        key in its prefix."""
+        bundle = golden_bundle()
+        ids, mask, hidden, emask = step_inputs(rng, bundle, b=5)
+        ids, mask, hidden, emask = ids[rows], mask[rows], hidden[rows], emask[rows]
+        with no_grad():
+            want = one_position_logits(bundle, ids, mask, hidden, emask, DecodeCache())
+            for split in range(1, ids.shape[1] - 1):
+                cache = DecodeCache()
+                one_position_logits(bundle, ids[:, :split], mask[:, :split], hidden, emask,
+                                    cache)
+                got = bundle.decoder_logits(ids[:, split:], mask[:, split:], hidden, emask,
+                                            cache=cache).data
+                assert np.array_equal(got, want[:, split:]), split
+                assert np.array_equal(cache.key_mask, mask != 0)
+
+    def test_multi_position_call_after_select_with_one_row_encoder_side(self, rng):
+        """Rows selected from one (repeats included) keep one encoder row; a
+        later n-position call over them still matches one-position calls."""
+        bundle = golden_bundle()
+        ids, mask, hidden, emask = step_inputs(rng, bundle, b=3)
+        logits = []
+        for multi in (False, True):
+            cache = DecodeCache()
+            with no_grad():
+                one_position_logits(bundle, ids[:1, :2], mask[:1, :2], hidden[:1],
+                                    emask[:1], cache)
+                cache.select([0, 0, 0])
+                if multi:
+                    logits.append(bundle.decoder_logits(ids[:, 2:], mask[:, 2:], hidden,
+                                                        emask, cache=cache).data)
+                else:
+                    logits.append(one_position_logits(bundle, ids[:, 2:], mask[:, 2:],
+                                                      hidden, emask, cache))
+            assert len(cache.cross_kv[0][0].data) == 1
+        assert np.array_equal(*logits)
+
+    def test_multi_position_call_needs_no_grad(self, rng):
+        """A later call of several positions records no tape, so it refuses
+        to run where gradients would be expected."""
+        bundle = tiny_bundle()
+        ids, mask, hidden, emask = step_inputs(rng, bundle)
+        cache = DecodeCache()
+        with no_grad():
+            bundle.decoder_logits(ids[:, :1], mask[:, :1], hidden, emask, cache=cache)
+        with pytest.raises(ValueError, match="no_grad"):
+            bundle.decoder_logits(ids[:, 1:3], mask[:, 1:3], hidden, emask, cache=cache)
+
+    def test_truncate_then_refeed_reproduces_logits(self, rng):
+        bundle = golden_bundle()
+        ids, mask, hidden, emask = step_inputs(rng, bundle, b=3)
+        with no_grad():
+            cache = DecodeCache()
+            one_position_logits(bundle, ids[:, :2], mask[:, :2], hidden, emask, cache)
+            want = bundle.decoder_logits(ids[:, 2:], mask[:, 2:], hidden, emask,
+                                         cache=cache).data
+            cache.truncate(4)
+            assert cache.length == 4 and np.array_equal(cache.key_mask, mask[:, :4] != 0)
+            got = bundle.decoder_logits(ids[:, 4:], mask[:, 4:], hidden, emask,
+                                        cache=cache).data
+            assert np.array_equal(got, want[:, 2:])
+            with pytest.raises(ShapeMismatch):
+                cache.truncate(cache.length + 1)
 
     def test_beam_stacks_beams_one_position_each(self, rng):
         bundle = tiny_bundle(seed=4)
@@ -530,6 +646,20 @@ class TestEndToEnd:
         assert all(not p.hit_max_len for p in preds)
         assert all(p.token_ids[0] == BOS_ID and p.token_ids[-1] == EOS_ID
                    for p in preds)
+
+    def test_batch_one_greedy_checks_drafts(self):
+        """Batch-1 greedy makes fewer decoder calls than it generates tokens,
+        since the hierarchy drafts the ancestors after the leaf group, and
+        returns the ids of one call per token."""
+        bundle, data = self.overfit_bundle()
+        with no_grad():
+            encoded = [bundle.encoder_states(data, np.array([i])) for i in range(data.n)]
+        want = [plain_greedy_ids(bundle, hidden, mask) for hidden, mask in encoded]
+        calls = count_decoder_calls(bundle)
+        got = [greedy_decode_ids(bundle, hidden, mask)[0][0] for hidden, mask in encoded]
+        assert got == want
+        assert len(calls) < sum(len(ids) - 1 for ids in got)
+        assert any(n > 1 for _, n in calls)
 
     def test_predict_texts_matches_prepared(self):
         bundle, data = self.overfit_bundle()
