@@ -867,24 +867,25 @@ def attend_prefixes(
     """``attend`` for n causal queries off the tape, each query to the bit as
     a one-query ``attend`` over its own prefix of the keys.
 
-    ``x_q`` is (B, n, 1, d), one row per query, so the projections make
-    the one-row products a one-query call makes. ``k``/``v`` are split-head
-    (B, heads, t + n, d_h), and query i reads their first t + i + 1 keys
-    under ``masks[i]`` (None or additive (B, 1, 1, t + i + 1)). Padding
-    every query to t + n keys, the later ones masked, would change the
-    lengths of the softmax sum and of the products, and with them the last
-    bits. Returns (B, n, 1, d).
+    ``x_q`` is position-major, (n, B, 1, d), so the projections make the
+    one-row products a one-query call makes and ``q[i]`` is the (B, heads,
+    1, d_h) query of such a call. ``k``/``v`` are split-head (B, heads,
+    t + n, d_h), and query i reads their first t + i + 1 keys under
+    ``masks[i]`` (None or additive (B, 1, 1, t + i + 1)). Padding every
+    query to t + n keys, the later ones masked, would change the lengths
+    of the softmax sum and of the products, and with them the last bits.
+    Returns (n, B, 1, d).
     """
     wq, bq, wo, bo = params["wq"], params["bq"], params["wo"], params["bo"]
     if _recording((x_q, k, v, wq, bq, wo, bo)):
         raise ValueError("attend_prefixes records no tape; call it under no_grad")
     kd, vd = k.data, v.data
-    q = _split(_affine(x_q.data, wq.data, bq.data), heads)  # (B, n, heads, 1, d_h)
-    t = kd.shape[-2] - q.shape[1]
+    q = _split(_affine(x_q.data, wq.data, bq.data), heads)  # (n, B, heads, 1, d_h)
+    t = kd.shape[-2] - len(q)
     ctx = np.empty_like(q)
     for i, mask in enumerate(masks):
         keys = t + i + 1
-        ctx[:, i] = _attention(q[:, i], kd[..., :keys, :], vd[..., :keys, :], mask, None)[0]
+        ctx[i] = _attention(q[i], kd[..., :keys, :], vd[..., :keys, :], mask, None)[0]
     return _node(_affine(_merge(ctx), wo.data, bo.data), (), None)
 
 

@@ -20,9 +20,11 @@ first call, a single-query step's self-attention mask is the consumed key
 mask (none at all while no consumed key is masked), and a one-row encoder
 side (beam search) is shared by every row of the cache. A later call of
 several positions (greedy decoding checking a drafted run of tokens) gives
-the logits of that many one-position steps to the bit: it computes each
-position as its own row, and ``DecodeCache.truncate`` drops the positions
-of a rejected draft.
+the logits of that many one-position steps to the bit: it runs
+position-major, (n, B, 1, d), so each position is a one-position call's
+batch, and ``DecodeCache.truncate`` drops the positions of a rejected
+draft. The cached encoder side keeps the one layout ``ad.kv_heads`` gave
+it, through ``DecodeCache.select`` too, so a kept row rounds as if alone.
 
 Each sublayer records one tape node: ``ad.kv_heads`` (one node each for the
 keys and the values), ``ad.attend``, ``ad.add_norm`` for each residual sum
@@ -176,26 +178,19 @@ def seed_label_vectors(params: dict[str, Parameter], vocab: SymbolicVocab | None
 _ALLOWED, _BLOCKED = np.float32(0.0), np.float32(ad.NEG_INF)
 
 
-def self_attention_mask(label_mask: np.ndarray, queries: int | None = None) -> np.ndarray:
-    """Additive (B, 1, q, n) mask blocking future positions and pad keys.
-
-    ``label_mask`` marks the n key positions; the queries are the last
-    ``queries`` of them, all n by default. A single query (a cached step)
-    is the newest position, so only the pad keys are blocked.
-    """
+def self_attention_mask(label_mask: np.ndarray) -> np.ndarray:
+    """Additive (B, 1, n, n) mask blocking future positions and pad keys;
+    ``label_mask`` marks the n positions, which are both keys and queries."""
     label_mask = np.atleast_2d(np.asarray(label_mask))
     b, n = label_mask.shape
-    q = n if queries is None else queries
-    allowed = label_mask[:, None, :] != 0
-    if q != 1:
-        allowed = allowed & np.tri(q, n, n - q, dtype=bool)
-    return np.where(allowed, _ALLOWED, _BLOCKED).reshape(b, 1, q, n)
+    allowed = (label_mask[:, None, :] != 0) & np.tri(n, n, dtype=bool)
+    return np.where(allowed, _ALLOWED, _BLOCKED).reshape(b, 1, n, n)
 
 
-def _step_mask(key_mask: np.ndarray) -> np.ndarray | None:
-    """A one-query step's self-attention mask over (B, t) keys: None while
-    no key is masked, since adding zeros changes nothing."""
-    return None if key_mask.all() else self_attention_mask(key_mask, queries=1)
+def _key_mask(mask: np.ndarray) -> np.ndarray | None:
+    """Additive (B, 1, 1, T) mask over the (B, T) keys ``mask`` marks: None
+    while no key is masked, since adding zeros changes nothing."""
+    return None if mask.all() else expand_mask(mask).reshape(len(mask), 1, 1, -1)
 
 
 class _Layer(NamedTuple):
@@ -234,7 +229,9 @@ class DecodeCache:
     An encoder side of one row serves every row of the cache: ``select``
     leaves its cross-attention keys, values and mask at one row, and
     attention broadcasts them. Beam search relies on this, so its beams
-    share one copy of the encoder side.
+    share one copy of the encoder side. A multi-row one is selected through
+    its projection's (B, T, heads, d_h) layout, so kept rows keep the
+    strides of ``ad.kv_heads`` and the bits they compute decoded alone.
     """
 
     def __init__(self):
@@ -286,8 +283,9 @@ class DecodeCache:
         self.key_mask = self.key_mask[rows]
         self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv]
         if self.cross_kv and len(self.cross_kv[0][0].data) != 1:
-            self.cross_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows]))
-                             for k, v in self.cross_kv]
+            # rows of the (B, T, heads, d_h) projection, seen head-split again
+            self.cross_kv = [tuple(ad.transpose(Tensor(x.data.swapaxes(1, 2)[rows]), (0, 2, 1, 3))
+                                   for x in kv) for kv in self.cross_kv]
             if self.cross_mask is not None:
                 self.cross_mask = self.cross_mask[rows]
 
@@ -306,9 +304,7 @@ def _encoder_side(enc_hidden, enc_mask, cfg: DecoderConfig) -> tuple[Tensor, np.
     if enc_mask.shape != enc_hidden.data.shape[:2]:
         raise ShapeMismatch(
             f"encoder mask {enc_mask.shape} vs hidden {enc_hidden.data.shape[:2]}")
-    if enc_mask.all():
-        return enc_hidden, None
-    return enc_hidden, expand_mask(enc_mask).reshape(enc_mask.shape[0], 1, 1, enc_mask.shape[1])
+    return enc_hidden, _key_mask(enc_mask)
 
 
 def decoder_forward(
@@ -337,10 +333,11 @@ def decoder_forward(
     gradients included. Later calls on a kept cache (incremental decoding)
     run under ``no_grad``, as the keys and values they append are plain
     arrays. A later call of n > 1 positions (a draft to verify) gives, to
-    the bit, the logits of n one-position calls: it runs in the rows view,
-    (B, n, 1, d), so every product is the one-row product a step makes, its
-    query i reads exactly the first ``cache.length + i + 1`` keys
-    (``ad.attend_prefixes``), and cross-attention runs per row.
+    the bit, the logits of n one-position calls: it runs position-major,
+    (n, B, 1, d), so every product is the one-row product a step makes and
+    the cached (B, heads, T, d_h) cross keys and values and (B, 1, 1, T)
+    mask broadcast as they are; its query i reads exactly the first
+    ``cache.length + i + 1`` self-attention keys (``ad.attend_prefixes``).
     """
     label_ids = np.atleast_2d(np.asarray(label_ids))
     label_mask = np.atleast_2d(np.asarray(label_mask))
@@ -349,50 +346,45 @@ def decoder_forward(
             f"label ids {label_ids.shape} vs mask {label_mask.shape}")
     if cache is None:
         cache = DecodeCache()
-    b, n = label_ids.shape
+    n = label_ids.shape[1]
     offset = cache.length
     if offset + n > cfg.max_positions:
         raise ShapeMismatch(
             f"prefix length {offset + n} exceeds max_positions {cfg.max_positions}")
 
-    rows = n > 1 and bool(cache.layers)  # a later call checking several positions
+    later = n > 1 and bool(cache.layers)  # a later call checking several positions
     if not cache.layers:  # first call: resolve the layers, project the encoder side
         enc_hidden, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
         cache.layers = [_layer_params(params, i) for i in range(cfg.layers)]
         cache.cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, layer.cross)
                           for layer in cache.layers]
     key_mask = cache.consume(label_mask)
-    cross_kv, cross_mask = cache.cross_kv, cache.cross_mask
 
-    le = ad.add(ad.embed(params["word_embed"], label_ids),
-                ad.embed(params["pos_embed"], np.arange(offset, offset + n)))
-    le = ad.dropout(le, cfg.dropout, rng)
-    if rows:
-        le = ad.reshape(le, (b, n, 1, cfg.d_model))
-        self_mask = [_step_mask(key_mask[:, :offset + i + 1]) for i in range(n)]
-        # views, not copies: the step's products read these strides
-        cross_kv = [(ad.reshape(k, (len(k.data), 1) + k.shape[1:]),
-                     ad.reshape(v, (len(v.data), 1) + v.shape[1:])) for k, v in cross_kv]
-        if cross_mask is not None:
-            cross_mask = cross_mask[:, None]
+    positions = np.arange(offset, offset + n)
+    if later:  # position-major: (n, B, 1, d)
+        label_ids, positions = label_ids.T[..., None], positions[:, None, None]
+        self_mask = [_key_mask(key_mask[:, :offset + i + 1]) for i in range(n)]
     elif n == 1:
-        self_mask = _step_mask(key_mask)
+        self_mask = _key_mask(key_mask)
     else:
-        self_mask = self_attention_mask(key_mask, queries=n)
+        self_mask = self_attention_mask(key_mask)
+    le = ad.add(ad.embed(params["word_embed"], label_ids),
+                ad.embed(params["pos_embed"], positions))
+    le = ad.dropout(le, cfg.dropout, rng)
     for i, layer in enumerate(cache.layers):
         k, v = ad.kv_heads(le, le, cfg.heads, layer.self_attn)
-        if rows:  # (B, n, heads, 1, d_h) -> the cache's (B, heads, n, d_h)
-            k, v = (Tensor(x.data[:, :, :, 0].swapaxes(1, 2)) for x in (k, v))
+        if later:  # (n, B, heads, 1, d_h) -> the cache's (B, heads, n, d_h)
+            k, v = (Tensor(x.data[:, :, :, 0].transpose(1, 2, 0, 3)) for x in (k, v))
         k, v = cache.extend_self(i, k, v)
-        attend = ad.attend_prefixes if rows else ad.attend
+        attend = ad.attend_prefixes if later else ad.attend
         q = ad.add_norm(attend(le, k, v, self_mask, cfg.heads, layer.self_attn), le,
                         *layer.norm_q)
         q = ad.dropout(q, cfg.dropout, rng)
-        k, v = cross_kv[i]
-        cross = ad.attend(q, k, v, cross_mask, cfg.heads, layer.cross,
+        k, v = cache.cross_kv[i]
+        cross = ad.attend(q, k, v, cache.cross_mask, cfg.heads, layer.cross,
                           capture=capture_cross)
         x = ad.add_norm(q, ad.dropout(cross, cfg.dropout, rng), *layer.norm_c)
         ff = ad.feed_forward(x, *layer.ff)
         le = ad.add_norm(x, ad.dropout(ff, cfg.dropout, rng), *layer.norm_f)
     logits = ad.linear(le, params["out.w"], params["out.b"])
-    return ad.reshape(logits, (b, n, -1)) if rows else logits
+    return Tensor(logits.data[:, :, 0].swapaxes(0, 1)) if later else logits

@@ -64,8 +64,9 @@ class TestTapeNodes:
     one node each, 2), the self- and cross-attention reads (``attend``, 1
     each, 2), three residual sums with their layer norms (``add_norm``, 3)
     and the feed-forward (``feed_forward``, 1): 8. The first call on a cache
-    also projects the cross-attention keys and values (2 per layer). Output
-    projection: 1. An encoder layer: keys, values, ``attend``, two
+    also projects the cross-attention keys and values (2 per layer); a later
+    call of several positions records what a one-position step records.
+    Output projection: 1. An encoder layer: keys, values, ``attend``, two
     ``add_norm`` and ``feed_forward``: 6."""
 
     def count_nodes(self, monkeypatch, fn):
@@ -91,8 +92,11 @@ class TestTapeNodes:
         with ad.no_grad():
             step = self.count_nodes(monkeypatch, lambda: decoder_forward(
                 ids[:, :1], mask[:, :1], hidden, emask, cfg, params, cache=cache))
+            later = self.count_nodes(monkeypatch, lambda: decoder_forward(
+                ids, mask, hidden, emask, cfg, params, cache=cache))
         assert teacher == 3 + 2 * (8 + 2) + 1 == 24
         assert step == 3 + 2 * 8 + 1 == 20
+        assert later == 3 + 2 * 8 + 1 == 20
 
     def test_encoder_layer(self, rng, monkeypatch):
         cfg = EncoderConfig(vocab_size=20, d_model=16, layers=1, heads=4, max_len=6,

@@ -455,6 +455,41 @@ class TestCachedStep:
             full = bundle.decoder_logits(ids[:1, :3], mask[:1, :3], hidden[:1], emask[:1]).data
         np.testing.assert_allclose(step[:, 0], np.repeat(full[:, 2], 3, axis=0), atol=1e-5)
 
+    def test_selected_rows_compute_batch_one_bits(self):
+        """Rows kept by ``select`` from a multi-row encoder side give the bits
+        each gives decoded alone, and an identity selection changes no bit:
+        the kept cross keys and values stay head-split views of their
+        (B, T, heads, d_h) rows, not contiguous copies."""
+        bundle = golden_bundle()
+        kept, every = [1, 4], np.arange(5)
+        for seed in range(10):
+            ids, mask, hidden, emask = step_inputs(np.random.default_rng(seed), bundle, b=5)
+
+            def first_call(rows):
+                cache = DecodeCache()
+                bundle.decoder_logits(ids[rows, :2], mask[rows, :2], hidden[rows],
+                                      emask[rows], cache=cache)
+                return cache
+
+            def next_steps(rows, cache):
+                return one_position_logits(bundle, ids[rows, 2:5], mask[rows, 2:5],
+                                           hidden[rows], emask[rows], cache)
+
+            with no_grad():
+                cache = first_call(every)
+                cache.select(kept)
+                for x in cache.cross_kv[0]:
+                    assert not x.data.flags.c_contiguous
+                    assert x.data.swapaxes(1, 2).flags.c_contiguous
+                got = next_steps(kept, cache)
+                for j, row in enumerate(kept):
+                    alone = next_steps([row], first_call([row]))
+                    assert np.array_equal(got[j], alone[0]), (seed, row)
+                same = first_call(every)
+                same.select(every)
+                assert np.array_equal(next_steps(every, same),
+                                      next_steps(every, first_call(every))), seed
+
     def test_cached_steps_honour_label_mask(self, rng):
         """A 0 in ``label_mask`` masks that key in the cached steps, as in the
         teacher-forced pass, even where the id is a real label."""
