@@ -701,32 +701,35 @@ def gelu(x: Tensor) -> Tensor:
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node.
 
-    Off the tape, the chain runs in blocks of the leading (batch) axis whose
-    hidden holds at most ``FF_BLOCK_FLOATS`` floats (at least one row), each
-    written into one output array. The broadcast product makes one
-    ``(T, d) @ (d, f)`` product per leading index, so a block computes
-    exactly the products the whole batch would and the output is the same
-    to the bit. A recording call is one whole-batch block, since its
-    backward reads the whole pre-activation and ``h``.
+    Off the tape, the chain runs in blocks of the leading rows (every axis
+    but the last two, flattened) whose hidden holds at most
+    ``FF_BLOCK_FLOATS`` floats (at least one row), each written into one
+    output array. The broadcast product makes one ``(T, d) @ (d, f)``
+    product per leading index, so a block computes exactly the products
+    the whole batch would and the output is the same to the bit. A
+    recording call is one whole-batch block, since its backward reads the
+    whole pre-activation and ``h``.
     """
     xd, w1d, w2d = x.data, w1.data, w2.data
     parents = (x, w1, b1, w2, b2)
-    blocks = [Ellipsis]  # one whole block: recording, a 2-D x (no batch axis) or a small x
+    lead, blocks = xd, [Ellipsis]  # one block: recording, a 2-D x or a small x
     hidden = math.prod(xd.shape[:-1]) * w1d.shape[-1]
     if hidden > FF_BLOCK_FLOATS and xd.ndim > 2 and not _recording(parents):
-        step = max(1, FF_BLOCK_FLOATS * len(xd) // hidden)
-        blocks = [slice(i, i + step) for i in range(0, len(xd), step)]
+        lead = xd.reshape(-1, *xd.shape[-2:])
+        step = max(1, FF_BLOCK_FLOATS * len(lead) // hidden)
+        blocks = [slice(i, i + step) for i in range(0, len(lead), step)]
     out = None
     for rows in blocks:
-        pre = _affine(xd[rows], w1d, b1.data)
+        pre = _affine(lead[rows], w1d, b1.data)
         act, h = _gelu(pre)
         part = _affine(act, w2d, b2.data)
         if len(blocks) == 1:
             out = part
         else:
             if out is None:
-                out = np.empty(xd.shape[:-1] + part.shape[-1:], part.dtype)
+                out = np.empty(lead.shape[:-1] + part.shape[-1:], part.dtype)
             out[rows] = part
+    out = out.reshape(xd.shape[:-1] + out.shape[-1:])
 
     def bwd(g, acc):
         need_x = x.requires_grad or w1.requires_grad or b1.requires_grad

@@ -10,21 +10,15 @@ cross-attention and feedforward outputs before they join the residual
 stream. A final linear projection produces logits over the label token
 vocabulary.
 
-``decoder_forward`` has one path, over a ``DecodeCache`` that keeps the
-keys and values of the positions already consumed and the cross-attention
-keys and values of the encoder states. Training is the first call on a
-fresh cache with the whole label sequence (teacher forcing); inference
-makes later calls on the same cache, mostly one step at a time. A later
-call does only per-step work: the layers' parameters were resolved on the
-first call, a single-query step's self-attention mask is the consumed key
-mask (none at all while no consumed key is masked), and a one-row encoder
-side (beam search) is shared by every row of the cache. A later call of
-several positions (greedy decoding checking a drafted run of tokens) gives
-the logits of that many one-position steps to the bit: it runs
-position-major, (n, B, 1, d), so each position is a one-position call's
-batch, and ``DecodeCache.truncate`` drops the positions of a rejected
-draft. The cached encoder side keeps the one layout ``ad.kv_heads`` gave
-it, through ``DecodeCache.select`` too, so a kept row rounds as if alone.
+``decoder_forward`` runs over a ``DecodeCache`` of the consumed positions'
+keys and values and of the encoder side's cross-attention keys and
+values, in two shapes. The first call on a fresh cache (the teacher-forced
+pass, or decoding's BOS step) is batch-major and records the tape. Every
+later call runs off the tape and position-major, (n, B, 1, d), so each
+product is the one-row product of a one-position step: n positions (a
+greedy draft to check) give the bits of n steps, and a row kept by
+``DecodeCache.select`` rounds as if alone. A mask that masks nothing is
+None.
 
 Each sublayer records one tape node: ``ad.kv_heads`` (one node each for the
 keys and the values), ``ad.attend``, ``ad.add_norm`` for each residual sum
@@ -44,7 +38,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .codec import SymbolicVocab
 from .encoder import (NORMAL, ZEROS, ParamSpec, _ffn_params, _ffn_specs, _mha_params,
-                      _mha_specs, _norm_params, _norm_specs, expand_mask, init_params)
+                      _mha_specs, _norm_params, _norm_specs, init_params, key_mask)
 from .errors import ConfigError, InitDimensionMismatch, ShapeMismatch, UnknownLabel
 
 __all__ = [
@@ -178,19 +172,16 @@ def seed_label_vectors(params: dict[str, Parameter], vocab: SymbolicVocab | None
 _ALLOWED, _BLOCKED = np.float32(0.0), np.float32(ad.NEG_INF)
 
 
-def self_attention_mask(label_mask: np.ndarray) -> np.ndarray:
-    """Additive (B, 1, n, n) mask blocking future positions and pad keys;
-    ``label_mask`` marks the n positions, which are both keys and queries."""
+def self_attention_mask(label_mask: np.ndarray) -> np.ndarray | None:
+    """Additive (B, 1, n, n) mask blocking future positions and pad keys, or
+    None when it blocks nothing (one position, not padding); ``label_mask``
+    marks the n positions, which are both keys and queries."""
     label_mask = np.atleast_2d(np.asarray(label_mask))
     b, n = label_mask.shape
     allowed = (label_mask[:, None, :] != 0) & np.tri(n, n, dtype=bool)
+    if allowed.all():
+        return None
     return np.where(allowed, _ALLOWED, _BLOCKED).reshape(b, 1, n, n)
-
-
-def _key_mask(mask: np.ndarray) -> np.ndarray | None:
-    """Additive (B, 1, 1, T) mask over the (B, T) keys ``mask`` marks: None
-    while no key is masked, since adding zeros changes nothing."""
-    return None if mask.all() else expand_mask(mask).reshape(len(mask), 1, 1, -1)
 
 
 class _Layer(NamedTuple):
@@ -214,24 +205,20 @@ class DecodeCache:
     """What the decoder keeps between calls on the same rows.
 
     ``key_mask`` is the ``label_mask != 0`` of the t label positions
-    consumed so far, (B, t). Per layer, ``self_kv`` holds the
-    split-head self-attention keys and values of those t positions, and
-    ``cross_kv`` the ones projected from the encoder states on the first
-    call; ``cross_mask`` is the additive encoder key mask, or None when no
-    encoder column is padding, since adding zeros changes nothing. The
-    first call also resolves each layer's parameters into ``layers``, so
-    later calls on the cache (which must pass the same parameters) look
-    up no names.
-    The first call keeps the tape tensors it built, so a teacher-forced
-    pass (one call on a fresh cache) keeps its graph; later calls append
-    plain arrays.
+    consumed so far, (B, t). Per layer, ``self_kv`` holds the split-head
+    self-attention keys and values of those t positions, and ``cross_kv``
+    the ones the first call projected from the encoder states, with
+    ``cross_mask`` their additive key mask (None when no encoder column is
+    padding). The first call also resolves each layer's parameters into
+    ``layers``, so later calls (which must pass the same parameters) look
+    up no names. The first call keeps the tape tensors it built, so a
+    teacher-forced pass keeps its graph; later calls append plain arrays.
 
     An encoder side of one row serves every row of the cache: ``select``
-    leaves its cross-attention keys, values and mask at one row, and
-    attention broadcasts them. Beam search relies on this, so its beams
-    share one copy of the encoder side. A multi-row one is selected through
-    its projection's (B, T, heads, d_h) layout, so kept rows keep the
-    strides of ``ad.kv_heads`` and the bits they compute decoded alone.
+    leaves it at one row and attention broadcasts it, so beam search's
+    beams share one copy. A multi-row one is selected through its
+    projection's (B, T, heads, d_h) layout, so kept rows keep the strides
+    of ``ad.kv_heads`` and the bits they compute decoded alone.
     """
 
     def __init__(self):
@@ -304,7 +291,7 @@ def _encoder_side(enc_hidden, enc_mask, cfg: DecoderConfig) -> tuple[Tensor, np.
     if enc_mask.shape != enc_hidden.data.shape[:2]:
         raise ShapeMismatch(
             f"encoder mask {enc_mask.shape} vs hidden {enc_hidden.data.shape[:2]}")
-    return enc_hidden, _key_mask(enc_mask)
+    return enc_hidden, key_mask(enc_mask)
 
 
 def decoder_forward(
@@ -318,7 +305,7 @@ def decoder_forward(
     capture_cross: list | None = None,
     cache: DecodeCache | None = None,
 ) -> Tensor:
-    """(B, n) label ids -> (B, n, V) logits, over one path.
+    """(B, n) label ids -> (B, n, V) logits.
 
     ``enc_hidden`` may be a Tensor (joint training) or a plain array
     (precomputed states); ``enc_mask`` marks real encoder positions.
@@ -327,17 +314,16 @@ def decoder_forward(
     ``label_ids`` are the positions after those ``cache`` has consumed:
     their self-attention reads the cached keys and values plus their own,
     keys masked by every consumed ``label_mask``, and the cache keeps them.
-    The first call on a cache projects the cross-attention keys and values
-    from ``enc_hidden``; later calls ignore ``enc_hidden`` and ``enc_mask``.
-    Without ``cache`` the call runs on a fresh one: the teacher-forced pass,
-    gradients included. Later calls on a kept cache (incremental decoding)
-    run under ``no_grad``, as the keys and values they append are plain
-    arrays. A later call of n > 1 positions (a draft to verify) gives, to
-    the bit, the logits of n one-position calls: it runs position-major,
-    (n, B, 1, d), so every product is the one-row product a step makes and
-    the cached (B, heads, T, d_h) cross keys and values and (B, 1, 1, T)
-    mask broadcast as they are; its query i reads exactly the first
-    ``cache.length + i + 1`` self-attention keys (``ad.attend_prefixes``).
+    The first call on a cache (without ``cache``, on a fresh one: the
+    teacher-forced pass, gradients included) projects the cross-attention
+    keys and values from ``enc_hidden``, runs batch-major and records the
+    tape. Later calls ignore ``enc_hidden`` and ``enc_mask`` and run under
+    ``no_grad``, position-major, (n, B, 1, d): every product is the one-row
+    product a one-position call makes, so n positions give the bits of n
+    one-position calls, and the cached (B, heads, T, d_h) cross keys and
+    values and (B, 1, 1, T) mask broadcast as they are. Query i reads
+    exactly the first ``cache.length + i + 1`` self-attention keys
+    (``ad.attend_prefixes``).
     """
     label_ids = np.atleast_2d(np.asarray(label_ids))
     label_mask = np.atleast_2d(np.asarray(label_mask))
@@ -352,22 +338,20 @@ def decoder_forward(
         raise ShapeMismatch(
             f"prefix length {offset + n} exceeds max_positions {cfg.max_positions}")
 
-    later = n > 1 and bool(cache.layers)  # a later call checking several positions
-    if not cache.layers:  # first call: resolve the layers, project the encoder side
+    later = bool(cache.layers)
+    if not later:  # first call: resolve the layers, project the encoder side
         enc_hidden, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
         cache.layers = [_layer_params(params, i) for i in range(cfg.layers)]
         cache.cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, layer.cross)
                           for layer in cache.layers]
-    key_mask = cache.consume(label_mask)
+    consumed = cache.consume(label_mask)
 
     positions = np.arange(offset, offset + n)
     if later:  # position-major: (n, B, 1, d)
         label_ids, positions = label_ids.T[..., None], positions[:, None, None]
-        self_mask = [_key_mask(key_mask[:, :offset + i + 1]) for i in range(n)]
-    elif n == 1:
-        self_mask = _key_mask(key_mask)
+        self_mask = [key_mask(consumed[:, :offset + i + 1]) for i in range(n)]
     else:
-        self_mask = self_attention_mask(key_mask)
+        self_mask = self_attention_mask(consumed)
     le = ad.add(ad.embed(params["word_embed"], label_ids),
                 ad.embed(params["pos_embed"], positions))
     le = ad.dropout(le, cfg.dropout, rng)

@@ -201,10 +201,12 @@ def _ffn_params(params: dict[str, Parameter], prefix: str) -> tuple[Parameter, .
     return tuple(params[f"{prefix}.{part}"] for part in ("w1", "b1", "w2", "b2"))
 
 
-def expand_mask(mask: np.ndarray) -> np.ndarray:
-    """Binary keep-mask -> additive attention mask (0 kept, -1e9 padded)."""
-    m = np.asarray(mask)
-    return ((1 - m) * NEG_INF).astype(np.float32)
+def key_mask(mask: np.ndarray) -> np.ndarray | None:
+    """(B, T) marks of the keys to keep -> additive (B, 1, 1, T) attention
+    mask (0 kept, -1e9 padded), or None when every key is kept."""
+    if mask.all():
+        return None
+    return ((1 - mask) * NEG_INF).astype(np.float32).reshape(len(mask), 1, 1, -1)
 
 
 def encode_tokens(
@@ -225,15 +227,15 @@ def encode_tokens(
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask))
-    b, t = ids.shape
+    t = ids.shape[1]
     if t > cfg.max_len:
         raise ShapeMismatch(f"sequence length {t} exceeds max_len {cfg.max_len}")
-    key_mask = None if mask.all() else expand_mask(mask).reshape(b, 1, 1, t)
+    keys = key_mask(mask)
 
     x = ad.add(ad.embed(params["embed"], ids), ad.embed(params["pos_embed"], np.arange(t)))
     x = ad.dropout(x, cfg.dropout, rng)
     for i in range(cfg.layers):
-        att = ad.multi_head_attention(x, x, x, key_mask, cfg.heads,
+        att = ad.multi_head_attention(x, x, x, keys, cfg.heads,
                                       _mha_params(params, f"l{i}.attn"))
         x = ad.add_norm(x, ad.dropout(att, cfg.dropout, rng),
                         *_norm_params(params, f"l{i}.norm1"))

@@ -2,18 +2,16 @@
 
 Decoding is incremental. Both searches advance through one step function,
 which feeds each row's newest tokens to ``ModelBundle.decoder_logits`` with
-a ``DecodeCache``: the cache holds the self-attention keys and values of
-every position consumed so far, plus cross-attention keys and values
-projected from the encoder states once, so a step computes one position
-per row and its logits match a teacher-forced pass truncated to that
-position, to float32 rounding. Batched greedy decoding stops per sample:
-a row that emits EOS leaves the batch, its cache rows with it. When one
-row is left and it has just emitted SEP, the hierarchy drafts the rest of
-its sequence and one call checks the whole draft, with the logits of
-one-position steps to the bit, so the ids stay those of one step per
-token. Beam search stacks its live beams into one batch and moves the
-cache rows to follow their parents after each selection; its one-row
-encoder side is not copied per beam, as attention broadcasts it.
+a ``DecodeCache``: the first call (the BOS tokens) projects the encoder
+side once, and every later call computes only the new positions, whose
+logits match a teacher-forced pass truncated there, to float32 rounding.
+Batched greedy decoding stops per sample: a row that emits EOS leaves the
+batch, its cache rows with it. When one row is left and it has just
+emitted SEP, the hierarchy drafts the rest of its sequence and one call
+checks the whole draft, with the ids of one step per token. Beam search
+stacks its live beams into one batch and moves the cache rows to follow
+their parents after each selection; every beam reads the one-row encoder
+side.
 """
 
 from __future__ import annotations

@@ -63,19 +63,12 @@ class ModelLayout:
 
     def filled(self, enc_params: dict[str, Parameter],
                dec_params: dict[str, Parameter]) -> "ModelBundle":
-        return ModelBundle(self.hierarchy, self.vocab, self.text_vocab, self.ordering,
-                           self.capacity, self.enc_cfg, self.dec_cfg, enc_params, dec_params)
+        return ModelBundle(**vars(self), enc_params=enc_params, dec_params=dec_params)
 
 
 @dataclass
-class ModelBundle:
-    hierarchy: LabelHierarchy
-    vocab: SymbolicVocab
-    text_vocab: TextVocab | None
-    ordering: Ordering
-    capacity: int
-    enc_cfg: EncoderConfig
-    dec_cfg: DecoderConfig
+class ModelBundle(ModelLayout):
+    """A ``ModelLayout`` with its parameter values."""
     enc_params: dict[str, Parameter]
     dec_params: dict[str, Parameter]
 

@@ -209,13 +209,14 @@ class TestGreedy:
         gelu = ad._gelu
 
         def spy(v):
-            rows.append(len(v))
+            rows.append(v.size // v.shape[-1])
             return gelu(v)
 
         monkeypatch.setattr(ad, "_gelu", spy)
         hidden, mask = fake_encoding(rng, b=20, t=4)
         batch_ids, batch_hit = greedy_decode_ids(bundle, hidden, mask)
         assert rows[:3] == [8, 8, 4]
+        assert max(rows) == 8
         assert len({tuple(ids) for ids in batch_ids}) > 1
         for i in range(20):
             one_ids, one_hit = greedy_decode_ids(bundle, hidden[i], mask[i])
@@ -515,17 +516,16 @@ class TestCachedStep:
         bundle = tiny_bundle(seed=5)
         ids, mask, hidden, emask = step_inputs(rng, bundle)  # row 1 has PAD at 2
         emask[:] = 1
-        real = ad.attend
+        real = ad._attention
 
         def run(fill):
             masks = []
 
-            def spy(x_q, k, v, m, *args, **kwargs):
+            def spy(q, k, v, m, capture):
                 masks.append(m)
-                return real(x_q, k, v, np.float32(0) if m is None and fill else m,
-                            *args, **kwargs)
+                return real(q, k, v, np.float32(0) if m is None and fill else m, capture)
 
-            monkeypatch.setattr(ad, "attend", spy)
+            monkeypatch.setattr(ad, "_attention", spy)
             cache = DecodeCache()
             with no_grad():
                 out = [bundle.decoder_logits(ids[:, t:t + 1], mask[:, t:t + 1], hidden,
