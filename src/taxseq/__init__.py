@@ -18,7 +18,7 @@ _EXPORTS = {
     "codec": ("BOS_ID", "EOS_ID", "PAD_ID", "SEP_ID", "LabelSequence", "Ordering",
               "SymbolicVocab", "build_vocab", "capacity_for", "decode", "encode"),
     "corpus": ("Sample", "SynthConfig", "generate_synthetic", "load_jsonl", "load_splits"),
-    "decoder": ("DecoderConfig", "decoder_forward", "init_decoder_params"),
+    "decoder": ("DecoderConfig", "decoder_forward"),
     "encoder": ("EncoderConfig", "PrecomputedStates", "TextVocab", "encode_tokens",
                 "tokenize_text"),
     "errors": ("TaxseqError",),

@@ -11,30 +11,24 @@ import argparse
 import dataclasses
 import json
 import os
+import statistics
 import sys
 from pathlib import Path
 
-ABLATION_VARIANTS: dict[str, dict[str, str]] = {
-    "parent-to-child": {"codec.ordering": "parent_to_child_levelwise"},
-    "no-separator": {"codec.ordering": "child_to_parent_nosep"},
-    "path-separated": {"codec.ordering": "path_separated"},
-    "shuffled": {"codec.ordering": "shuffled"},
-    "children-only": {"codec.ordering": "minimal_children_levelwise"},
-    "focal-per-label": {"loss.variant": "focal_per_token"},
-    "no-focal": {"loss.variant": "plain_ce"},
-    "label-init": {"decoder.use_label_init": "true"},
-}
-
-VARIANT_DISPLAY = {
-    "base": "base model",
-    "parent-to-child": "but parent-to-child ordering",
-    "no-separator": "w/o <unk> token separators",
-    "path-separated": "using <unk> to separate paths instead of levels",
-    "shuffled": "but shuffled labels w/o <unk>",
-    "children-only": "children only + hierarchy",
-    "focal-per-label": "focal loss on label level",
-    "no-focal": "w/o focal loss",
-    "label-init": "with labels semantics",
+# variant -> (ablation table row, its section.key=value overrides)
+ABLATION_VARIANTS: dict[str, tuple[str, list[str]]] = {
+    "base": ("base model", []),
+    "parent-to-child": ("but parent-to-child ordering",
+                        ["codec.ordering=parent_to_child_levelwise"]),
+    "no-separator": ("w/o <unk> token separators", ["codec.ordering=child_to_parent_nosep"]),
+    "path-separated": ("using <unk> to separate paths instead of levels",
+                       ["codec.ordering=path_separated"]),
+    "shuffled": ("but shuffled labels w/o <unk>", ["codec.ordering=shuffled"]),
+    "children-only": ("children only + hierarchy",
+                      ["codec.ordering=minimal_children_levelwise"]),
+    "focal-per-label": ("focal loss on label level", ["loss.variant=focal_per_token"]),
+    "no-focal": ("w/o focal loss", ["loss.variant=plain_ce"]),
+    "label-init": ("with labels semantics", ["decoder.use_label_init=true"]),
 }
 
 
@@ -206,7 +200,7 @@ def _run_training(cfg, data_dir, out_dir):
     return bundle, result, h, store
 
 
-def _score_split(bundle, samples, store=None, macro_all=False):
+def _score_split(bundle, samples, store=None, all_labels=None):
     from .inference import predict_prepared
     from .metrics import build_report, decode_summary
     from .trainer import prepare_data
@@ -216,9 +210,8 @@ def _score_split(bundle, samples, store=None, macro_all=False):
     gold_seqs = [prep.seq_ids[i][prep.seq_mask[i] == 1].tolist()
                  for i in range(prep.n)]
     report = build_report([p.labels for p in preds], prep.gold, bundle.hierarchy,
-                          macro_all_labels=macro_all,
-                          pred_sequences=[p.token_ids for p in preds],
-                          gold_sequences=gold_seqs, vocab=bundle.vocab)
+                          all_labels, pred_sequences=[p.token_ids for p in preds],
+                          gold_sequences=gold_seqs)
     report.extras.update(decode_summary(preds, bundle.hierarchy))
     return report
 
@@ -247,7 +240,8 @@ def cmd_evaluate(args) -> int:
         from .errors import ConfigError
         raise ConfigError("a checkpoint without a text vocabulary needs --precomputed DIR")
     samples = load_jsonl(Path(args.data) / f"{args.split}.jsonl", bundle.hierarchy)
-    report = _score_split(bundle, samples, store, args.macro_all_labels)
+    report = _score_split(bundle, samples, store,
+                          bundle.hierarchy.labels if args.macro_all_labels else None)
     prefix = Path(args.out) if args.out else Path(args.checkpoint) / f"eval_{args.split}"
     txt, kv = write_report(report, prefix)
     print(f"micro_f1 {report.micro_f1:.4f}  macro_f1 {report.macro_f1:.4f} "
@@ -291,9 +285,7 @@ def _ablate_one(payload):
     from .trainer import load_checkpoint
 
     cfg = RunConfig(cfg_values)
-    for dotted, value in ABLATION_VARIANTS.get(variant, {}).items():
-        section, key = dotted.split(".", 1)
-        cfg.set(section, key, value)
+    cfg.apply_overrides(ABLATION_VARIANTS[variant][1])
     cfg.set("train", "seed", seed)
     run_dir = Path(out_dir) / variant.replace("/", "_") / f"seed{seed}"
     bundle, result, h, store = _run_training(cfg, data_dir, run_dir)
@@ -332,11 +324,10 @@ def cmd_ablate(args) -> int:
 
     rows = []
     for v in variants:
-        micro = sorted(c["micro_f1"] for c in cells if c["variant"] == v)
-        macro = sorted(c["macro_f1"] for c in cells if c["variant"] == v)
-        mid = len(micro) // 2
-        rows.append({"variant": v, "display": VARIANT_DISPLAY[v],
-                     "micro_f1": micro[mid], "macro_f1": macro[mid],
+        own = [c for c in cells if c["variant"] == v]
+        rows.append({"variant": v, "display": ABLATION_VARIANTS[v][0],
+                     "micro_f1": statistics.median(c["micro_f1"] for c in own),
+                     "macro_f1": statistics.median(c["macro_f1"] for c in own),
                      "seeds": seeds})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -38,11 +38,11 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .codec import SymbolicVocab
 from .encoder import (NORMAL, ZEROS, ParamSpec, _ffn_params, _ffn_specs, _mha_params,
-                      _mha_specs, _norm_params, _norm_specs, init_params, key_mask)
+                      _mha_specs, _norm_params, _norm_specs, key_mask)
 from .errors import ConfigError, InitDimensionMismatch, ShapeMismatch, UnknownLabel
 
 __all__ = [
-    "DecoderConfig", "DecodeCache", "init_decoder_params", "decoder_forward",
+    "DecoderConfig", "DecodeCache", "decoder_forward", "seed_label_vectors",
     "write_label_embeddings", "read_label_embeddings", "self_attention_mask",
 ]
 
@@ -130,24 +130,6 @@ def decoder_param_specs(cfg: DecoderConfig) -> dict[str, ParamSpec]:
     specs["out.w"] = ((d, cfg.vocab_size), NORMAL)
     specs["out.b"] = ((cfg.vocab_size,), ZEROS)
     return specs
-
-
-def init_decoder_params(
-    cfg: DecoderConfig,
-    rng: np.random.Generator,
-    vocab: SymbolicVocab | None = None,
-    label_init: str | Path | None = None,
-) -> dict[str, Parameter]:
-    """Build the decoder parameter set.
-
-    With ``label_init`` given, stored vectors seed both the input embedding
-    rows and the output projection columns of the matching label tokens;
-    all other entries keep their random draws.
-    """
-    params = init_params(decoder_param_specs(cfg), rng)
-    if label_init is not None:
-        seed_label_vectors(params, vocab, label_init)
-    return params
 
 
 def seed_label_vectors(params: dict[str, Parameter], vocab: SymbolicVocab | None,

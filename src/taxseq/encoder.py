@@ -182,10 +182,6 @@ def init_params(specs: dict[str, ParamSpec], rng: np.random.Generator) -> dict[s
     return out
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, Parameter]:
-    return init_params(encoder_param_specs(cfg), rng)
-
-
 def _mha_params(params: dict[str, Parameter], prefix: str) -> dict[str, Parameter]:
     """The attention block ``prefix``'s projections, keyed wq/bq ... wo/bo."""
     return {part: params[f"{prefix}.{part}"] for part in _MHA_WEIGHTS + _MHA_BIASES}

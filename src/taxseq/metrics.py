@@ -1,22 +1,26 @@
 """Set-level F1 scoring and the sequence-error taxonomy.
 
-Micro-F1 pools true/false positives over all samples; Macro-F1 is the
-unweighted mean of per-label F1 with 0/0 defined as 0. By default the
+Every score comes from one counting pass over the (prediction, gold)
+label-set pairs, which tallies each label's true positives, false
+positives and false negatives. Micro-F1 sums those counts; Macro-F1 is
+the unweighted mean of per-label F1 with 0/0 defined as 0. By default the
 macro mean runs over labels that appear in gold or prediction within the
-evaluated split; ``macro_all_labels`` widens it to the full taxonomy.
+evaluated split; ``all_labels`` sets another universe, such as the full
+taxonomy.
 
-The error taxonomy works on raw token sequences: wrong samples are
-bucketed by generated-vs-gold length, and on two-level taxonomies wrong
-samples are further split into child-wrong-parent-right (with a
-shared-parent subcount) versus both-wrong.
+The error taxonomy buckets wrong samples by generated-vs-gold token
+sequence length. On two-level taxonomies it further splits them, from
+the decoded label sets, into child-wrong-parent-right (with a
+shared-parent subcount) versus both-wrong. Only the codec maps token ids
+to labels.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codec import SymbolicVocab
 from .errors import LengthMismatch
 from .taxonomy import LabelHierarchy
 
@@ -41,9 +45,37 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
-def _check_lengths(preds, golds) -> None:
-    if len(preds) != len(golds):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} gold sets")
+def _check_lengths(*columns) -> None:
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise LengthMismatch(f"predictions and golds differ in length: {lengths}")
+
+
+def _scores(preds, golds, all_labels=None) -> tuple[float, float, dict[str, PRF]]:
+    """(micro, macro, per-label) F1 from each label's (tp, fp, fn), counted in
+    one pass over the set pairs. Without ``all_labels`` the per-label
+    universe is in first appearance over the predictions, then the golds,
+    each set read sorted."""
+    _check_lengths(preds, golds)
+    tps, fps, fns = Counter(), Counter(), Counter()
+    pred_seen: dict[str, None] = {}
+    gold_seen: dict[str, None] = {}
+    for p, g in zip(preds, golds):
+        p, g = set(p), set(g)
+        tps.update(p & g)
+        fps.update(p - g)
+        fns.update(g - p)
+        pred_seen.update(dict.fromkeys(sorted(p)))  # a seen key keeps its place
+        gold_seen.update(dict.fromkeys(sorted(g)))
+    per_label: dict[str, PRF] = {}
+    for lb in {**pred_seen, **gold_seen} if all_labels is None else all_labels:
+        tp, fp, fn = tps[lb], fps[lb], fns[lb]
+        prec = tp / (tp + fp) if tp + fp else 0.0
+        rec = tp / (tp + fn) if tp + fn else 0.0
+        per_label[lb] = PRF(prec, rec, _f1(tp, fp, fn), tp + fn, tp + fp)
+    micro = _f1(sum(tps.values()), sum(fps.values()), sum(fns.values()))
+    macro = sum(s.f1 for s in per_label.values()) / len(per_label) if per_label else 0.0
+    return micro, macro, per_label
 
 
 def micro_macro_f1(preds, golds, all_labels=None) -> tuple[float, float]:
@@ -52,47 +84,13 @@ def micro_macro_f1(preds, golds, all_labels=None) -> tuple[float, float]:
     ``all_labels``, when given, is the label universe of the macro mean;
     otherwise the universe is whatever occurs in ``preds`` or ``golds``.
     """
-    scores = per_label_scores(preds, golds, all_labels)
-    return _micro_f1(preds, golds), _macro_f1(scores)
-
-
-def _micro_f1(preds, golds) -> float:
-    tp = fp = fn = 0
-    for p, g in zip(preds, golds):
-        p, g = set(p), set(g)
-        tp += len(p & g)
-        fp += len(p - g)
-        fn += len(g - p)
-    return _f1(tp, fp, fn)
-
-
-def _macro_f1(scores: dict[str, PRF]) -> float:
-    return (sum(s.f1 for s in scores.values()) / len(scores)) if scores else 0.0
+    return _scores(preds, golds, all_labels)[:2]
 
 
 def per_label_scores(preds, golds, all_labels=None) -> dict[str, PRF]:
-    """Per-label precision/recall/F1 with 0/0 := 0."""
-    _check_lengths(preds, golds)
-    if all_labels is not None:
-        universe = list(all_labels)
-    else:
-        seen: dict[str, None] = {}
-        for s in list(preds) + list(golds):
-            for lb in sorted(s):
-                seen.setdefault(lb)
-        universe = list(seen)
-    out: dict[str, PRF] = {}
-    for lb in universe:
-        tp = fp = fn = 0
-        for p, g in zip(preds, golds):
-            in_p, in_g = lb in p, lb in g
-            tp += in_p and in_g
-            fp += in_p and not in_g
-            fn += in_g and not in_p
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        out[lb] = PRF(prec, rec, _f1(tp, fp, fn), tp + fn, tp + fp)
-    return out
+    """Per-label precision/recall/F1 with 0/0 := 0, over the universe of
+    ``micro_macro_f1``."""
+    return _scores(preds, golds, all_labels)[2]
 
 
 @dataclass
@@ -120,21 +118,18 @@ class ErrorBuckets:
         return out
 
 
-def _labels_of(seq, vocab: SymbolicVocab) -> set[str]:
-    return {vocab.name_of(int(t)) for t in seq if vocab.is_label_id(int(t))}
-
-
-def error_taxonomy(pred_sequences, gold_sequences, h: LabelHierarchy,
-                   vocab: SymbolicVocab) -> ErrorBuckets:
-    """Classify each (generated, gold) token-sequence pair.
+def error_taxonomy(preds, golds, pred_sequences, gold_sequences,
+                   h: LabelHierarchy) -> ErrorBuckets:
+    """Classify each (generated, gold) pair.
 
     Exact match compares full token sequences. Wrong pairs fall into
-    shorter/longer/equal-length buckets. On two-level taxonomies the
-    level-1/level-2 overlay is computed from the decoded label sets.
+    shorter/longer/equal-length buckets by sequence length. On two-level
+    taxonomies the level-1/level-2 overlay reads the decoded label sets
+    ``preds`` and the gold sets ``golds``.
     """
-    _check_lengths(pred_sequences, gold_sequences)
+    _check_lengths(preds, golds, pred_sequences, gold_sequences)
     buckets = ErrorBuckets(n=len(pred_sequences), two_level=h.max_depth == 2)
-    for pred, gold in zip(pred_sequences, gold_sequences):
+    for p_set, g_set, pred, gold in zip(preds, golds, pred_sequences, gold_sequences):
         pred = [int(t) for t in pred]
         gold = [int(t) for t in gold]
         if pred == gold:
@@ -148,8 +143,6 @@ def error_taxonomy(pred_sequences, gold_sequences, h: LabelHierarchy,
             buckets.equal_length_wrong += 1
         if not buckets.two_level:
             continue
-        p_set = _labels_of(pred, vocab)
-        g_set = _labels_of(gold, vocab)
         p_parents = {lb for lb in p_set if h.level[lb] == 1}
         g_parents = {lb for lb in g_set if h.level[lb] == 1}
         if p_parents == g_parents:
@@ -175,17 +168,15 @@ class EvalReport:
     extras: dict = field(default_factory=dict)
 
 
-def build_report(preds, golds, h: LabelHierarchy,
-                 macro_all_labels: bool = False,
-                 pred_sequences=None, gold_sequences=None,
-                 vocab: SymbolicVocab | None = None) -> EvalReport:
-    """Score decoded label sets, optionally with the sequence error census."""
-    per_label = per_label_scores(preds, golds,
-                                 h.labels if macro_all_labels else None)
-    micro, macro = _micro_f1(preds, golds), _macro_f1(per_label)
+def build_report(preds, golds, h: LabelHierarchy, all_labels=None,
+                 pred_sequences=None, gold_sequences=None) -> EvalReport:
+    """Score decoded label sets over the macro universe ``all_labels`` (see
+    ``micro_macro_f1``), with the sequence error census when both token
+    sequence lists are given."""
+    micro, macro, per_label = _scores(preds, golds, all_labels)
     buckets = None
-    if pred_sequences is not None and gold_sequences is not None and vocab is not None:
-        buckets = error_taxonomy(pred_sequences, gold_sequences, h, vocab)
+    if pred_sequences is not None and gold_sequences is not None:
+        buckets = error_taxonomy(preds, golds, pred_sequences, gold_sequences, h)
     return EvalReport(micro, macro, per_label, buckets)
 
 

@@ -619,8 +619,26 @@ class TestAblateCommand:
         assert err.startswith("error:") and f"{no_test_data / 'test.jsonl'}: no samples" in err
 
     def test_variant_table_matches_display_names(self):
-        from taxseq.cli import VARIANT_DISPLAY
-        assert set(ABLATION_VARIANTS) | {"base"} == set(VARIANT_DISPLAY)
+        # one table row a variant, each with a distinct name and overrides
+        # that set config entries; "base" overrides nothing
+        names = [display for display, _ in ABLATION_VARIANTS.values()]
+        assert all(names) and len(set(names)) == len(names)
+        assert ABLATION_VARIANTS["base"][1] == []
+        for _, overrides in ABLATION_VARIANTS.values():
+            RunConfig.defaults(overrides)
+
+    def test_rows_hold_median_over_seeds(self, tmp_path, monkeypatch, capsys):
+        import taxseq.cli as cli
+        f1 = {0: 0.25, 1: 0.75}
+        monkeypatch.setattr(cli, "_ablate_one", lambda job: {
+            "variant": job[3], "seed": job[4], "micro_f1": f1[job[4]],
+            "macro_f1": 2 * f1[job[4]], "best_val": 0.0, "epochs": 1})
+        out = tmp_path / "abl"
+        assert main(["ablate", "--data", str(tmp_path), "--out", str(out),
+                     "--variants", "no-focal", "--seeds", "0,1"]) == 0
+        rows = json.loads((out / "ablation.json").read_text())["rows"]
+        assert [(r["micro_f1"], r["macro_f1"]) for r in rows] == [(0.5, 1.0)] * 2
+        assert "    0.5000    1.0000" in capsys.readouterr().out
 
 
 class TestStatsAndGlobals:

@@ -8,9 +8,10 @@ import pytest
 from taxseq import autodiff as ad
 from taxseq.codec import build_vocab
 from taxseq.decoder import (DecodeCache, DecoderConfig, decoder_forward,
-                            init_decoder_params, read_label_embeddings,
-                            self_attention_mask, write_label_embeddings)
-from taxseq.encoder import EncoderConfig, encode_tokens, init_encoder_params
+                            decoder_param_specs, read_label_embeddings,
+                            seed_label_vectors, self_attention_mask,
+                            write_label_embeddings)
+from taxseq.encoder import EncoderConfig, encode_tokens, encoder_param_specs, init_params
 from taxseq.errors import (ConfigError, InitDimensionMismatch, ShapeMismatch)
 
 
@@ -53,8 +54,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dropout"):
             DecoderConfig(vocab_size=12, dropout=-0.1)
         with pytest.raises(ConfigError):
-            init_decoder_params(DecoderConfig(vocab_size=4),
-                                np.random.default_rng(0))
+            decoder_param_specs(DecoderConfig(vocab_size=4))
 
 
 class TestTapeNodes:
@@ -84,7 +84,7 @@ class TestTapeNodes:
 
     def test_teacher_forced_pass_and_cached_step(self, rng, monkeypatch):
         cfg = small_cfg()
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         ids, mask, hidden, emask = make_inputs(rng, b=2, n=3)
         cache = DecodeCache()
         teacher = self.count_nodes(monkeypatch, lambda: decoder_forward(
@@ -101,13 +101,13 @@ class TestTapeNodes:
     def test_encoder_layer(self, rng, monkeypatch):
         cfg = EncoderConfig(vocab_size=20, d_model=16, layers=1, heads=4, max_len=6,
                             dropout=0.0)
-        params = init_encoder_params(cfg, rng)
+        params = init_params(encoder_param_specs(cfg), rng)
         ids = rng.integers(0, 20, size=(2, 6))
         one = self.count_nodes(monkeypatch, lambda: encode_tokens(
             ids, np.ones((2, 6), np.int8), cfg, params))
         two = self.count_nodes(monkeypatch, lambda: encode_tokens(
             ids, np.ones((2, 6), np.int8), replace(cfg, layers=2),
-            init_encoder_params(replace(cfg, layers=2), rng)))
+            init_params(encoder_param_specs(replace(cfg, layers=2)), rng)))
         assert two - one == 6
 
 
@@ -125,7 +125,7 @@ class TestSelfAttentionMask:
 class TestForward:
     def test_output_shape(self, rng):
         cfg = small_cfg()
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         ids, mask, hidden, emask = make_inputs(rng)
         out = decoder_forward(ids, mask, hidden, emask, cfg, params)
         assert out.data.shape == (2, 5, 12)
@@ -133,7 +133,7 @@ class TestForward:
     def test_causality(self, rng):
         """Changing a future label token never changes earlier logits."""
         cfg = small_cfg()
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         for trial in range(25):
             ids, mask, hidden, emask = make_inputs(rng, b=1)
             base = decoder_forward(ids, mask, hidden, emask, cfg, params).data
@@ -147,7 +147,7 @@ class TestForward:
     def test_prefix_extension_consistency(self, rng):
         """Logits over a prefix are unchanged when the prefix grows."""
         cfg = small_cfg()
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         ids, _, hidden, emask = make_inputs(rng, b=1, n=6)
         for k in range(1, 6):
             short = decoder_forward(ids[:, :k], np.ones((1, k), int), hidden, emask,
@@ -158,7 +158,7 @@ class TestForward:
 
     def test_cross_attention_ignores_padded_encoder_states(self, rng):
         cfg = small_cfg()
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         ids, mask, hidden, emask = make_inputs(rng, b=2, t=6)
         emask[0, 3:] = 0
         emask[1, 1:] = 0
@@ -172,7 +172,7 @@ class TestForward:
 
     def test_padded_encoder_values_never_leak(self, rng):
         cfg = small_cfg()
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         ids, mask, hidden, emask = make_inputs(rng, b=1, t=5)
         emask[0, 2:] = 0
         base = decoder_forward(ids, mask, hidden, emask, cfg, params).data
@@ -183,7 +183,7 @@ class TestForward:
 
     def test_accepts_tensor_and_2d_encoder_states(self, rng):
         cfg = small_cfg()
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         ids, mask, hidden, emask = make_inputs(rng, b=1)
         a = decoder_forward(ids, mask, ad.Tensor(hidden), emask, cfg, params).data
         b = decoder_forward(ids, mask, hidden[0], emask[0], cfg, params).data
@@ -191,7 +191,7 @@ class TestForward:
 
     def test_gradients_reach_encoder_states(self, rng):
         cfg = small_cfg(layers=1)
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         ids, mask, hidden, emask = make_inputs(rng, b=1)
         h = ad.Tensor(hidden, requires_grad=True)
         out = decoder_forward(ids, mask, h, emask, cfg, params)
@@ -202,7 +202,7 @@ class TestForward:
 
     def test_shape_errors(self, rng):
         cfg = small_cfg()
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         ids, mask, hidden, emask = make_inputs(rng)
         with pytest.raises(ShapeMismatch):
             decoder_forward(ids, mask[:, :3], hidden, emask, cfg, params)
@@ -217,7 +217,7 @@ class TestForward:
 
     def test_dropout_changes_training_pass(self, rng):
         cfg = small_cfg(dropout=0.3)
-        params = init_decoder_params(cfg, rng)
+        params = init_params(decoder_param_specs(cfg), rng)
         ids, mask, hidden, emask = make_inputs(rng, b=1)
         a = decoder_forward(ids, mask, hidden, emask, cfg, params).data
         b = decoder_forward(ids, mask, hidden, emask, cfg, params,
@@ -243,13 +243,13 @@ class TestLabelInit:
         path = tmp_path / "vectors.bin"
         write_label_embeddings(path, 16, vecs)
         cfg = small_cfg(vocab_size=vocab.size)
-        params = init_decoder_params(cfg, np.random.default_rng(0), vocab=vocab,
-                                     label_init=path)
+        params = init_params(decoder_param_specs(cfg), np.random.default_rng(0))
+        seed_label_vectors(params, vocab, path)
         b_id, d_id = vocab.id_of("B"), vocab.id_of("D")
         assert np.allclose(params["word_embed"].data[b_id], 0.5)
         assert np.allclose(params["out.w"].data[:, d_id], np.arange(16) / 16)
         # untouched rows keep their random init
-        plain = init_decoder_params(cfg, np.random.default_rng(0))
+        plain = init_params(decoder_param_specs(cfg), np.random.default_rng(0))
         a_id = vocab.id_of("A")
         assert np.array_equal(params["word_embed"].data[a_id],
                               plain["word_embed"].data[a_id])
@@ -258,10 +258,10 @@ class TestLabelInit:
         vocab = build_vocab(tiny_tree)
         path = tmp_path / "vectors.bin"
         write_label_embeddings(path, 8, {"A": np.zeros(8, dtype=np.float32)})
+        params = init_params(decoder_param_specs(small_cfg(vocab_size=vocab.size)),
+                             np.random.default_rng(0))
         with pytest.raises(InitDimensionMismatch):
-            init_decoder_params(small_cfg(vocab_size=vocab.size),
-                                np.random.default_rng(0), vocab=vocab,
-                                label_init=path)
+            seed_label_vectors(params, vocab, path)
 
     def test_wrong_vector_shape_on_write(self, tmp_path):
         with pytest.raises(InitDimensionMismatch):
@@ -288,9 +288,9 @@ class TestLabelInit:
     def test_label_init_needs_vocab(self, tmp_path):
         path = tmp_path / "v.bin"
         write_label_embeddings(path, 16, {"A": np.zeros(16, dtype=np.float32)})
+        params = init_params(decoder_param_specs(small_cfg()), np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            init_decoder_params(small_cfg(), np.random.default_rng(0),
-                                label_init=path)
+            seed_label_vectors(params, None, path)
 
     @pytest.mark.parametrize("header, floats", [
         (b"not json at all", 16),

@@ -8,8 +8,8 @@ import pytest
 from taxseq import autodiff as ad
 from taxseq.encoder import (TEXT_PAD, TEXT_PAD_ID, TEXT_UNK, TEXT_UNK_ID,
                             EncoderConfig, PrecomputedStates, TextVocab,
-                            encode_tokens,
-                            init_encoder_params, tokenize_text, trunc_normal,
+                            encode_tokens, encoder_param_specs, init_params,
+                            tokenize_text, trunc_normal,
                             words_of)
 from taxseq.errors import ConfigError, MissingPrecomputed, ShapeMismatch
 
@@ -77,7 +77,7 @@ class TestInit:
 
     def test_param_names_and_shapes(self, rng):
         cfg = small_cfg()
-        params = init_encoder_params(cfg, rng)
+        params = init_params(encoder_param_specs(cfg), rng)
         assert params["embed"].data.shape == (32, 16)
         assert params["pos_embed"].data.shape == (10, 16)
         for i in range(cfg.layers):
@@ -91,8 +91,8 @@ class TestInit:
 
     def test_seeded_init_reproducible(self):
         cfg = small_cfg()
-        a = init_encoder_params(cfg, np.random.default_rng(7))
-        b = init_encoder_params(cfg, np.random.default_rng(7))
+        a = init_params(encoder_param_specs(cfg), np.random.default_rng(7))
+        b = init_params(encoder_param_specs(cfg), np.random.default_rng(7))
         for k in a:
             assert np.array_equal(a[k].data, b[k].data)
 
@@ -115,7 +115,7 @@ class TestInit:
 class TestEncodeTokens:
     def test_shapes_and_padding_independence(self, rng):
         cfg = small_cfg()
-        params = init_encoder_params(cfg, rng)
+        params = init_params(encoder_param_specs(cfg), rng)
         ids = np.array([[2, 3, 4, 0, 0]])
         mask = np.array([[1, 1, 1, 0, 0]])
         out = encode_tokens(ids, mask, cfg, params)
@@ -128,7 +128,7 @@ class TestEncodeTokens:
 
     def test_batch_matches_single(self, rng):
         cfg = small_cfg()
-        params = init_encoder_params(cfg, rng)
+        params = init_params(encoder_param_specs(cfg), rng)
         ids = np.array([[2, 3, 4, 5], [6, 7, 0, 0]])
         mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
         batch = encode_tokens(ids, mask, cfg, params)
@@ -138,7 +138,7 @@ class TestEncodeTokens:
 
     def test_unpadded_batch_passes_no_mask(self, rng, monkeypatch):
         cfg = small_cfg()
-        params = init_encoder_params(cfg, rng)
+        params = init_params(encoder_param_specs(cfg), rng)
         ids = np.array([[2, 3, 4, 5], [6, 7, 8, 9]])
         real = ad._attention
         masks = []
@@ -164,13 +164,13 @@ class TestEncodeTokens:
 
     def test_too_long_rejected(self, rng):
         cfg = small_cfg(max_len=3)
-        params = init_encoder_params(cfg, rng)
+        params = init_params(encoder_param_specs(cfg), rng)
         with pytest.raises(ShapeMismatch):
             encode_tokens(np.zeros((1, 4), int), np.ones((1, 4), int), cfg, params)
 
     def test_train_mode_uses_dropout(self, rng):
         cfg = small_cfg(dropout=0.3)
-        params = init_encoder_params(cfg, rng)
+        params = init_params(encoder_param_specs(cfg), rng)
         ids = np.array([[2, 3, 4]])
         mask = np.ones((1, 3), int)
         eval_out = encode_tokens(ids, mask, cfg, params)
@@ -181,7 +181,7 @@ class TestEncodeTokens:
         # each of the 1 + 2*layers masks covers the (B, T, d) batch it is
         # given, padded columns included, and not max_len columns
         cfg = small_cfg(dropout=0.3)
-        params = init_encoder_params(cfg, rng)
+        params = init_params(encoder_param_specs(cfg), rng)
         b, t = 2, 4
         assert t < cfg.max_len
         ids = rng.integers(2, 32, size=(b, t))
@@ -194,7 +194,7 @@ class TestEncodeTokens:
 
     def test_gradients_flow_to_all_params(self, rng):
         cfg = small_cfg(layers=1)
-        params = init_encoder_params(cfg, rng)
+        params = init_params(encoder_param_specs(cfg), rng)
         out = encode_tokens(np.array([[2, 3]]), np.array([[1, 1]]), cfg, params)
         ad.backward(ad.tsum(ad.mul(out, out)))
         for name, p in params.items():

@@ -7,11 +7,18 @@ from conftest import random_closed_sets
 from oracles import f1_counts_reference, f1_from_counts
 
 from taxseq.codec import (BOS_ID, EOS_ID, SEP_ID, Ordering, build_vocab,
-                          encode)
+                          decode, encode)
 from taxseq.errors import LengthMismatch
 from taxseq.metrics import (ErrorBuckets, build_report, error_taxonomy,
                             format_report, micro_macro_f1, per_label_scores,
                             write_report)
+from taxseq.taxonomy import ROOT, LabelHierarchy
+
+
+def decoded(seqs, h, ordering=Ordering.CHILD_TO_PARENT):
+    """The label sets ``codec.decode`` reads from token sequences."""
+    vocab = build_vocab(h)
+    return [decode(s, vocab, h, ordering).labels for s in seqs]
 
 
 class TestWorkedExample:
@@ -86,13 +93,19 @@ class TestAgainstRecount:
         with pytest.raises(LengthMismatch):
             per_label_scores([], [{"a"}])
         with pytest.raises(LengthMismatch):
-            error_taxonomy([[0]], [], None, None)
+            error_taxonomy([set()], [], [[0]], [], None)
+        with pytest.raises(LengthMismatch):
+            error_taxonomy([set()], [set()], [[0]], [], None)
 
 
 class TestErrorBuckets:
     def seq(self, h, vocab, labels, capacity=16):
         return encode(h.closure(labels), h, vocab, Ordering.CHILD_TO_PARENT,
                       capacity).trimmed()
+
+    def census(self, h, preds, golds):
+        """``error_taxonomy`` of token sequences and the sets they decode to."""
+        return error_taxonomy(decoded(preds, h), decoded(golds, h), preds, golds, h)
 
     def test_length_buckets_sum(self, two_level_tree, rng):
         h = two_level_tree
@@ -105,7 +118,7 @@ class TestErrorBuckets:
             else:
                 other = random_closed_sets(h, rng, 1)[0]
                 preds.append(self.seq(h, vocab, other))
-        b = error_taxonomy(preds, golds, h, vocab)
+        b = self.census(h, preds, golds)
         assert b.n == 80
         assert b.exact_match + b.shorter + b.longer + b.equal_length_wrong == 80
         wrong = b.n - b.exact_match
@@ -118,8 +131,8 @@ class TestErrorBuckets:
         same_parent = self.seq(h, vocab, {"d0_k1"})
         other_parent = self.seq(h, vocab, {"d1_k0"})
         extra_child = self.seq(h, vocab, {"d0_k1", "d0_k2"})
-        b = error_taxonomy([same_parent, other_parent, extra_child],
-                           [gold, gold, gold], h, vocab)
+        preds = [same_parent, other_parent, extra_child]
+        b = self.census(h, preds, [gold] * 3)
         assert b.two_level
         assert b.exact_match == 0
         assert b.child_wrong_parent_right == 2  # same_parent and extra_child
@@ -130,7 +143,7 @@ class TestErrorBuckets:
     def test_deeper_tree_skips_overlay(self, news_tree):
         vocab = build_vocab(news_tree)
         gold = self.seq(news_tree, vocab, {"n14"})
-        b = error_taxonomy([gold], [gold], news_tree, vocab)
+        b = self.census(news_tree, [gold], [gold])
         assert not b.two_level
         assert "both_wrong" not in b.as_dict()
         assert b.as_dict()["exact_match"] == 1
@@ -140,15 +153,35 @@ class TestErrorBuckets:
         vocab = build_vocab(h)
         gold = self.seq(h, vocab, {"d0_k2"})
         reordered = [gold[0], gold[3], gold[2], gold[1]] + gold[4:]
-        b = error_taxonomy([reordered], [gold], h, vocab)
+        b = self.census(h, [reordered], [gold])
         assert b.exact_match == 0 and b.equal_length_wrong == 1
+
+    @pytest.mark.parametrize("pred, want", [
+        ({"B", "b1"}, {"child_wrong_parent_right": 0, "shared_parent": 0, "both_wrong": 1}),
+        ({"A", "a2"}, {"child_wrong_parent_right": 1, "shared_parent": 1, "both_wrong": 0}),
+    ], ids=["parent-wrong", "shared-parent"])
+    def test_children_only_overlay_reads_decoded_sets(self, pred, want):
+        # children-only sequences hold no parent token; the overlay must still
+        # see the parents the decoded sets close over
+        h = LabelHierarchy.from_edges([(ROOT, "A"), (ROOT, "B"), ("A", "a1"),
+                                       ("A", "a2"), ("B", "b1")])
+        vocab = build_vocab(h)
+        seqs = [encode(s, h, vocab, Ordering.MINIMAL_CHILDREN, 8).trimmed()
+                for s in (pred, {"A", "a1"})]
+        sets = decoded(seqs, h, Ordering.MINIMAL_CHILDREN)
+        assert sets == [pred, {"A", "a1"}]
+        report = build_report(sets[:1], sets[1:], h, pred_sequences=seqs[:1],
+                              gold_sequences=seqs[1:])
+        got = report.buckets.as_dict()
+        assert {k: got[k] for k in want} == want
 
     def test_shorter_and_longer(self, two_level_tree):
         h = two_level_tree
         vocab = build_vocab(h)
         gold = self.seq(h, vocab, {"d0_k2", "d1_k1"})
         short = self.seq(h, vocab, {"d0_k2"})
-        b = error_taxonomy([short, gold + [EOS_ID]], [gold, gold], h, vocab)
+        preds = [short, gold + [EOS_ID]]
+        b = self.census(h, preds, [gold] * 2)
         assert b.shorter == 1 and b.longer == 1
 
 
@@ -163,7 +196,7 @@ class TestReports:
         seqs_p = [encode(s, h, vocab, Ordering.CHILD_TO_PARENT, 16).trimmed()
                   for s in preds]
         report = build_report(preds, golds, h, pred_sequences=seqs_p,
-                              gold_sequences=seqs_g, vocab=vocab)
+                              gold_sequences=seqs_g)
         assert report.buckets is not None and report.buckets.n == 10
         text = format_report(report)
         assert text.startswith("micro_f1 ")
@@ -181,6 +214,6 @@ class TestReports:
         assert float(pairs["label.A.f1"]) == 1.0
 
     def test_macro_all_labels_report(self, tiny_tree):
-        report = build_report([{"A"}], [{"A"}], tiny_tree, macro_all_labels=True)
+        report = build_report([{"A"}], [{"A"}], tiny_tree, all_labels=tiny_tree.labels)
         assert set(report.per_label) == set(tiny_tree.labels)
         assert report.macro_f1 == pytest.approx(1 / 4)
