@@ -132,7 +132,7 @@ def _build_bundle(cfg, h, splits, store=None):
     """Construct a ModelBundle (plus codec capacity) from a RunConfig; with a
     states ``store`` it has no text vocabulary, else its encoder is trainable."""
     from .codec import Ordering, capacity_for
-    from .encoder import TextVocab
+    from .encoder import TEXT_PAD, TEXT_UNK, TextVocab
     from .errors import ConfigError
     from .model import ModelBundle
 
@@ -153,10 +153,13 @@ def _build_bundle(cfg, h, splits, store=None):
     if store is not None:
         enc_cfg = dataclasses.replace(enc_cfg, d_model=store.d_model, max_len=store.max_len)
     else:
-        text_vocab = TextVocab.build(
-            (s.text for s in splits["train"]),
-            min_count=cfg.get("encoder", "word_min_count"),
-            max_size=cfg.get("encoder", "word_max_size"))
+        min_count = cfg.get("encoder", "word_min_count")
+        max_size = cfg.get("encoder", "word_max_size")
+        text_vocab = TextVocab.build((s.text for s in splits["train"]),
+                                     min_count=min_count, max_size=max_size)
+        if set(text_vocab.word_to_id) <= {TEXT_PAD, TEXT_UNK}:
+            raise ConfigError(f"[encoder] word_min_count = {min_count} and word_max_size = "
+                              f"{max_size} keep no word of the training texts")
 
     label_init = None
     if cfg.get("decoder", "use_label_init"):
@@ -312,6 +315,10 @@ def cmd_ablate(args) -> int:
         seeds = []
     if not seeds:
         raise ConfigError(f"--seeds takes comma-separated integers, got {args.seeds!r}")
+    for flag, given in (("--variants", variants), ("--seeds", seeds)):
+        if len(set(given)) < len(given):
+            repeated = next(x for x in given if given.count(x) > 1)
+            raise ConfigError(f"{flag} repeats {repeated}; each runs once")
     jobs = [(cfg.values, args.data, args.out, v, s) for v in variants for s in seeds]
 
     workers = min(args.parallel, len(jobs))

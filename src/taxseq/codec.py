@@ -1,10 +1,11 @@
 """Symbolic label vocabulary and the fixed-capacity label-sequence codec.
 
-Original label names are replaced by opaque symbols (``[a_0]``, ``[a_1]``,
-...) so that no linguistic content from the names reaches the decoder. A
-sample's label set is serialized into a fixed-size token-id vector whose
-layout depends on the chosen ordering strategy; ``LAYOUTS`` holds each
-ordering's rules in one entry.
+The decoder sees labels only as opaque token ids, so no linguistic content
+from the names reaches it. Label ids follow the hierarchy's label order;
+the symbols ``[a_0]``, ``[a_1]``, ... name those tokens only in
+checkpoints. A sample's label set is serialized into a fixed-size
+token-id vector whose layout depends on the chosen ordering strategy;
+``LAYOUTS`` holds each ordering's rules in one entry.
 """
 
 from __future__ import annotations
@@ -48,43 +49,35 @@ class Ordering(str, enum.Enum):
 
 
 class SymbolicVocab:
-    """Token vocabulary of the decoder: four specials plus one id per label."""
+    """Token vocabulary of the decoder: four specials plus one id per label.
+
+    Label k of ``h.labels`` has id ``N_SPECIALS + k``. The ``[a_k]``
+    symbols that name these tokens appear only in checkpoints.
+    """
 
     def __init__(self, h: LabelHierarchy):
-        self.symbol_of: dict[str, str] = {}
-        self.original_of: dict[str, str] = {}
-        self.label_to_id: dict[str, int] = {}
-        self.id_to_label: dict[int, str] = {}
-        for k, name in enumerate(h.labels):
-            sym = f"[a_{k}]"
-            self.symbol_of[name] = sym
-            self.original_of[sym] = name
-            self.label_to_id[sym] = N_SPECIALS + k
-            self.id_to_label[N_SPECIALS + k] = sym
+        self.labels = list(h.labels)
+        self._ids = {name: N_SPECIALS + k for k, name in enumerate(self.labels)}
+        self.size = N_SPECIALS + len(self.labels)
 
-    @property
-    def size(self) -> int:
-        return N_SPECIALS + len(self.label_to_id)
+    def __contains__(self, name: str) -> bool:
+        return name in self._ids
 
     def id_of(self, original_name: str) -> int:
         """Token id for an original label name."""
         try:
-            return self.label_to_id[self.symbol_of[original_name]]
+            return self._ids[original_name]
         except KeyError:
             raise UnknownLabel(original_name) from None
 
     def name_of(self, token_id: int) -> str:
-        """Original label name for a label token id."""
-        return self.original_of[self.id_to_label[token_id]]
+        """Original label name for a label token id; KeyError for any other id."""
+        if not N_SPECIALS <= token_id < self.size:
+            raise KeyError(token_id)
+        return self.labels[token_id - N_SPECIALS]
 
     def is_label_id(self, token_id: int) -> bool:
         return N_SPECIALS <= token_id < self.size
-
-    def token_string(self, token_id: int) -> str:
-        for tok, i in SPECIAL_TOKENS.items():
-            if i == token_id:
-                return tok
-        return self.id_to_label.get(token_id, f"<id_{token_id}>")
 
 
 def build_vocab(h: LabelHierarchy) -> SymbolicVocab:

@@ -144,7 +144,7 @@ def seed_label_vectors(params: dict[str, Parameter], vocab: SymbolicVocab | None
         raise InitDimensionMismatch(
             f"label vectors have d_model {file_d}, decoder uses {d}")
     for name, vec in vectors.items():
-        if name not in vocab.symbol_of:
+        if name not in vocab:
             raise UnknownLabel(f"{label_init}: label {name!r} is not in the taxonomy")
         tid = vocab.id_of(name)
         params["word_embed"].data[tid] = vec

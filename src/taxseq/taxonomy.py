@@ -27,7 +27,8 @@ ROOT = "ROOT"
 
 
 class LabelHierarchy:
-    """Rooted tree of labels with parent/level indices.
+    """Rooted tree of labels. Each label's ancestor chain is computed once,
+    when the tree is built, and every query is a lookup in that table.
 
     Attributes:
         labels: all label names, in order of first appearance in the source.
@@ -38,20 +39,15 @@ class LabelHierarchy:
         top: top-level labels in label order.
     """
 
-    def __init__(
-        self,
-        labels: list[str],
-        parent: dict[str, str],
-        level: dict[str, int],
-        children: dict[str, list[str]],
-        top: list[str],
-    ):
+    def __init__(self, labels: list[str], parent: dict[str, str],
+                 chains: dict[str, tuple[str, ...]], children: dict[str, list[str]],
+                 top: list[str]):
         self.labels = labels
         self.parent = parent
-        self.level = level
         self.children = children
         self.top = top
-        self._index = {name: i for i, name in enumerate(labels)}
+        self._chains = chains  # label -> ancestors, nearest first
+        self.level = {name: len(chain) + 1 for name, chain in chains.items()}
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "LabelHierarchy":
@@ -106,22 +102,22 @@ class LabelHierarchy:
                 raise UnknownParent(f"label {l!r} attached to {p!r}, which is never declared")
             else:
                 children[p].append(l)
-        level: dict[str, int] = {}
-        queue = deque((t, 1) for t in top)
+        chains: dict[str, tuple[str, ...]] = {}
+        queue = deque((t, ()) for t in top)
         while queue:
-            name, lvl = queue.popleft()
-            level[name] = lvl
-            for ch in children[name]:
-                queue.append((ch, lvl + 1))
-        if len(level) != len(labels):
-            missing = [l for l in labels if l not in level]
+            name, chain = queue.popleft()
+            chains[name] = chain
+            chain = (name, *chain)
+            queue.extend((ch, chain) for ch in children[name])
+        if len(chains) != len(labels):
+            missing = [l for l in labels if l not in chains]
             raise CycleDetected(f"labels unreachable from the root (cycle or orphan): {missing[:5]}")
-        return cls(labels, {l: p for l, p in parent.items() if l in known}, level, children, top)
+        return cls(labels, {l: p for l, p in parent.items() if l in known}, chains, children, top)
 
     # -- queries ----------------------------------------------------------
 
     def __contains__(self, label: str) -> bool:
-        return label in self._index
+        return label in self._chains
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -132,19 +128,15 @@ class LabelHierarchy:
 
     def check_known(self, labels: Iterable[str]) -> None:
         for l in labels:
-            if l not in self._index:
+            if l not in self._chains:
                 raise UnknownLabel(l)
 
     def ancestors(self, label: str) -> list[str]:
         """Ancestor chain of a label, nearest first, virtual root excluded."""
-        if label not in self._index:
-            raise UnknownLabel(label)
-        chain = []
-        cur = label
-        while cur in self.parent:
-            cur = self.parent[cur]
-            chain.append(cur)
-        return chain
+        try:
+            return list(self._chains[label])
+        except KeyError:
+            raise UnknownLabel(label) from None
 
     def closure(self, labels: Iterable[str]) -> set[str]:
         """The labels plus all their ancestors. Idempotent."""
@@ -152,15 +144,14 @@ class LabelHierarchy:
         for l in labels:
             if l in out:
                 continue
-            if l not in self._index:
+            chain = self._chains.get(l)
+            if chain is None:
                 raise UnknownLabel(l)
             out.add(l)
-            cur = l
-            while cur in self.parent:
-                cur = self.parent[cur]
-                if cur in out:
+            for a in chain:
+                if a in out:  # so are the rest of the chain
                     break
-                out.add(cur)
+                out.add(a)
         return out
 
     def minimize(self, labels: Iterable[str]) -> set[str]:
@@ -261,7 +252,6 @@ def dataset_stats(h: LabelHierarchy, label_sets: Sequence[Iterable[str]]) -> Dat
     tot = tot_leaf = 0
     for labels in label_sets:
         s = set(labels)
-        h.check_known(s)
         leaves = h.leaf_labels(s)
         tot += len(s)
         tot_leaf += len(leaves)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .codec import Ordering, PAD_ID, SymbolicVocab, encode
+from .codec import Ordering, PAD_ID, SPECIAL_TOKENS, SymbolicVocab, encode
 from .encoder import EncoderConfig, PrecomputedStates, TextVocab, tokenize_texts
 from .decoder import DecoderConfig
 from .errors import ConfigError, EmptyCorpus, NonFiniteLoss, ShapeMismatch
@@ -384,9 +384,16 @@ def evaluate_epoch(bundle: ModelBundle, data: PreparedData,
 # ---------------------------------------------------------------------------
 
 
+def _label_symbols(vocab: SymbolicVocab) -> tuple[dict[str, str], dict[str, int]]:
+    """Label tokens as checkpoints name them, ``[a_k]`` for label k:
+    label -> symbol and symbol -> token id."""
+    symbols = {name: f"[a_{k}]" for k, name in enumerate(vocab.labels)}
+    return symbols, {sym: vocab.id_of(name) for name, sym in symbols.items()}
+
+
 def _vocab_hash(vocab: SymbolicVocab) -> str:
-    payload = json.dumps(
-        {"labels": vocab.label_to_id, "symbols": vocab.symbol_of}, sort_keys=True)
+    symbols, ids = _label_symbols(vocab)
+    payload = json.dumps({"labels": ids, "symbols": symbols}, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -418,6 +425,7 @@ def save_checkpoint(out_dir, bundle: ModelBundle, train_state: dict | None = Non
 def _describe_model(bundle: ModelBundle) -> dict:
     """The manifest fields that fix the model: its configs, layout,
     taxonomy, vocabularies and parameter shapes."""
+    symbols, ids = _label_symbols(bundle.vocab)
     return {
         "enc_cfg": asdict(bundle.enc_cfg),
         "dec_cfg": asdict(bundle.dec_cfg),
@@ -425,8 +433,8 @@ def _describe_model(bundle: ModelBundle) -> dict:
         "capacity": bundle.capacity,
         "taxonomy": {"labels": bundle.hierarchy.labels,
                      "parents": bundle.hierarchy.parent},
-        "label_map": bundle.vocab.symbol_of,
-        "token_ids": {bundle.vocab.token_string(i): i for i in range(bundle.vocab.size)},
+        "label_map": symbols,
+        "token_ids": {**SPECIAL_TOKENS, **ids},
         "vocab_hash": _vocab_hash(bundle.vocab),
         "text_vocab": bundle.text_vocab.to_json() if bundle.text_vocab else None,
         "param_shapes": {k: list(p.data.shape) for k, p in bundle.all_params().items()},

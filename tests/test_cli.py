@@ -278,6 +278,20 @@ class TestTrainCommand:
         assert err.startswith("error:") and "v.bin" in err
         assert "'Zed' is not in the taxonomy" in err
 
+    @pytest.mark.parametrize("setting", ["word_max_size=2", "word_min_count=100000"])
+    def test_word_vocabulary_without_words_exits_2(self, workdir, tmp_path, capsys, setting):
+        code = main(["train", "--config", str(workdir["ini"]),
+                     "--data", str(workdir["data"]), "--out", str(tmp_path / "run"),
+                     "--set", f"encoder.{setting}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "[encoder]" in err and "keep no word" in err
+        min_count, max_size = (("1", "2") if setting.startswith("word_max_size")
+                               else ("100000", "50000"))
+        assert f"word_min_count = {min_count}" in err
+        assert f"word_max_size = {max_size}" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("dotted", REMOVED_KEYS)
     def test_removed_key_exits_2(self, workdir, tmp_path, capsys, dotted):
         section, key = dotted.split(".")
@@ -607,6 +621,18 @@ class TestAblateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "--seeds" in err and "'0,x'" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value, named", [("--variants", "no-focal,no-focal", "no-focal"),
+                                                    ("--seeds", "0,1,0", "0")])
+    def test_repeated_variant_or_seed_exits_2(self, workdir, tmp_path, capsys, flag, value,
+                                              named):
+        code = main(["ablate", "--config", str(workdir["ini"]),
+                     "--data", str(workdir["data"]), "--out", str(tmp_path / "x"),
+                     flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and f"{flag} repeats {named};" in err
         assert not (tmp_path / "x").exists()
 
     def test_empty_test_split_exits_2_naming_it(self, workdir, no_test_data, tmp_path,

@@ -34,22 +34,28 @@ class TestVocab:
 
     def test_symbols_and_ids(self, news_tree):
         vocab = build_vocab(news_tree)
-        assert vocab.symbol_of["n0"] == "[a_0]"
-        assert vocab.symbol_of["n42"] == "[a_42]"
+        assert vocab.labels[0] == "n0" and vocab.labels[42] == "n42"
         assert vocab.id_of("n0") == 4
         assert vocab.id_of("n42") == 46
         assert vocab.name_of(vocab.id_of("n35")) == "n35"
 
     def test_bijection_and_contiguity(self, deep_tree):
         vocab = build_vocab(deep_tree)
-        assert sorted(vocab.id_to_label) == list(range(4, vocab.size))
-        assert len(set(vocab.symbol_of.values())) == len(vocab.symbol_of)
-        for name, sym in vocab.symbol_of.items():
-            assert vocab.original_of[sym] == name
+        assert sorted(vocab.id_of(name) for name in deep_tree.labels) == list(range(4, vocab.size))
+        for k, name in enumerate(deep_tree.labels):
+            assert vocab.id_of(name) == N_SPECIALS + k
+            assert vocab.name_of(N_SPECIALS + k) == name
 
     def test_rebuild_identical(self):
         a, b = build_vocab(build_news_tree()), build_vocab(build_news_tree())
-        assert a.label_to_id == b.label_to_id and a.symbol_of == b.symbol_of
+        assert a.labels == b.labels
+        assert [a.id_of(n) for n in a.labels] == [b.id_of(n) for n in b.labels]
+
+    @pytest.mark.parametrize("token_id", [BOS_ID, EOS_ID, PAD_ID, SEP_ID, "size"])
+    def test_name_of_rejects_non_label_ids(self, tiny_tree, token_id):
+        vocab = build_vocab(tiny_tree)
+        with pytest.raises(KeyError):
+            vocab.name_of(vocab.size if token_id == "size" else token_id)
 
     def test_unknown_label(self, tiny_tree):
         with pytest.raises(UnknownLabel):

@@ -79,20 +79,30 @@ class TestConstruction:
 
 
 class TestStructureQueries:
-    def test_ancestors_nearest_first(self, tiny_tree, news_tree):
+    def test_ancestors_nearest_first(self, tiny_tree, news_tree, deep_tree):
         assert tiny_tree.ancestors("D") == ["B", "A"]
         assert tiny_tree.ancestors("A") == []
         assert news_tree.ancestors("n14") == ["n9", "n4", "n0"]
+        for h in (deep_tree, news_tree):
+            for label in h.labels:
+                walk, cur = [], label
+                while cur in h.parent:
+                    cur = h.parent[cur]
+                    walk.append(cur)
+                assert h.ancestors(label) == walk
 
     def test_closure_examples(self, tiny_tree):
         assert tiny_tree.closure({"D"}) == {"D", "B", "A"}
         assert tiny_tree.closure({"C"}) == {"C", "A"}
         assert tiny_tree.closure(set()) == set()
 
-    def test_closure_matches_reference(self, deep_tree, rng):
-        for s in random_closed_sets(deep_tree, rng, 200):
-            base = {l for l in s}
-            assert deep_tree.closure(base) == closure_reference(deep_tree.parent, base)
+    def test_closure_matches_reference(self, deep_tree, news_tree, rng):
+        for h in (deep_tree, news_tree):
+            singles = [{l} for l in h.labels]
+            subsets = [set(rng.choice(h.labels, size=int(rng.integers(1, 6))).tolist())
+                       for _ in range(200)]
+            for base in [*random_closed_sets(h, rng, 200), *singles, *subsets]:
+                assert h.closure(base) == closure_reference(h.parent, base)
 
     def test_minimize_examples(self, tiny_tree):
         assert tiny_tree.minimize({"A", "B", "D"}) == {"D"}

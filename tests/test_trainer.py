@@ -789,7 +789,9 @@ class TestCheckpointing:
         save_checkpoint(tmp_path / "ck", bundle, {"epoch": 0})
         loaded, manifest = load_checkpoint(tmp_path / "ck")
         assert loaded.hierarchy.labels == bundle.hierarchy.labels
-        assert loaded.vocab.label_to_id == bundle.vocab.label_to_id
+        assert loaded.vocab.labels == bundle.vocab.labels
+        assert ([loaded.vocab.id_of(n) for n in loaded.vocab.labels]
+                == [bundle.vocab.id_of(n) for n in bundle.vocab.labels])
         assert loaded.ordering is bundle.ordering
         assert loaded.capacity == bundle.capacity
         assert loaded.text_vocab.word_to_id == bundle.text_vocab.word_to_id
@@ -800,6 +802,21 @@ class TestCheckpointing:
         assert manifest["train_state"] == {"epoch": 0}
         assert manifest["token_ids"]["<s>"] == 0
         assert manifest["token_ids"]["<unk>"] == 3
+
+    def test_manifest_vocabulary_matches_recorded(self, tmp_path):
+        # label order D, A, C, B, E over three levels; the values were
+        # recorded from the manifest and pin its bytes
+        h = LabelHierarchy.from_edges([(ROOT, "D"), (ROOT, "A"), ("A", "C"),
+                                       ("A", "B"), ("B", "E")])
+        save_checkpoint(tmp_path / "ck", tiny_bundle(h=h))
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert list(manifest["label_map"].items()) == [
+            ("D", "[a_0]"), ("A", "[a_1]"), ("C", "[a_2]"), ("B", "[a_3]"), ("E", "[a_4]")]
+        assert list(manifest["token_ids"].items()) == [
+            ("<s>", 0), ("</s>", 1), ("<pad>", 2), ("<unk>", 3), ("[a_0]", 4),
+            ("[a_1]", 5), ("[a_2]", 6), ("[a_3]", 7), ("[a_4]", 8)]
+        assert manifest["vocab_hash"] == (
+            "decf7c3b0b0ab4ad4f11cda2b218b00c1ecf7291fe6784db2414533676bfbdd8")
 
     def test_label_enumeration_order_survives(self, tmp_path):
         h = LabelHierarchy.from_edges([(ROOT, "B"), ("B", "C"), (ROOT, "A")])
