@@ -278,16 +278,16 @@ class TestTrainCommand:
         assert err.startswith("error:") and "v.bin" in err
         assert "'Zed' is not in the taxonomy" in err
 
-    @pytest.mark.parametrize("setting", ["word_max_size=2", "word_min_count=100000"])
-    def test_word_vocabulary_without_words_exits_2(self, workdir, tmp_path, capsys, setting):
+    @pytest.mark.parametrize("setting, min_count, max_size", [
+        ("word_max_size=2", 1, 2), ("word_min_count=100000", 100000, 50000)])
+    def test_word_vocabulary_without_words_exits_2(self, workdir, tmp_path, capsys, setting,
+                                                   min_count, max_size):
         code = main(["train", "--config", str(workdir["ini"]),
                      "--data", str(workdir["data"]), "--out", str(tmp_path / "run"),
                      "--set", f"encoder.{setting}"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "[encoder]" in err and "keep no word" in err
-        min_count, max_size = (("1", "2") if setting.startswith("word_max_size")
-                               else ("100000", "50000"))
         assert f"word_min_count = {min_count}" in err
         assert f"word_max_size = {max_size}" in err
         assert not (tmp_path / "run").exists()
