@@ -13,9 +13,11 @@ and ``feed_forward``. Their forward and backward are built from array
 kernels (``_affine``, ``_norm``, ``_gelu``, ``_attention`` and the head
 split/merge), which are also the whole of the single-op nodes ``linear``,
 ``layer_norm``, ``gelu`` and ``scaled_dot_attention``, so each kernel has
-one implementation. When no tape records it, ``feed_forward`` runs in
+one implementation. Off the tape, ``feed_forward`` is ``_feed_forward``:
 batch-axis blocks of at most ``FF_BLOCK_FLOATS`` hidden floats, which stay
-in L2 cache and give the same bits as one whole-batch pass. Attention
+in L2 cache and give the same bits as one whole-batch pass. Code that
+keeps no tape at all (the decoder's cached step) calls the kernels
+directly, and ``constant`` wraps an array as a Tensor without a copy. Attention
 takes its row max over a key-major copy of a score array with many short
 rows (``_row_max``), with the same bits as the plain reduce.
 """
@@ -145,16 +147,23 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
     head split), so no caller writes into a node's ``.data``: ops build
     new arrays and write in place only into arrays they made themselves.
     """
-    t = Tensor.__new__(Tensor)
-    t.data = data if type(data) is np.ndarray else np.asarray(data)
-    t.grad = None
-    t.requires_grad = False
-    t._parents = ()
-    t._backward = None
+    t = constant(data if type(data) is np.ndarray else np.asarray(data))
     if _recording(parents):
         t.requires_grad = True
         t._parents = tuple(parents)
         t._backward = backward
+    return t
+
+
+def constant(data: np.ndarray) -> Tensor:
+    """An array as a Tensor off the tape, kept as it is: unlike
+    ``Tensor(...)`` it neither converts nor copies, so a view stays a view."""
+    t = Tensor.__new__(Tensor)
+    t.data = data
+    t.grad = None
+    t.requires_grad = False
+    t._parents = ()
+    t._backward = None
     return t
 
 
@@ -698,38 +707,44 @@ def gelu(x: Tensor) -> Tensor:
     return _node(out, (x,), bwd)
 
 
+def _feed_forward(x, w1, b1, w2, b2):
+    """``_affine(gelu(_affine(x, w1, b1)), w2, b2)`` off the tape.
+
+    It runs in blocks of the leading rows (every axis but the last two,
+    flattened) whose hidden holds at most ``FF_BLOCK_FLOATS`` floats (at
+    least one row), each written into one output array. The broadcast
+    product makes one ``(T, d) @ (d, f)`` product per leading index, so a
+    block computes exactly the products the whole batch would and the
+    output is the same to the bit.
+    """
+    hidden = math.prod(x.shape[:-1]) * w1.shape[-1]
+    if hidden <= FF_BLOCK_FLOATS or x.ndim <= 2:
+        return _affine(_gelu(_affine(x, w1, b1))[0], w2, b2)
+    lead = x.reshape(-1, *x.shape[-2:])
+    step = max(1, FF_BLOCK_FLOATS * len(lead) // hidden)
+    out = None
+    for i in range(0, len(lead), step):
+        part = _affine(_gelu(_affine(lead[i:i + step], w1, b1))[0], w2, b2)
+        if out is None:
+            out = np.empty(lead.shape[:-1] + part.shape[-1:], part.dtype)
+        out[i:i + step] = part
+    return out.reshape(x.shape[:-1] + out.shape[-1:])
+
+
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node.
 
-    Off the tape, the chain runs in blocks of the leading rows (every axis
-    but the last two, flattened) whose hidden holds at most
-    ``FF_BLOCK_FLOATS`` floats (at least one row), each written into one
-    output array. The broadcast product makes one ``(T, d) @ (d, f)``
-    product per leading index, so a block computes exactly the products
-    the whole batch would and the output is the same to the bit. A
-    recording call is one whole-batch block, since its backward reads the
-    whole pre-activation and ``h``.
+    Off the tape it is ``_feed_forward``, in blocks. A recording call is
+    one whole-batch block, since its backward reads the whole
+    pre-activation and ``h``.
     """
     xd, w1d, w2d = x.data, w1.data, w2.data
     parents = (x, w1, b1, w2, b2)
-    lead, blocks = xd, [Ellipsis]  # one block: recording, a 2-D x or a small x
-    hidden = math.prod(xd.shape[:-1]) * w1d.shape[-1]
-    if hidden > FF_BLOCK_FLOATS and xd.ndim > 2 and not _recording(parents):
-        lead = xd.reshape(-1, *xd.shape[-2:])
-        step = max(1, FF_BLOCK_FLOATS * len(lead) // hidden)
-        blocks = [slice(i, i + step) for i in range(0, len(lead), step)]
-    out = None
-    for rows in blocks:
-        pre = _affine(lead[rows], w1d, b1.data)
-        act, h = _gelu(pre)
-        part = _affine(act, w2d, b2.data)
-        if len(blocks) == 1:
-            out = part
-        else:
-            if out is None:
-                out = np.empty(lead.shape[:-1] + part.shape[-1:], part.dtype)
-            out[rows] = part
-    out = out.reshape(xd.shape[:-1] + out.shape[-1:])
+    if not _recording(parents):
+        return _node(_feed_forward(xd, w1d, b1.data, w2d, b2.data), parents, None)
+    pre = _affine(xd, w1d, b1.data)
+    act, h = _gelu(pre)
+    out = _affine(act, w2d, b2.data)
 
     def bwd(g, acc):
         need_x = x.requires_grad or w1.requires_grad or b1.requires_grad
@@ -744,7 +759,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
             acc(w1, gw1)
             acc(b1, gb1)
 
-    return _node(out, (x, w1, b1, w2, b2), bwd)
+    return _node(out, parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -859,49 +874,16 @@ def attend(
     return _node(out, parents, bwd)
 
 
-def attend_prefixes(
-    x_q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    masks: Sequence[np.ndarray | None],
-    heads: int,
-    params: dict[str, Tensor],
-) -> Tensor:
-    """``attend`` for n causal queries off the tape, each query to the bit as
-    a one-query ``attend`` over its own prefix of the keys.
-
-    ``x_q`` is position-major, (n, B, 1, d), so the projections make the
-    one-row products a one-query call makes and ``q[i]`` is the (B, heads,
-    1, d_h) query of such a call. ``k``/``v`` are split-head (B, heads,
-    t + n, d_h), and query i reads their first t + i + 1 keys under
-    ``masks[i]`` (None or additive (B, 1, 1, t + i + 1)). Padding every
-    query to t + n keys, the later ones masked, would change the lengths
-    of the softmax sum and of the products, and with them the last bits.
-    Returns (n, B, 1, d).
-    """
-    wq, bq, wo, bo = params["wq"], params["bq"], params["wo"], params["bo"]
-    if _recording((x_q, k, v, wq, bq, wo, bo)):
-        raise ValueError("attend_prefixes records no tape; call it under no_grad")
-    kd, vd = k.data, v.data
-    q = _split(_affine(x_q.data, wq.data, bq.data), heads)  # (n, B, heads, 1, d_h)
-    t = kd.shape[-2] - len(q)
-    ctx = np.empty_like(q)
-    for i, mask in enumerate(masks):
-        keys = t + i + 1
-        ctx[i] = _attention(q[i], kd[..., :keys, :], vd[..., :keys, :], mask, None)[0]
-    return _node(_affine(_merge(ctx), wo.data, bo.data), (), None)
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, in ``x``'s dtype."""
-    m = x.max(axis=-1, keepdims=True)
-    z = x - m
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis, in ``x``'s dtype. The reductions are
+    the ufuncs' own (see ``_norm``), with the bits of ``max`` and ``sum``."""
+    z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def smoothed_nll_per_position(

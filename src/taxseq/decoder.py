@@ -10,19 +10,18 @@ cross-attention and feedforward outputs before they join the residual
 stream. A final linear projection produces logits over the label token
 vocabulary.
 
-``decoder_forward`` runs over a ``DecodeCache`` of the consumed positions'
-keys and values and of the encoder side's cross-attention keys and
-values, in two shapes. The first call on a fresh cache (the teacher-forced
-pass, or decoding's BOS step) is batch-major and records the tape. Every
-later call runs off the tape and position-major, (n, B, 1, d), so each
-product is the one-row product of a one-position step: n positions (a
-greedy draft to check) give the bits of n steps, and a row kept by
-``DecodeCache.select`` rounds as if alone. A mask that masks nothing is
-None.
-
-Each sublayer records one tape node: ``ad.kv_heads`` (one node each for the
-keys and the values), ``ad.attend``, ``ad.add_norm`` for each residual sum
-and its layer norm, and ``ad.feed_forward``.
+``decoder_forward`` has two purposes. Without a ``DecodeCache`` it is the
+teacher-forced pass: batch-major, on the tape, where each sublayer records
+one node: ``ad.kv_heads`` (one node each for the keys and the values),
+``ad.attend``, ``ad.add_norm`` for each residual sum and its layer norm,
+and ``ad.feed_forward``. Every call on a cache, decoding's first (BOS)
+call included, is ``_cached_step``: plain arrays through the same array
+kernels, no tape, position-major, (n, B, 1, d), so each product is the
+one-row product of a one-position step: n positions (a greedy draft to
+check) give the bits of n steps, and a row kept by ``DecodeCache.select``
+rounds as if alone. The cache holds each layer's self-attention keys and
+values in buffers of ``max_positions`` positions, written in place. A mask
+that masks nothing is None.
 """
 
 from __future__ import annotations
@@ -183,54 +182,92 @@ def _layer_params(params: dict[str, Parameter], i: int) -> _Layer:
                   _ffn_params(params, f"l{i}.ff"), _norm_params(params, f"l{i}.norm_f"))
 
 
+class _StepLayer(NamedTuple):
+    """One decoder layer's arrays for the cached step. ``qkv`` is the
+    self-attention's query, key and value projections side by side, a
+    (d, 3d) weight and its (3d,) bias, so one product per row makes all
+    three; each column is the dot product its own projection makes."""
+
+    qkv: tuple[np.ndarray, np.ndarray]
+    self_out: tuple[np.ndarray, np.ndarray]
+    norm_q: tuple[np.ndarray, np.ndarray]
+    cross_q: tuple[np.ndarray, np.ndarray]
+    cross_out: tuple[np.ndarray, np.ndarray]
+    norm_c: tuple[np.ndarray, np.ndarray]
+    ff: tuple[np.ndarray, ...]
+    norm_f: tuple[np.ndarray, np.ndarray]
+
+
+def _step_layer(layer: _Layer) -> _StepLayer:
+    att, cross = layer.self_attn, layer.cross
+    qkv = (np.concatenate([att[w].data for w in ("wq", "wk", "wv")], axis=1),
+           np.concatenate([att[b].data for b in ("bq", "bk", "bv")]))
+    groups = ((att["wo"], att["bo"]), layer.norm_q, (cross["wq"], cross["bq"]),
+              (cross["wo"], cross["bo"]), layer.norm_c, layer.ff, layer.norm_f)
+    return _StepLayer(qkv, *(tuple(p.data for p in group) for group in groups))
+
+
+def _add_norm(x: np.ndarray, r: np.ndarray, norm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The value ``ad.add_norm`` computes, off the tape."""
+    return ad._norm(x + r, *norm, 1e-5)[0]
+
+
 class DecodeCache:
     """What the decoder keeps between calls on the same rows.
 
-    ``key_mask`` is the ``label_mask != 0`` of the t label positions
-    consumed so far, (B, t). Per layer, ``self_kv`` holds the split-head
-    self-attention keys and values of those t positions, and ``cross_kv``
-    the ones the first call projected from the encoder states, with
+    ``length`` positions of each row have been consumed, and ``key_mask``
+    is their ``label_mask != 0``, (B, length). Per layer, ``self_kv`` holds
+    two (B, heads, max_positions, d_h) buffers, the split-head
+    self-attention keys and values, whose first ``length`` positions are
+    the consumed ones'; a call writes its positions in place, and later
+    positions are stale and never read. ``cross_kv`` holds the keys and
+    values the first call projected from the encoder states, with
     ``cross_mask`` their additive key mask (None when no encoder column is
     padding). The first call also resolves each layer's parameters into
     ``layers``, so later calls (which must pass the same parameters) look
-    up no names. The first call keeps the tape tensors it built, so a
-    teacher-forced pass keeps its graph; later calls append plain arrays.
+    up no names.
 
     An encoder side of one row serves every row of the cache: ``select``
     leaves it at one row and attention broadcasts it, so beam search's
     beams share one copy. A multi-row one is selected through its
     projection's (B, T, heads, d_h) layout, so kept rows keep the strides
-    of ``ad.kv_heads`` and the bits they compute decoded alone.
+    of the head split and compute the bits they compute decoded alone.
+    A cache nothing has been fed to has no rows: it truncates to 0 and
+    selects no rows, and anything else raises ``ShapeMismatch``.
     """
 
     def __init__(self):
-        self.key_mask: np.ndarray | None = None
-        self.layers: list[_Layer] = []
-        self.self_kv: list[tuple[Tensor, Tensor]] = []
+        self.length = 0
+        self.layers: list[_StepLayer] = []
+        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
         self.cross_kv: list[tuple[Tensor, Tensor]] = []
         self.cross_mask: np.ndarray | None = None
+        self._keys: np.ndarray | None = None  # (B, max_positions)
 
     @property
-    def length(self) -> int:
-        return 0 if self.key_mask is None else self.key_mask.shape[1]
+    def key_mask(self) -> np.ndarray | None:
+        return None if self._keys is None else self._keys[:, :self.length]
 
-    def consume(self, label_mask: np.ndarray) -> np.ndarray:
-        """Append (B, n) new positions' mask; return every consumed key's mask."""
-        if self.key_mask is None:
-            self.key_mask = label_mask != 0
-        else:
-            self.key_mask = np.concatenate([self.key_mask, label_mask != 0], axis=1)
-        return self.key_mask
+    def open(self, rows: int, positions: int, layers: int, heads: int, d_h: int,
+             dtype) -> None:
+        """Allocate the buffers of ``rows`` rows of up to ``positions``
+        positions, for ``layers`` layers of ``heads`` heads of width ``d_h``."""
+        self._keys = np.zeros((rows, positions), dtype=bool)
+        self.self_kv = [tuple(np.empty((rows, heads, positions, d_h), dtype) for _ in "kv")
+                        for _ in range(layers)]
 
-    def extend_self(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append new positions' keys and values to a layer's; return all."""
-        if layer == len(self.self_kv):
-            self.self_kv.append((k, v))
-        else:
-            pk, pv = self.self_kv[layer]
-            self.self_kv[layer] = (Tensor(np.concatenate([pk.data, k.data], axis=2)),
-                                   Tensor(np.concatenate([pv.data, v.data], axis=2)))
-        return self.self_kv[layer]
+    def feed(self, label_mask: np.ndarray) -> np.ndarray:
+        """Consume (B, n) new positions, after the ``length`` ones before
+        them: record their ``label_mask != 0`` and return every consumed
+        key's mask. The caller writes their keys and values into the
+        buffers from the old ``length`` on."""
+        n = label_mask.shape[1]
+        if self._keys is None or self.length + n > self._keys.shape[1]:
+            raise ShapeMismatch(f"cannot feed {n} positions after {self.length} to a cache "
+                                f"of {0 if self._keys is None else self._keys.shape[1]}")
+        np.not_equal(label_mask, 0, out=self._keys[:, self.length:self.length + n])
+        self.length += n
+        return self._keys[:, :self.length]
 
     def truncate(self, length: int) -> None:
         """Keep the first ``length`` consumed positions of every row, as if
@@ -238,9 +275,7 @@ class DecodeCache:
         positions of a rejected draft this way."""
         if not 0 <= length <= self.length:
             raise ShapeMismatch(f"cannot truncate {self.length} positions to {length}")
-        self.key_mask = self.key_mask[:, :length]
-        self.self_kv = [(Tensor(k.data[:, :, :length]), Tensor(v.data[:, :, :length]))
-                        for k, v in self.self_kv]
+        self.length = length
 
     def select(self, rows) -> None:
         """Keep batch rows ``rows``, in that order; a row may repeat.
@@ -249,11 +284,16 @@ class DecodeCache:
         every selected row reads that one row.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        self.key_mask = self.key_mask[rows]
-        self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv]
+        if self._keys is None:
+            if rows.size:
+                raise ShapeMismatch(f"a cache nothing was fed to has no rows to select: "
+                                    f"{rows.tolist()}")
+            return
+        self._keys = self._keys[rows]
+        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
         if self.cross_kv and len(self.cross_kv[0][0].data) != 1:
             # rows of the (B, T, heads, d_h) projection, seen head-split again
-            self.cross_kv = [tuple(ad.transpose(Tensor(x.data.swapaxes(1, 2)[rows]), (0, 2, 1, 3))
+            self.cross_kv = [tuple(ad.constant(x.data.swapaxes(1, 2)[rows].swapaxes(1, 2))
                                    for x in kv) for kv in self.cross_kv]
             if self.cross_mask is not None:
                 self.cross_mask = self.cross_mask[rows]
@@ -263,8 +303,9 @@ def _encoder_side(enc_hidden, enc_mask, cfg: DecoderConfig) -> tuple[Tensor, np.
     """Checked (B, T, d) encoder states and their additive (B, 1, 1, T) key
     mask, None when no column is padding."""
     if not isinstance(enc_hidden, Tensor):
-        enc_hidden = Tensor(np.asarray(enc_hidden, dtype=np.float32))
-    if enc_hidden.data.ndim == 2:
+        states = np.asarray(enc_hidden, dtype=np.float32)
+        enc_hidden = Tensor(states[None] if states.ndim == 2 else states)
+    elif enc_hidden.data.ndim == 2:
         enc_hidden = ad.reshape(enc_hidden, (1,) + enc_hidden.data.shape)
     if enc_hidden.data.shape[-1] != cfg.d_model:
         raise InitDimensionMismatch(
@@ -291,66 +332,105 @@ def decoder_forward(
 
     ``enc_hidden`` may be a Tensor (joint training) or a plain array
     (precomputed states); ``enc_mask`` marks real encoder positions.
-    Dropout runs when ``rng`` is given.
 
-    ``label_ids`` are the positions after those ``cache`` has consumed:
-    their self-attention reads the cached keys and values plus their own,
-    keys masked by every consumed ``label_mask``, and the cache keeps them.
-    The first call on a cache (without ``cache``, on a fresh one: the
-    teacher-forced pass, gradients included) projects the cross-attention
-    keys and values from ``enc_hidden``, runs batch-major and records the
-    tape. Later calls ignore ``enc_hidden`` and ``enc_mask`` and run under
-    ``no_grad``, position-major, (n, B, 1, d): every product is the one-row
-    product a one-position call makes, so n positions give the bits of n
-    one-position calls, and the cached (B, heads, T, d_h) cross keys and
-    values and (B, 1, 1, T) mask broadcast as they are. Query i reads
-    exactly the first ``cache.length + i + 1`` self-attention keys
-    (``ad.attend_prefixes``).
+    Without ``cache`` this is the teacher-forced pass over positions 0 to
+    n - 1, on the tape (gradients included), batch-major. Dropout runs
+    when ``rng`` is given, and ``capture_cross`` collects each layer's
+    cross-attention probabilities.
+
+    With ``cache``, ``label_ids`` are the positions after those the cache
+    has consumed, and the call is ``_cached_step``: plain arrays, no tape,
+    under ``no_grad`` only (else ``ValueError``). It takes neither ``rng``
+    nor ``capture_cross`` (``ConfigError``), and the first call on a cache
+    projects the encoder side, which later calls ignore.
     """
     label_ids = np.atleast_2d(np.asarray(label_ids))
     label_mask = np.atleast_2d(np.asarray(label_mask))
     if label_ids.shape != label_mask.shape:
         raise ShapeMismatch(
             f"label ids {label_ids.shape} vs mask {label_mask.shape}")
-    if cache is None:
-        cache = DecodeCache()
     n = label_ids.shape[1]
-    offset = cache.length
+    offset = 0 if cache is None else cache.length
     if offset + n > cfg.max_positions:
         raise ShapeMismatch(
             f"prefix length {offset + n} exceeds max_positions {cfg.max_positions}")
+    if cache is not None:
+        for name, value in (("rng", rng), ("capture_cross", capture_cross)):
+            if value is not None:
+                raise ConfigError(f"a cached decoder call takes no {name}: it runs no "
+                                  "dropout and records no attention")
+        if ad.grad_enabled():
+            raise ValueError("a cached decoder call records no tape; call it under no_grad")
+        return ad.constant(_cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg,
+                                        params, cache))
 
-    later = bool(cache.layers)
-    if not later:  # first call: resolve the layers, project the encoder side
-        enc_hidden, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
-        cache.layers = [_layer_params(params, i) for i in range(cfg.layers)]
-        cache.cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, layer.cross)
-                          for layer in cache.layers]
-    consumed = cache.consume(label_mask)
-
-    positions = np.arange(offset, offset + n)
-    if later:  # position-major: (n, B, 1, d)
-        label_ids, positions = label_ids.T[..., None], positions[:, None, None]
-        self_mask = [key_mask(consumed[:, :offset + i + 1]) for i in range(n)]
-    else:
-        self_mask = self_attention_mask(consumed)
+    enc_hidden, cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
+    layers = [_layer_params(params, i) for i in range(cfg.layers)]
+    cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, layer.cross)
+                for layer in layers]
+    self_mask = self_attention_mask(label_mask != 0)
     le = ad.add(ad.embed(params["word_embed"], label_ids),
-                ad.embed(params["pos_embed"], positions))
+                ad.embed(params["pos_embed"], np.arange(n)))
     le = ad.dropout(le, cfg.dropout, rng)
-    for i, layer in enumerate(cache.layers):
+    for layer, (ck, cv) in zip(layers, cross_kv):
         k, v = ad.kv_heads(le, le, cfg.heads, layer.self_attn)
-        if later:  # (n, B, heads, 1, d_h) -> the cache's (B, heads, n, d_h)
-            k, v = (Tensor(x.data[:, :, :, 0].transpose(1, 2, 0, 3)) for x in (k, v))
-        k, v = cache.extend_self(i, k, v)
-        attend = ad.attend_prefixes if later else ad.attend
-        q = ad.add_norm(attend(le, k, v, self_mask, cfg.heads, layer.self_attn), le,
+        q = ad.add_norm(ad.attend(le, k, v, self_mask, cfg.heads, layer.self_attn), le,
                         *layer.norm_q)
         q = ad.dropout(q, cfg.dropout, rng)
-        k, v = cache.cross_kv[i]
-        cross = ad.attend(q, k, v, cache.cross_mask, cfg.heads, layer.cross,
+        cross = ad.attend(q, ck, cv, cross_mask, cfg.heads, layer.cross,
                           capture=capture_cross)
         x = ad.add_norm(q, ad.dropout(cross, cfg.dropout, rng), *layer.norm_c)
         ff = ad.feed_forward(x, *layer.ff)
         le = ad.add_norm(x, ad.dropout(ff, cfg.dropout, rng), *layer.norm_f)
-    logits = ad.linear(le, params["out.w"], params["out.b"])
-    return Tensor(logits.data[:, :, 0].swapaxes(0, 1)) if later else logits
+    return ad.linear(le, params["out.w"], params["out.b"])
+
+
+def _cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg: DecoderConfig,
+                 params: dict[str, Parameter], cache: DecodeCache) -> np.ndarray:
+    """The positions after those ``cache`` has consumed -> (B, n, V) logits.
+
+    Plain arrays through the tape's kernels, position-major, (n, B, 1, d):
+    every product is the one-row product of a one-position call, so n
+    positions give the bits of n one-position calls, and a row kept by
+    ``DecodeCache.select`` rounds as if alone. Query i reads exactly the
+    first ``cache.length + i + 1`` self-attention keys, under their key
+    mask when a consumed key is masked; one position is one ``_attention``
+    call. The (B, heads, T, d_h) cross keys and values and (B, 1, 1, T)
+    mask broadcast as they are.
+    """
+    heads, d = cfg.heads, cfg.d_model
+    if not cache.layers:  # first call: resolve the layers, project the encoder side
+        enc, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
+        enc = enc.data
+        resolved = [_layer_params(params, i) for i in range(cfg.layers)]
+        cache.layers = [_step_layer(layer) for layer in resolved]
+        cache.cross_kv = [tuple(ad.constant(ad._split(ad._affine(enc, layer.cross[w].data,
+                                                                 layer.cross[b].data), heads))
+                                for w, b in (("wk", "bk"), ("wv", "bv")))
+                          for layer in resolved]
+        dtype = params["word_embed"].data.dtype
+        cache.open(label_ids.shape[0], cfg.max_positions, cfg.layers, heads, d // heads,
+                   dtype)
+    t, n = cache.length, label_ids.shape[1]
+    keys = cache.feed(label_mask)
+    masks = (None if keys.all() else
+             [key_mask(keys[:, :t + i + 1]) for i in range(n)])
+    x = (params["word_embed"].data[label_ids.T[..., None]]
+         + params["pos_embed"].data[np.arange(t, t + n)[:, None, None]])
+    for layer, (k_buf, v_buf), (ck, cv) in zip(cache.layers, cache.self_kv, cache.cross_kv):
+        qkv = ad._affine(x, *layer.qkv)  # (n, B, 1, 3d)
+        q, k, v = (ad._split(qkv[..., j * d:(j + 1) * d], heads)  # (n, B, heads, 1, d_h)
+                   for j in range(3))
+        k_buf[:, :, t:t + n] = k[:, :, :, 0].transpose(1, 2, 0, 3)
+        v_buf[:, :, t:t + n] = v[:, :, :, 0].transpose(1, 2, 0, 3)
+        ctx = [ad._attention(q[i], k_buf[:, :, :t + i + 1], v_buf[:, :, :t + i + 1],
+                             None if masks is None else masks[i], None)[0]
+               for i in range(n)]
+        ctx = ctx[0][None] if n == 1 else np.stack(ctx)
+        x = _add_norm(ad._affine(ad._merge(ctx), *layer.self_out), x, layer.norm_q)
+        cq = ad._split(ad._affine(x, *layer.cross_q), heads)
+        ctx = ad._attention(cq, ck.data, cv.data, cache.cross_mask, None)[0]
+        x = _add_norm(x, ad._affine(ad._merge(ctx), *layer.cross_out), layer.norm_c)
+        x = _add_norm(x, ad._feed_forward(x, *layer.ff), layer.norm_f)
+    logits = ad._affine(x, params["out.w"].data, params["out.b"].data)
+    return logits[:, :, 0].swapaxes(0, 1)

@@ -2,20 +2,23 @@
 
 Decoding is incremental. Both searches advance through one step function,
 which feeds each row's newest tokens to ``ModelBundle.decoder_logits`` with
-a ``DecodeCache``: the first call (the BOS tokens) projects the encoder
-side once, and every later call computes only the new positions, whose
-logits match a teacher-forced pass truncated there, to float32 rounding.
+a ``DecodeCache``: the decoder's cached step, on plain arrays and off the
+tape. The first call (the BOS tokens) projects the encoder side once, and
+every call computes only the new positions, whose logits match a
+teacher-forced pass truncated there, to float32 rounding.
 Batched greedy decoding stops per sample: a row that emits EOS leaves the
 batch, its cache rows with it. When one row is left and it has just
 emitted SEP, the hierarchy drafts the rest of its sequence and one call
 checks the whole draft, with the ids of one step per token. Beam search
 stacks its live beams into one batch and moves the cache rows to follow
 their parents after each selection; every beam reads the one-row encoder
-side.
+side. It ranks candidates without building their id lists and stops as
+soon as no live beam can reach the best finished hypothesis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +144,14 @@ def beam_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask,
     scored at once: each proposes its ``beam_width`` best tokens (one
     float64 log-softmax and one stable argsort over the stacked logits);
     candidates rank by log-probability over generated length, ties broken
-    by their ids.
+    by their ids. The live beams are kept in the order of their id lists,
+    so a candidate's ids compare as its parent's index and then its token,
+    and only the surviving candidates' id lists are built.
+
+    The search stops early once a hypothesis has finished and every live
+    beam's score over ``capacity - 1`` is below the best finished
+    normalized score: log-probabilities are at most 0, so no descendant
+    can reach it, and the ids are those of the full search.
     Emitted PAD tokens are masked out of later steps and stripped from the
     returned ids, matching the greedy contract.
     """
@@ -152,29 +162,38 @@ def beam_decode_ids(bundle: ModelBundle, enc_hidden, enc_mask,
         raise ShapeMismatch(f"beam search decodes one sample; the encoder mask has {rows} rows")
     cap = bundle.capacity
 
-    beams: list[tuple[list[int], float]] = [([BOS_ID], 0.0)]
+    beams = [[BOS_ID]]  # live id lists, in their own order, which the cache rows follow
+    scores = [0.0]  # their summed log-probabilities
     done: list[tuple[list[int], float]] = []
+    best_done = -math.inf  # the best finished normalized score
     cache = DecodeCache()
     with ad.no_grad():
-        while beams and len(beams[0][0]) < cap:
-            tokens = np.asarray([ids[-1:] for ids, _ in beams], dtype=np.int32)
+        for length in range(1, cap):  # ids per live beam
+            tokens = np.asarray([ids[-1:] for ids in beams])
             logp = ad.log_softmax(
                 _step(bundle, tokens, enc_hidden, enc_mask, cache)[:, 0].astype(np.float64))
             best = np.argsort(-logp, axis=1, kind="stable")[:, :beam_width]
-            best_logp = np.take_along_axis(logp, best, axis=1).tolist()
-            candidates = [(ids + [tok], score + lp, parent)
-                          for parent, (ids, score) in enumerate(beams)
-                          for tok, lp in zip(best[parent].tolist(), best_logp[parent])]
-            candidates.sort(key=lambda c: (-c[1] / (len(c[0]) - 1), c[0]))
-            beams, parents = [], []
-            for ids, score, parent in candidates[:beam_width]:
-                if ids[-1] == EOS_ID:
-                    done.append((ids, score))
+            best_logp = logp[np.arange(len(best))[:, None], best].tolist()
+            # a candidate's ids order as its parent's index, then its token
+            candidates = sorted((-(score + lp) / length, parent, tok, score + lp)
+                                for parent, (score, toks, lps)
+                                in enumerate(zip(scores, best.tolist(), best_logp))
+                                for tok, lp in zip(toks, lps))
+            live = []
+            for _, parent, tok, score in candidates[:beam_width]:
+                if tok == EOS_ID:
+                    done.append((beams[parent] + [tok], score))
+                    best_done = max(best_done, score / length)
                 else:
-                    beams.append((ids, score))
-                    parents.append(parent)
-            cache.select(parents)
-        done.extend(beams)
+                    live.append((parent, tok, score))
+            live.sort()  # by (parent, token): the order of the new id lists
+            beams = [beams[parent] + [tok] for parent, tok, _ in live]
+            scores = [score for _, _, score in live]
+            # stop when no live beam is left, or none can reach the best finished one
+            if all(score / (cap - 1) < best_done for score in scores):
+                break
+            cache.select([parent for parent, _, _ in live])
+        done.extend(zip(beams, scores))
     done.sort(key=lambda c: (-c[1] / max(len(c[0]) - 1, 1), c[0]))
     return [t for t in done[0][0] if t != PAD_ID]
 

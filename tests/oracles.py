@@ -66,6 +66,35 @@ def log_softmax_reference(row: np.ndarray) -> np.ndarray:
     return row - m - np.log(np.exp(row - m).sum())
 
 
+def beam_search_reference(next_logp, capacity: int, width: int, bos: int,
+                          eos: int) -> list[int]:
+    """Length-normalized beam search without a cache or an early stop.
+
+    ``next_logp(ids)`` gives the float64 log-probabilities of the token
+    after the prefix ``ids``. Each step, every live beam proposes its
+    ``width`` best tokens (ties to the lower id); the ``width`` best
+    candidates by score over generated length (ties to the smaller id list)
+    survive, and those ending in ``eos`` are set aside as finished. At
+    capacity the live beams join the finished ones, each normalized by its
+    own length, and the best is returned.
+    """
+    beams = [([bos], 0.0)]
+    done = []
+    while beams and len(beams[0][0]) < capacity:
+        candidates = []
+        for ids, score in beams:
+            lp = next_logp(ids)
+            for tok in sorted(range(len(lp)), key=lambda t: (-lp[t], t))[:width]:
+                candidates.append((ids + [tok], score + float(lp[tok])))
+        candidates.sort(key=lambda c: (-c[1] / (len(c[0]) - 1), c[0]))
+        beams = []
+        for ids, score in candidates[:width]:
+            (done if ids[-1] == eos else beams).append((ids, score))
+    done += beams
+    done.sort(key=lambda c: (-c[1] / max(len(c[0]) - 1, 1), c[0]))
+    return done[0][0]
+
+
 def smoothed_ce_reference(logits, targets, smoothing, ignore_id) -> tuple[float, int]:
     """Mean smoothed cross entropy over non-ignored positions, plain loops."""
     logits = np.asarray(logits, dtype=np.float64)

@@ -60,14 +60,14 @@ class TestConfig:
 class TestTapeNodes:
     """Exact tape-node counts, so un-fusing a sublayer fails here. Each
     sublayer is one node. Decoder embedding: two lookups and their sum (3).
-    Per decoder layer: the new self-attention keys and values (``kv_heads``,
-    one node each, 2), the self- and cross-attention reads (``attend``, 1
-    each, 2), three residual sums with their layer norms (``add_norm``, 3)
-    and the feed-forward (``feed_forward``, 1): 8. The first call on a cache
-    also projects the cross-attention keys and values (2 per layer); a later
-    call of several positions records what a one-position step records.
-    Output projection: 1. An encoder layer: keys, values, ``attend``, two
-    ``add_norm`` and ``feed_forward``: 6."""
+    Per decoder layer: the cross-attention keys and values and the
+    self-attention keys and values (``kv_heads``, one node each, 4), the
+    self- and cross-attention reads (``attend``, 1 each, 2), three residual
+    sums with their layer norms (``add_norm``, 3) and the feed-forward
+    (``feed_forward``, 1): 10. Output projection: 1. A call on a
+    ``DecodeCache`` runs on plain arrays and makes no node. An encoder
+    layer: keys, values, ``attend``, two ``add_norm`` and ``feed_forward``:
+    6."""
 
     def count_nodes(self, monkeypatch, fn):
         calls = []
@@ -85,18 +85,17 @@ class TestTapeNodes:
     def test_teacher_forced_pass_and_cached_step(self, rng, monkeypatch):
         cfg = small_cfg()
         params = init_params(decoder_param_specs(cfg), rng)
-        ids, mask, hidden, emask = make_inputs(rng, b=2, n=3)
-        cache = DecodeCache()
+        ids, mask, hidden, emask = make_inputs(rng, b=2, n=4)
         teacher = self.count_nodes(monkeypatch, lambda: decoder_forward(
-            ids, mask, hidden, emask, cfg, params, cache=cache))
+            ids, mask, hidden, emask, cfg, params))
+        assert teacher == 3 + 2 * 10 + 1 == 24
+        cache = DecodeCache()
         with ad.no_grad():
-            step = self.count_nodes(monkeypatch, lambda: decoder_forward(
-                ids[:, :1], mask[:, :1], hidden, emask, cfg, params, cache=cache))
-            later = self.count_nodes(monkeypatch, lambda: decoder_forward(
-                ids, mask, hidden, emask, cfg, params, cache=cache))
-        assert teacher == 3 + 2 * (8 + 2) + 1 == 24
-        assert step == 3 + 2 * 8 + 1 == 20
-        assert later == 3 + 2 * 8 + 1 == 20
+            for lo, hi in ((0, 1), (1, 2), (2, 4)):  # the first call, a step, a draft
+                assert self.count_nodes(monkeypatch, lambda: decoder_forward(
+                    ids[:, lo:hi], mask[:, lo:hi], hidden, emask, cfg, params,
+                    cache=cache)) == 0, (lo, hi)
+        assert cache.length == 4
 
     def test_encoder_layer(self, rng, monkeypatch):
         cfg = EncoderConfig(vocab_size=20, d_model=16, layers=1, heads=4, max_len=6,

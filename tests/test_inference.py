@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import beam_search_reference, log_softmax_reference
+
 from taxseq import autodiff as ad
 from taxseq.autodiff import Tensor, no_grad
 from taxseq.codec import BOS_ID, EOS_ID, PAD_ID, SEP_ID, Ordering, capacity_for
@@ -115,14 +117,19 @@ def rig_constant_logits(bundle, favored_id, margin=5.0):
 def consumed_ids(cache, label_ids, label_mask):
     """Feed a fake decoder step to ``cache``; return each row's ids so far.
 
-    The ids ride in the cache as layer 0's self-attention keys, so
-    ``select`` keeps and reorders them with the rows, as it does real keys.
+    The ids ride in the cache as layer 0's self-attention keys (one head of
+    width 1), so ``select`` keeps and reorders them with the rows and
+    ``truncate`` drops them, as it does real keys.
     """
     label_ids = np.atleast_2d(label_ids)
-    cache.consume(np.atleast_2d(label_mask))
-    ids = Tensor(label_ids[:, None, :, None].astype(np.float32))
-    keys, _ = cache.extend_self(0, ids, ids)
-    return keys.data[:, 0, :, 0].astype(np.int64)
+    rows, n = label_ids.shape
+    if not cache.self_kv:
+        cache.open(rows, 64, layers=1, heads=1, d_h=1, dtype=np.float32)
+    start = cache.length
+    cache.feed(np.atleast_2d(label_mask))
+    keys = cache.self_kv[0][0]
+    keys[:, 0, start:start + n, 0] = label_ids
+    return keys[:, 0, :cache.length, 0].astype(np.int64)
 
 
 def script_decoder(bundle, table):
@@ -323,6 +330,63 @@ class TestBeam:
         s_greedy = (math.log(0.50) + math.log(0.2 / 0.4) + math.log(0.99)) / 3
         s_beam = (math.log(0.49) + math.log(0.99)) / 2
         assert s_beam > s_greedy
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_equals_reference_search_on_random_models(self, rng, width):
+        """The cached, early-stopping search returns the ids of a plain
+        search that decodes each prefix from scratch with the teacher-forced
+        pass. The models run in float64, so no rounding difference between
+        the two decides a near tie."""
+        calls_short = 0
+        for seed in range(8):
+            bundle = tiny_bundle(seed=seed)
+            for p in bundle.dec_params.values():
+                p.data = (p.data * (15 if p.data.ndim == 2 else 1)).astype(np.float64)
+            hidden, mask = fake_encoding(rng)
+            steps = set()
+
+            def next_logp(ids):
+                steps.add(len(ids))
+                ids = np.asarray([ids])
+                logits = bundle.decoder_logits(ids, (ids != PAD_ID).astype(np.int8), hidden,
+                                               mask).data
+                return log_softmax_reference(logits[0, -1])
+
+            with no_grad():
+                want = beam_search_reference(next_logp, bundle.capacity, width, BOS_ID, EOS_ID)
+            calls = count_decoder_calls(bundle)
+            assert beam_decode_ids(bundle, hidden, mask, beam_width=width) == [
+                t for t in want if t != PAD_ID], seed
+            assert len(calls) <= len(steps)
+            calls_short += len(calls) < len(steps)
+        if width > 1:
+            assert calls_short  # the early stop fired on some model
+
+    def test_early_stop_saves_calls_keeps_ids(self):
+        """After two steps [BOS, 4, EOS] has finished at -0.31 a token, and
+        the live beam's -1.61 spread over the 5 tokens of capacity is -0.32:
+        no descendant can catch up, so the search stops there. Without the
+        stop its SEP tokens would run to capacity."""
+        bundle = tiny_bundle()
+        assert bundle.capacity == 6
+        table = {(BOS_ID,): {4: 0.6, 5: 0.4},
+                 (BOS_ID, 4): {EOS_ID: 0.9, 6: 0.1},
+                 (BOS_ID, 5): {SEP_ID: 0.5, 6: 0.5}}
+        table |= {(BOS_ID, 5) + (SEP_ID,) * n: {SEP_ID: 0.99} for n in range(1, 6)}
+        script_decoder(bundle, table)
+
+        def next_logp(ids):
+            probs = np.full(bundle.vocab.size, 1e-9)
+            for tok, p in table.get(tuple(ids), {EOS_ID: 1.0}).items():
+                probs[tok] = p
+            return log_softmax_reference(np.log(probs / probs.sum()))
+
+        want = beam_search_reference(next_logp, bundle.capacity, 2, BOS_ID, EOS_ID)
+        assert want == [BOS_ID, 4, EOS_ID]
+        calls = count_decoder_calls(bundle)
+        hidden, mask = np.zeros((3, 16), np.float32), np.ones(3, np.int8)
+        assert beam_decode_ids(bundle, hidden, mask, beam_width=2) == want
+        assert len(calls) == 2 < bundle.capacity - 1
 
     def test_beam_terminates_and_validates_width(self, rng):
         bundle = tiny_bundle(seed=4)
@@ -616,6 +680,57 @@ class TestCachedStep:
             bundle.decoder_logits(ids[:, :1], mask[:, :1], hidden, emask, cache=cache)
         with pytest.raises(ValueError, match="no_grad"):
             bundle.decoder_logits(ids[:, 1:3], mask[:, 1:3], hidden, emask, cache=cache)
+
+    @pytest.mark.parametrize("op, raises", [
+        (lambda c: c.truncate(0), False), (lambda c: c.select([]), False),
+        (lambda c: c.truncate(1), True), (lambda c: c.select([0]), True),
+    ], ids=["truncate-0", "select-none", "truncate-1", "select-row-0"])
+    def test_unfed_cache(self, op, raises):
+        """A cache nothing was fed to has no positions and no rows."""
+        cache = DecodeCache()
+        if raises:
+            with pytest.raises(ShapeMismatch):
+                op(cache)
+        else:
+            op(cache)
+        assert cache.length == 0 and cache.key_mask is None and not cache.self_kv
+
+    @pytest.mark.parametrize("name, value", [("capture_cross", []),
+                                             ("rng", np.random.default_rng(0))],
+                             ids=["capture_cross", "rng"])
+    def test_cached_call_refuses_capture_and_dropout(self, rng, name, value):
+        """The cached step records no attention maps and runs no dropout, so
+        asking it for either fails rather than being ignored."""
+        bundle = tiny_bundle()
+        ids, mask, hidden, emask = step_inputs(rng, bundle)
+        with no_grad(), pytest.raises(ConfigError, match=name):
+            bundle.decoder_logits(ids[:, :1], mask[:, :1], hidden, emask,
+                                  cache=DecodeCache(), **{name: value})
+
+    def test_truncated_positions_are_never_read(self):
+        """Feed five positions, truncate to two, refeed one other id, then
+        select rows with a repeat: the buffers still hold the first feed's
+        fourth and fifth positions, yet the next step's logits are each
+        row's decoded alone, to the bit."""
+        bundle = golden_bundle()
+        kept = [2, 0, 2]
+        for seed in range(4):
+            ids, mask, hidden, emask = step_inputs(np.random.default_rng(seed), bundle, b=3)
+            other = ids.copy()
+            other[:, 2] = (ids[:, 2] + 1) % bundle.vocab.size
+            other[:, 2][other[:, 2] == PAD_ID] = EOS_ID
+            with no_grad():
+                cache = DecodeCache()
+                one_position_logits(bundle, ids[:, :5], mask[:, :5], hidden, emask, cache)
+                cache.truncate(2)
+                one_position_logits(bundle, other[:, 2:3], mask[:, 2:3], hidden, emask, cache)
+                cache.select(kept)
+                got = bundle.decoder_logits(other[kept, 3:4], mask[kept, 3:4], hidden, emask,
+                                            cache=cache).data
+                for j, row in enumerate(kept):
+                    alone = one_position_logits(bundle, other[[row], :4], mask[[row], :4],
+                                                hidden[[row]], emask[[row]], DecodeCache())
+                    assert np.array_equal(got[j], alone[0, 3:]), (seed, row)
 
     def test_truncate_then_refeed_reproduces_logits(self, rng):
         bundle = golden_bundle()
