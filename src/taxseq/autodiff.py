@@ -13,9 +13,10 @@ and ``feed_forward``. Their forward and backward are built from array
 kernels (``_affine``, ``_norm``, ``_gelu``, ``_attention`` and the head
 split/merge), which are also the whole of the single-op nodes ``linear``,
 ``layer_norm``, ``gelu`` and ``scaled_dot_attention``, so each kernel has
-one implementation. Off the tape, ``feed_forward`` is ``_feed_forward``:
-batch-axis blocks of at most ``FF_BLOCK_FLOATS`` hidden floats, which stay
-in L2 cache and give the same bits as one whole-batch pass. Code that
+one implementation; every layer norm adds ``LN_EPS`` to the variance.
+Off the tape, ``feed_forward`` is ``_feed_forward``: batch-axis blocks of
+at most ``FF_BLOCK_FLOATS`` hidden floats, which stay in L2 cache and
+give the same bits as one whole-batch pass. Code that
 keeps no tape at all (the decoder's cached step) calls the kernels
 directly, and ``constant`` wraps an array as a Tensor without a copy. Attention
 takes its row max over a key-major copy of a score array with many short
@@ -40,6 +41,7 @@ from .errors import (
 )
 
 NEG_INF = -1e9  # additive mask value for disallowed attention positions
+LN_EPS = 1e-5  # added to the variance by every layer norm
 # Hidden floats in one off-tape feed-forward block: 256 KB in float32, so a
 # block's pre-activation, GELU factor, activation and their temporaries fit
 # a 2 MB per-core L2 cache together.
@@ -98,14 +100,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -114,17 +108,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # convenience operators; all defer to the module-level ops
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
 
 
 class Parameter(Tensor):
@@ -420,7 +403,7 @@ def _affine_grads(g, x, w, need_x: bool, need_w: bool, need_b: bool):
             np.add.reduce(g2, axis=0) if need_b else None)
 
 
-def _norm(x, gain, bias, eps: float):
+def _norm(x, gain, bias):
     """Layer norm over the last axis -> (out, normalized y, 1/std).
 
     Row means are ``np.add.reduce(..., axis=-1) * (1 / d)`` rather than
@@ -431,8 +414,6 @@ def _norm(x, gain, bias, eps: float):
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"layer_norm affine shapes {gain.shape}/{bias.shape} "
                             f"do not match feature dim {d}")
-    if eps <= 0:
-        raise InvalidProbability(f"layer_norm eps must be positive, got {eps}")
     inv_d = 1.0 / d
     mu = np.add.reduce(x, axis=-1, keepdims=True)
     mu *= inv_d
@@ -440,7 +421,7 @@ def _norm(x, gain, bias, eps: float):
     out = np.multiply(y, y)  # squares, then the output in place
     var = np.add.reduce(out, axis=-1, keepdims=True)
     var *= inv_d
-    var += eps
+    var += LN_EPS
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     y *= inv
     np.multiply(y, gain, out=out)
@@ -651,10 +632,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     gd = gain.data
-    out, y, inv = _norm(x.data, gd, bias.data, eps)
+    out, y, inv = _norm(x.data, gd, bias.data)
 
     def bwd(g, acc):
         gx, gg, gb = _norm_grads(g, y, inv, gd)
@@ -665,12 +646,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(out, (x, gain, bias), bwd)
 
 
-def add_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def add_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """``layer_norm(x + r)``, a residual sum and its normalization, as one node."""
     if x.data.shape != r.data.shape:
         raise ShapeMismatch(f"residual {r.data.shape} does not match {x.data.shape}")
     gd = gain.data
-    out, y, inv = _norm(x.data + r.data, gd, bias.data, eps)
+    out, y, inv = _norm(x.data + r.data, gd, bias.data)
 
     def bwd(g, acc):
         gx, gg, gb = _norm_grads(g, y, inv, gd)
@@ -795,7 +776,6 @@ def multi_head_attention(
     mask: np.ndarray | None,
     heads: int,
     params: dict[str, Tensor],
-    capture: list | None = None,
 ) -> Tensor:
     """Projected multi-head attention with an output projection.
 
@@ -803,7 +783,7 @@ def multi_head_attention(
     must broadcast to (..., heads, T_q, T_k).
     """
     k, v = kv_heads(x_k, x_v, heads, params)
-    return attend(x_q, k, v, mask, heads, params, capture=capture)
+    return attend(x_q, k, v, mask, heads, params)
 
 
 def kv_heads(x_k: Tensor, x_v: Tensor, heads: int,

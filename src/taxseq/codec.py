@@ -95,10 +95,6 @@ class LabelSequence:
     ids: np.ndarray
     mask: np.ndarray
 
-    @property
-    def capacity(self) -> int:
-        return int(self.ids.shape[0])
-
     def trimmed(self) -> list[int]:
         """Token ids up to and including EOS (whole vector if EOS absent)."""
         ids = self.ids.tolist()
@@ -112,11 +108,6 @@ class DecodeDiagnostics:
     pad_inside: int = 0
     missing_bos: bool = False
     missing_eos: bool = False
-
-    @property
-    def clean(self) -> bool:
-        return (self.unknown_ids == 0 and self.repeated_labels_dropped == 0
-                and self.pad_inside == 0 and not self.missing_bos and not self.missing_eos)
 
 
 @dataclass

@@ -209,7 +209,7 @@ def _step_layer(layer: _Layer) -> _StepLayer:
 
 def _add_norm(x: np.ndarray, r: np.ndarray, norm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The value ``ad.add_norm`` computes, off the tape."""
-    return ad._norm(x + r, *norm, 1e-5)[0]
+    return ad._norm(x + r, *norm)[0]
 
 
 class DecodeCache:
@@ -265,6 +265,9 @@ class DecodeCache:
         if self._keys is None or self.length + n > self._keys.shape[1]:
             raise ShapeMismatch(f"cannot feed {n} positions after {self.length} to a cache "
                                 f"of {0 if self._keys is None else self._keys.shape[1]}")
+        if len(label_mask) != len(self._keys):
+            raise ShapeMismatch(f"cannot feed {len(label_mask)} label rows to a cache of "
+                                f"{len(self._keys)} rows")
         np.not_equal(label_mask, 0, out=self._keys[:, self.length:self.length + n])
         self.length += n
         return self._keys[:, :self.length]
@@ -299,14 +302,19 @@ class DecodeCache:
                 self.cross_mask = self.cross_mask[rows]
 
 
-def _encoder_side(enc_hidden, enc_mask, cfg: DecoderConfig) -> tuple[Tensor, np.ndarray | None]:
-    """Checked (B, T, d) encoder states and their additive (B, 1, 1, T) key
-    mask, None when no column is padding."""
+def _encoder_side(enc_hidden, enc_mask, cfg: DecoderConfig,
+                  rows: int) -> tuple[Tensor, np.ndarray | None]:
+    """Checked (B, T, d) encoder states for ``rows`` label rows, B one or
+    ``rows``, and their additive (B, 1, 1, T) key mask, None when no column
+    is padding."""
     if not isinstance(enc_hidden, Tensor):
         states = np.asarray(enc_hidden, dtype=np.float32)
         enc_hidden = Tensor(states[None] if states.ndim == 2 else states)
     elif enc_hidden.data.ndim == 2:
         enc_hidden = ad.reshape(enc_hidden, (1,) + enc_hidden.data.shape)
+    if len(enc_hidden.data) not in (1, rows):
+        raise ShapeMismatch(f"encoder side has {len(enc_hidden.data)} rows for {rows} "
+                            "label rows: it needs one row or one per label row")
     if enc_hidden.data.shape[-1] != cfg.d_model:
         raise InitDimensionMismatch(
             f"encoder width {enc_hidden.data.shape[-1]} != decoder d_model {cfg.d_model}")
@@ -331,7 +339,8 @@ def decoder_forward(
     """(B, n) label ids -> (B, n, V) logits.
 
     ``enc_hidden`` may be a Tensor (joint training) or a plain array
-    (precomputed states); ``enc_mask`` marks real encoder positions.
+    (precomputed states), of one row, which serves every label row, or one
+    row per label row; ``enc_mask`` marks real encoder positions.
 
     Without ``cache`` this is the teacher-forced pass over positions 0 to
     n - 1, on the tape (gradients included), batch-major. Dropout runs
@@ -339,10 +348,11 @@ def decoder_forward(
     cross-attention probabilities.
 
     With ``cache``, ``label_ids`` are the positions after those the cache
-    has consumed, and the call is ``_cached_step``: plain arrays, no tape,
-    under ``no_grad`` only (else ``ValueError``). It takes neither ``rng``
-    nor ``capture_cross`` (``ConfigError``), and the first call on a cache
-    projects the encoder side, which later calls ignore.
+    has consumed, one row per cache row, and the call is ``_cached_step``:
+    plain arrays, no tape, under ``no_grad`` only (else ``ValueError``). It
+    takes neither ``rng`` nor ``capture_cross`` (``ConfigError``), and the
+    first call on a cache projects the encoder side, which later calls
+    ignore. Rows that do not match raise ``ShapeMismatch``.
     """
     label_ids = np.atleast_2d(np.asarray(label_ids))
     label_mask = np.atleast_2d(np.asarray(label_mask))
@@ -364,7 +374,7 @@ def decoder_forward(
         return ad.constant(_cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg,
                                         params, cache))
 
-    enc_hidden, cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
+    enc_hidden, cross_mask = _encoder_side(enc_hidden, enc_mask, cfg, len(label_ids))
     layers = [_layer_params(params, i) for i in range(cfg.layers)]
     cross_kv = [ad.kv_heads(enc_hidden, enc_hidden, cfg.heads, layer.cross)
                 for layer in layers]
@@ -400,7 +410,7 @@ def _cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg: DecoderConfig
     """
     heads, d = cfg.heads, cfg.d_model
     if not cache.layers:  # first call: resolve the layers, project the encoder side
-        enc, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg)
+        enc, cache.cross_mask = _encoder_side(enc_hidden, enc_mask, cfg, len(label_ids))
         enc = enc.data
         resolved = [_layer_params(params, i) for i in range(cfg.layers)]
         cache.layers = [_step_layer(layer) for layer in resolved]

@@ -5,7 +5,10 @@ with ce the scalar mean over non-pad positions, the loss is
 (1 - exp(-ce))**gamma * ce. Well-predicted batches (small ce) are damped,
 hard batches keep close to their full ce. A per-token variant applies the
 same modulation position-wise before averaging, and a plain variant skips
-modulation entirely.
+modulation entirely. ``loss_pieces`` reduces a batch to its summed term
+and position count, and ``combine_pieces(total, n, cfg)`` turns the
+summed term of ``n`` positions, a batch's or a whole accumulation
+window's, into the loss.
 """
 
 from __future__ import annotations
@@ -60,11 +63,11 @@ def _modulate(ce: Tensor, gamma: float) -> Tensor:
 def loss_pieces(logits: Tensor, targets, cfg: LossConfig) -> tuple[Tensor, int]:
     """Reduce one micro-batch to a (summed term, position count) pair.
 
-    Pieces from several micro-batches combine in ``combine_pieces`` so the
-    objective over an accumulation window is identical to a single large
-    batch; it depends on the terms only through their sum, which is what
-    lets the trainer run each micro-batch's backward on its own term. For
-    the batch-modulated and plain variants the term is the summed smoothed
+    ``combine_pieces`` of the micro-batches' summed terms and counts is an
+    accumulation window's objective, identical to a single large batch; it
+    depends on the terms only through their sum, which is what lets the
+    trainer run each micro-batch's backward on its own term. For the
+    batch-modulated and plain variants the term is the summed smoothed
     negative log likelihood; for the per-token variant each position is
     modulated before summation.
     """
@@ -75,14 +78,8 @@ def loss_pieces(logits: Tensor, targets, cfg: LossConfig) -> tuple[Tensor, int]:
     return ad.tsum(per_pos), n
 
 
-def combine_pieces(pieces: list[tuple[Tensor, int]], cfg: LossConfig) -> Tensor:
-    """Fold micro-batch pieces into the scalar objective."""
-    if not pieces:
-        raise ConfigError("no loss pieces to combine")
-    total = pieces[0][0]
-    for term, _ in pieces[1:]:
-        total = ad.add(total, term)
-    n = sum(count for _, count in pieces)
+def combine_pieces(total: Tensor, n: int, cfg: LossConfig) -> Tensor:
+    """The scalar objective of ``n`` positions whose terms sum to ``total``."""
     mean = ad.mul_const(total, 1.0 / n)
     if cfg.variant is LossVariant.FOCAL_BATCH:
         return _modulate(mean, cfg.gamma)
@@ -91,4 +88,4 @@ def combine_pieces(pieces: list[tuple[Tensor, int]], cfg: LossConfig) -> Tensor:
 
 def compute_loss(logits: Tensor, targets, cfg: LossConfig) -> Tensor:
     """Scalar loss for a single batch of logits (B, n, V) and targets (B, n)."""
-    return combine_pieces([loss_pieces(logits, targets, cfg)], cfg)
+    return combine_pieces(*loss_pieces(logits, targets, cfg), cfg)

@@ -155,10 +155,9 @@ class AdamW:
     order, so every value is the same to the bit.
     """
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, weight_decay=0.01):
         self.weight_decay = weight_decay
         self.groups: list[dict] = []
         self.state: dict[str, dict[str, np.ndarray]] = {}
@@ -195,7 +194,7 @@ class AdamW:
             flat = g["flat"] = _FlatGroup(g, self.state)
         g["t"] += 1
         t = g["t"]
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** t
         c2 = 1.0 - b2 ** t
         grad, m, v, p = flat.grad, flat.m, flat.v, flat.p
@@ -215,7 +214,7 @@ class AdamW:
         # p = p - lr ((m / c1) / (sqrt(v / c2) + eps) + wd p), decay on [:n_decay]
         np.divide(v, c2, out=s)
         np.sqrt(s, out=s)
-        s += self.eps
+        s += self.EPS
         np.divide(m, c1, out=grad)
         grad /= s
         nd = flat.n_decay if self.weight_decay else 0
@@ -625,12 +624,13 @@ def _train_window(bundle: ModelBundle, data: PreparedData, targets: np.ndarray,
     and one optimizer step follows.
 
     The objective depends on the micro-batches only through the float64 sum
-    of their terms (see ``loss_pieces``), so it is built by
-    ``combine_pieces`` on one scalar leaf holding that sum, and one backward
-    through that head gives d objective / d sum: f'(ce) / n for the
-    batch-modulated loss, 1 / n for the others. Backward is linear in its
-    seed, so scaling every summed gradient by that value is the update of
-    one backward through the whole window; only float32 rounding differs.
+    of their terms and their position count n (see ``loss_pieces``), so it
+    is ``combine_pieces(head, n, cfg.loss)`` on one scalar leaf ``head``
+    holding that sum, and one backward through that head gives d objective
+    / d sum: f'(ce) / n for the batch-modulated loss, 1 / n for the others.
+    Backward is linear in its seed, so scaling every summed gradient by
+    that value is the update of one backward through the whole window;
+    only float32 rounding differs.
 
     The last micro-batch's tape is released when the window returns, after
     the optimizer step. The arrays the step allocates (on the first step,
@@ -655,7 +655,7 @@ def _train_window(bundle: ModelBundle, data: PreparedData, targets: np.ndarray,
             total = total + term.data
             n += count
         head = Tensor(total, requires_grad=True)
-        loss = combine_pieces([(head, n)], cfg.loss)
+        loss = combine_pieces(head, n, cfg.loss)
         value = loss.item()
         _check_finite(value, opt, where)
         ad.backward(loss)

@@ -473,6 +473,19 @@ class TestFeedForwardBlocks:
 
 
 class TestShapeOpGrads:
+    @pytest.mark.parametrize("call, words", [
+        (lambda a: ad.matmul(Tensor(a(4)), Tensor(a(4, 3))), "at least 2-d"),
+        (lambda a: ad.matmul(Tensor(a(2, 4)), Tensor(a(5, 3))),
+         r"inner dims differ: \(2, 4\) @ \(5, 3\)"),
+        (lambda a: ad.layer_norm(Tensor(a(2, 4)), Tensor(a(3)), Tensor(a(4))),
+         r"affine shapes \(3,\)/\(4,\) do not match feature dim 4"),
+        (lambda a: ad.smoothed_nll_per_position(Tensor(a(2, 3, 5)), np.zeros((2, 4), int)),
+         r"logits \(2, 3, 5\) vs targets \(2, 4\)"),
+    ], ids=["matmul-1d", "matmul-inner", "layer_norm-affine", "nll-targets"])
+    def test_shape_errors(self, rng, call, words):
+        with pytest.raises(ShapeMismatch, match=words):
+            call(lambda *shape: arr(rng, *shape))
+
     def test_reshape_transpose(self, rng):
         w = arr(rng, 4, 3, 2)
         fn = lambda t: ad.tsum(ad.mul(
@@ -745,13 +758,6 @@ class TestEngine:
     def test_parameter_metadata(self):
         p = Parameter(np.zeros((2, 2)), name="blk.w")
         assert p.name == "blk.w" and p.requires_grad
-
-    def test_operator_sugar(self):
-        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        y = ad.tsum((x + 1.0) * 2.0 + x * -1.0)
-        backward(y)
-        assert np.allclose(x.grad, 1.0)
-        assert y.item() == pytest.approx((2 * (1 + 1) - 1) + (2 * (-2 + 1) + 2))
 
 
 class TestDropout:

@@ -167,6 +167,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:2: not UTF-8 \(byte 0xff\)"):
             RunConfig.from_file(p)
 
+    def test_unparsable_config_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text("max_epochs = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: .*no section headers"):
+            RunConfig.from_file(p)
+
     def test_cli_overrides_beat_file(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[train]\nmicro_batch = 4\n", encoding="utf-8")
@@ -757,10 +763,11 @@ print(code, seen)
         ("train.improve_eps=-1e-6", "[train] improve_eps must be >= 0, got -1e-06"),
         ("train.encoder_freeze_threshold=-1",
          "[train] encoder_freeze_threshold must be >= 0, got -1.0"),
+        ("decoder.use_label_init=true", "use_label_init requires [decoder] label_init"),
     ], ids=["decoder-layers", "encoder-mode", "encoder-heads", "codec-capacity",
             "decoder-heads", "train-max-epochs", "encoder-d-model", "encoder-dropout",
             "decoder-dropout", "decoder-ff-dim", "train-plateau-factor",
-            "train-improve-eps", "train-encoder-freeze-threshold"])
+            "train-improve-eps", "train-encoder-freeze-threshold", "use-label-init"])
     def test_bad_setting_exits_2_naming_it(self, workdir, tmp_path, capsys,
                                            override, named):
         code = main(["train", "--data", str(workdir["data"]),
@@ -769,6 +776,17 @@ print(code, seen)
         assert code == 2
         assert err.startswith(f"error: {named}")
         assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_missing_split_exits_2_naming_it(self, workdir, tmp_path, capsys, split):
+        data = tmp_path / "data"
+        shutil.copytree(workdir["data"], data)
+        (data / f"{split}.jsonl").unlink()
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {data}: missing {split}.jsonl")
         assert not (tmp_path / "r").exists()
 
     def test_bad_override_exits_2(self, workdir, tmp_path, capsys):

@@ -9,8 +9,8 @@ from conftest import build_news_tree, random_closed_sets
 
 from taxseq import codec
 from taxseq.codec import (BOS_ID, EOS_ID, LAYOUTS, N_SPECIALS, PAD_ID, SEP_ID,
-                          LabelSequence, Ordering, build_vocab, capacity_for,
-                          continuation, decode, encode)
+                          DecodeDiagnostics, LabelSequence, Ordering, build_vocab,
+                          capacity_for, continuation, decode, encode)
 from taxseq.errors import CapacityExceeded, NotClosureConsistent, UnknownLabel
 from taxseq.taxonomy import ROOT, LabelHierarchy
 
@@ -201,7 +201,7 @@ class TestRoundTrip:
                 out = decode(seq.ids, vocab, deep_tree, strategy)
                 assert out.labels == s
                 if strategy is not Ordering.PATH_SEPARATED:
-                    assert out.diagnostics.clean
+                    assert out.diagnostics == DecodeDiagnostics()
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -277,7 +277,7 @@ class TestDecodeLenient:
         vocab = build_vocab(tiny_tree)
         out = decode([BOS_ID, EOS_ID], vocab, tiny_tree, Ordering.CHILD_TO_PARENT)
         assert out.labels == set() and out.groups == []
-        assert out.diagnostics.clean
+        assert out.diagnostics == DecodeDiagnostics()
 
     def test_direct_read(self, news_tree):
         vocab = build_vocab(news_tree)
@@ -302,7 +302,7 @@ class TestDecodeLenient:
         assert d.missing_bos and not d.missing_eos
         assert d.repeated_labels_dropped == 1
         assert d.pad_inside == 1 and d.unknown_ids == 1
-        assert not d.clean
+        assert d != DecodeDiagnostics()
 
     def test_stops_at_first_eos(self, tiny_tree):
         vocab = build_vocab(tiny_tree)
@@ -314,7 +314,7 @@ class TestDecodeLenient:
         vocab = build_vocab(tiny_tree)
         seq = encode({"A"}, tiny_tree, vocab, Ordering.CHILD_TO_PARENT, 8)
         assert seq.trimmed() == [BOS_ID, vocab.id_of("A"), SEP_ID, EOS_ID]
-        assert seq.capacity == 8
+        assert len(seq.ids) == 8
         assert isinstance(seq, LabelSequence)
 
 

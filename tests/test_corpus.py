@@ -273,7 +273,9 @@ class TestAdapters:
         ({"token": "alpha beta", "label": ["CS"]}, "'token' must be a list of strings"),
         ({"token": ["alpha", 3], "label": ["CS"]}, "'token' must be a list of strings"),
         ({"token": ["alpha"], "label": [["CS"]]}, "'label' must be a list of label names"),
-    ], ids=["text-null", "labels-string", "token-string", "token-int", "label-nested"])
+        ({"text": "alpha beta", "label": ["CS"]}, "expected token/label or text/labels keys"),
+    ], ids=["text-null", "labels-string", "token-string", "token-int", "label-nested",
+            "no-key-pair"])
     def test_field_types_checked(self, tmp_path, line, message):
         raw = tmp_path / "raw"
         self.make_raw(raw)

@@ -214,6 +214,15 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             decoder_forward(ids, mask, hidden, emask[:, :2], cfg, params)
 
+    def test_feed_past_the_buffers(self):
+        cache = DecodeCache()
+        cache.open(rows=1, positions=2, layers=1, heads=2, d_h=4, dtype=np.float32)
+        cache.feed(np.ones((1, 1), np.int8))
+        with pytest.raises(ShapeMismatch, match="cannot feed 2 positions after 1 to a "
+                                                "cache of 2"):
+            cache.feed(np.ones((1, 2), np.int8))
+        assert cache.length == 1
+
     def test_dropout_changes_training_pass(self, rng):
         cfg = small_cfg(dropout=0.3)
         params = init_params(decoder_param_specs(cfg), rng)

@@ -111,6 +111,10 @@ class TestInit:
         with pytest.raises(ConfigError, match="dropout"):
             EncoderConfig(dropout=1.5)
 
+    def test_specs_need_two_words(self):
+        with pytest.raises(ConfigError, match="vocab_size >= 2"):
+            encoder_param_specs(small_cfg(vocab_size=1))
+
 
 class TestEncodeTokens:
     def test_shapes_and_padding_independence(self, rng):

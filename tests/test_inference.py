@@ -495,6 +495,19 @@ class TestCachedStep:
         np.testing.assert_allclose(first, full[:, :3], atol=1e-5)
         np.testing.assert_allclose(rest, full[rows, 3:], atol=1e-5)
 
+    @pytest.mark.parametrize("call", ["teacher-forced", "first cached", "later cached"])
+    def test_row_count_mismatch_names_both_counts(self, rng, call):
+        """Two label rows against a three-row encoder side, or a later call of
+        two rows on a three-row cache, raise ``ShapeMismatch``."""
+        bundle = tiny_bundle()
+        ids, mask, hidden, emask = step_inputs(rng, bundle)
+        cache = None if call == "teacher-forced" else DecodeCache()
+        with no_grad():
+            if call == "later cached":
+                bundle.decoder_logits(ids[:, :1], mask[:, :1], hidden, emask, cache=cache)
+            with pytest.raises(ShapeMismatch, match="3 rows.*2 label rows|2 label rows.*3 rows"):
+                bundle.decoder_logits(ids[:2, 1:2], mask[:2, 1:2], hidden, emask, cache=cache)
+
     def test_select_keeps_one_row_encoder_side(self, rng):
         """A one-row encoder side stays the same arrays through ``select`` and
         serves every selected row; a multi-row one is selected."""

@@ -39,10 +39,14 @@ class TestConstruction:
     def test_top_and_child_conflict_rejected(self):
         with pytest.raises(MultipleParents):
             LabelHierarchy.from_edges([(ROOT, "A"), ("A", "B"), (ROOT, "B")])
+        with pytest.raises(MultipleParents, match="'B' declared both top-level and under 'A'"):
+            LabelHierarchy.from_edges([(ROOT, "A"), (ROOT, "B"), ("A", "B")])
 
     def test_unknown_parent_rejected(self):
         with pytest.raises(UnknownParent):
             LabelHierarchy.from_edges([(ROOT, "A"), ("GHOST", "B")])
+        with pytest.raises(UnknownParent, match="'B' attached to 'GHOST', which is never"):
+            LabelHierarchy.from_parts(["A", "B"], {"B": "GHOST"})
 
     def test_cycle_rejected(self):
         with pytest.raises(CycleDetected):
@@ -124,6 +128,8 @@ class TestStructureQueries:
             tiny_tree.check_known({"A", "nope"})
         with pytest.raises(UnknownLabel):
             tiny_tree.closure({"nope"})
+        with pytest.raises(UnknownLabel, match="nope"):
+            tiny_tree.ancestors("nope")
 
     @given(st.sets(st.sampled_from(["A", "B", "C", "D"]), min_size=1))
     @settings(max_examples=60, deadline=None)

@@ -386,6 +386,10 @@ class TestLabelColumns:
 
 
 class TestEvaluateEpoch:
+    def test_empty_split_rejected(self):
+        with pytest.raises(EmptyCorpus, match="empty validation split"):
+            evaluate_epoch(tiny_bundle(), PreparedData(ids=[]), LossConfig())
+
     def test_deterministic(self):
         bundle = tiny_bundle(dropout=0.3)  # dropout must not fire in eval
         data = prepare_data(bundle, SAMPLES, seed=0)
@@ -782,6 +786,30 @@ class TestModelBuild:
         assert bundle.dec_cfg.max_positions == 8
         assert bundle.enc_cfg.vocab_size == tv.size
 
+    def test_d_model_mismatch_rejected(self):
+        enc_cfg = EncoderConfig(d_model=16, layers=1, heads=2, max_len=6)
+        dec_cfg = DecoderConfig(d_model=8, layers=1, heads=2, max_positions=8)
+        with pytest.raises(ConfigError, match="encoder d_model 16 != decoder d_model 8"):
+            ModelBundle.build(tiny_hierarchy(), Ordering.CHILD_TO_PARENT, 8, enc_cfg,
+                              dec_cfg, text_vocab=TextVocab.build(["x"]))
+
+    def test_stored_states_model_encodes_no_tokens(self):
+        bundle = tiny_bundle(precomputed=True)
+        with pytest.raises(ConfigError, match="encode_batch needs a trainable encoder"):
+            bundle.encode_batch(np.ones((1, 3), np.int32), np.ones((1, 3), np.int8))
+
+
+def assert_same_run(bundle_a, result_a, bundle_b, result_b):
+    """Two training runs ended with equal parameters and equal history."""
+    params_b = bundle_b.all_params()
+    for k, p in bundle_a.all_params().items():
+        assert np.array_equal(p.data, params_b[k].data), k
+    assert len(result_a.history) == len(result_b.history)
+    for a, b in zip(result_a.history, result_b.history):
+        for key in ("epoch", "train_loss", "val_loss", "grad_norm", "lr_enc",
+                    "lr_dec", "frozen"):
+            assert a[key] == b[key], (a["epoch"], key)
+
 
 class TestCheckpointing:
     def test_save_load_round_trip(self, tmp_path):
@@ -855,7 +883,13 @@ class TestCheckpointing:
         (lambda m: {k: v for k, v in m.items() if k != "param_shapes"}, "param_shapes"),
         (lambda m: {**m, "enc_cfg": {**m["enc_cfg"], "depth": 3}}, "depth"),
         (lambda m: {**m, "dec_cfg": {**m["dec_cfg"], "depth": 3}}, "depth"),
-    ], ids=["not-json", "missing-key", "unknown-enc-field", "unknown-dec-field"])
+        (lambda m: {**m, "taxonomy": {"parents": m["taxonomy"]["parents"]}},
+         "missing key 'labels'"),
+        (lambda m: {**m, "param_shapes": {k: v for k, v in m["param_shapes"].items()
+                                          if k != "dec.out.b"}},
+         "no shape recorded for parameter dec.out.b"),
+    ], ids=["not-json", "missing-key", "unknown-enc-field", "unknown-dec-field",
+            "missing-taxonomy-labels", "missing-param-shape"])
     def test_corrupt_manifest_rejected(self, tmp_path, corrupt, match):
         save_checkpoint(tmp_path / "ck", tiny_bundle())
         mf = tmp_path / "ck" / "manifest.json"
@@ -1142,6 +1176,53 @@ class TestCheckpointing:
         # the halves really differ from the full run midway
         assert part.history[-1]["epoch"] == 2
         assert full.history[2]["train_loss"] != part.history[-1]["train_loss"]
+
+    @pytest.mark.parametrize("split_at", [11, 12, 13])
+    def test_resume_after_encoder_froze_is_bit_identical(self, tmp_path, monkeypatch,
+                                                         split_at):
+        """A constant validation loss cuts the learning rates on a plateau, as
+        gate 08(b) forces it, so the encoder group is frozen from epoch 11;
+        resuming from a checkpoint saved with it frozen gives the full run."""
+        monkeypatch.setattr(tr, "evaluate_epoch", lambda *a, **kw: 1.0)
+
+        def run(epochs, out=None, resume=None):
+            bundle = tiny_bundle(seed=2, dropout=0.1)
+            data = prepare_data(bundle, SAMPLES, seed=0)
+            cfg = quick_cfg(max_epochs=epochs, seed=2, lr_encoder=5e-5, lr_decoder=3e-4,
+                            plateau_patience=3, plateau_factor=0.1,
+                            encoder_freeze_threshold=5e-7, early_stop_patience=100)
+            return bundle, train(bundle, data, data, cfg, out_dir=out, resume=resume)
+
+        full_bundle, full = run(14)
+        assert [r["frozen"] for r in full.history] == [False] * 10 + [True] * 4
+        run(split_at, tmp_path / "part")
+        manifest = json.loads((tmp_path / "part" / "last" / "manifest.json").read_text())
+        assert {g["name"]: g["frozen"] for g in manifest["optimizer"]} == {"enc": True,
+                                                                          "dec": False}
+        resumed_bundle, resumed = run(14, resume=tmp_path / "part" / "last")
+        assert_same_run(full_bundle, full, resumed_bundle, resumed)
+
+    def test_resume_of_stored_states_model_is_bit_identical(self, tmp_path):
+        """A stored-states model's encoder group has no parameters and never
+        steps, so its checkpoint holds no moments for it and resume loads none."""
+        hidden = np.random.default_rng(5).standard_normal((len(SAMPLES), 6, 16))
+        store = PrecomputedStates.save(tmp_path / "st", [s.id for s in SAMPLES],
+                                       hidden.astype(np.float32), np.ones((len(SAMPLES), 6)))
+
+        def run(epochs, out=None, resume=None):
+            bundle = tiny_bundle(seed=3, dropout=0.1, precomputed=True)
+            data = prepare_data(bundle, SAMPLES, seed=0, store=store)
+            cfg = quick_cfg(max_epochs=epochs, seed=6, micro_batch=2)
+            return bundle, train(bundle, data, data, cfg, out_dir=out, resume=resume)
+
+        full_bundle, full = run(4)
+        run(2, tmp_path / "part")
+        manifest = json.loads((tmp_path / "part" / "last" / "manifest.json").read_text())
+        assert {g["name"]: g["t"] for g in manifest["optimizer"]}["enc"] == 0
+        assert not any(f.name.startswith("enc.")
+                       for f in (tmp_path / "part" / "last" / "moments").iterdir())
+        resumed_bundle, resumed = run(4, resume=tmp_path / "part" / "last")
+        assert_same_run(full_bundle, full, resumed_bundle, resumed)
 
     def test_failed_save_keeps_previous_last(self, tmp_path, monkeypatch):
         def run(epochs, out=None, resume=None):
