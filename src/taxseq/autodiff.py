@@ -254,10 +254,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    def bwd(g, acc):
-        acc(a, g * s)
-
-    return _node(a.data * s, (a,), bwd)
+    return mul_const(a, s)
 
 
 def add_const(a: Tensor, c: np.ndarray | float) -> Tensor:
@@ -632,35 +629,32 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def _norm_node(s: np.ndarray, inputs: tuple[Tensor, ...], gain: Tensor, bias: Tensor) -> Tensor:
+    """The layer norm of ``s``, the sum of ``inputs``' data, as one node;
+    each input takes the gradient of ``s``."""
     gd = gain.data
-    out, y, inv = _norm(x.data, gd, bias.data)
+    out, y, inv = _norm(s, gd, bias.data)
 
     def bwd(g, acc):
         gx, gg, gb = _norm_grads(g, y, inv, gd)
         acc(bias, gb)
         acc(gain, gg)
-        acc(x, gx)
+        for t in inputs:
+            acc(t, gx)
 
-    return _node(out, (x, gain, bias), bwd)
+    return _node(out, (*inputs, gain, bias), bwd)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis, then scale and shift."""
+    return _norm_node(x.data, (x,), gain, bias)
 
 
 def add_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """``layer_norm(x + r)``, a residual sum and its normalization, as one node."""
     if x.data.shape != r.data.shape:
         raise ShapeMismatch(f"residual {r.data.shape} does not match {x.data.shape}")
-    gd = gain.data
-    out, y, inv = _norm(x.data + r.data, gd, bias.data)
-
-    def bwd(g, acc):
-        gx, gg, gb = _norm_grads(g, y, inv, gd)
-        acc(bias, gb)
-        acc(gain, gg)
-        acc(x, gx)
-        acc(r, gx)
-
-    return _node(out, (x, r, gain, bias), bwd)
+    return _norm_node(x.data + r.data, (x, r), gain, bias)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tensor:

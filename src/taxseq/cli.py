@@ -108,9 +108,14 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _apply_global_flags(args) -> None:
+def _apply_global_flags(parser, args) -> None:
+    """Pin the thread pools; ``--deterministic`` is one thread, so another
+    ``--threads`` count is a usage error (exit 2)."""
     threads = args.threads
-    if args.deterministic and threads is None:
+    if args.deterministic:
+        if threads not in (None, 1):
+            parser.error(f"argument --deterministic: runs one thread, "
+                         f"not allowed with --threads {threads}")
         threads = 1
     if threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -128,15 +133,17 @@ def _load_config(args):
     return cfg
 
 
-def _build_bundle(cfg, h, splits, store=None):
-    """Construct a ModelBundle (plus codec capacity) from a RunConfig; with a
-    states ``store`` it has no text vocabulary, else its encoder is trainable."""
-    from .codec import Ordering, capacity_for
-    from .encoder import TEXT_PAD, TEXT_UNK, TextVocab
+def _model_config(cfg, store=None):
+    """The model settings a config fixes without data, each checked:
+    encoder and decoder configs (a states ``store`` sets the width and
+    length), ordering, capacity (0: sized from the data later) and the
+    label-init path (None when unused). A bad one raises ``ConfigError``."""
+    from .codec import Ordering
     from .errors import ConfigError
-    from .model import ModelBundle
 
     enc_cfg = cfg.build("encoder")
+    if store is not None:
+        enc_cfg = dataclasses.replace(enc_cfg, d_model=store.d_model, max_len=store.max_len)
     try:
         ordering = Ordering.from_string(cfg.get("codec", "ordering"))
     except ConfigError as e:
@@ -145,14 +152,32 @@ def _build_bundle(cfg, h, splits, store=None):
     if capacity < 0:
         raise ConfigError(f"[codec] capacity must be >= 0 (0 sizes it from the data), "
                           f"got {capacity}")
+    label_init = None
+    if cfg.get("decoder", "use_label_init"):
+        label_init = cfg.get("decoder", "label_init")
+        if not label_init:
+            raise ConfigError("use_label_init requires [decoder] label_init = <path>")
+    # the layout raises max_positions to the capacity sized from the data
+    dec_cfg = cfg.build("decoder", vocab_size=0, d_model=enc_cfg.d_model,
+                        max_positions=max(capacity, 1))
+    return enc_cfg, dec_cfg, ordering, capacity, label_init
+
+
+def _build_bundle(cfg, h, splits, store=None):
+    """Construct a ModelBundle (plus codec capacity) from a RunConfig; with a
+    states ``store`` it has no text vocabulary, else its encoder is trainable."""
+    from .codec import capacity_for
+    from .encoder import TEXT_PAD, TEXT_UNK, TextVocab
+    from .errors import ConfigError
+    from .model import ModelBundle
+
+    enc_cfg, dec_cfg, ordering, capacity, label_init = _model_config(cfg, store)
     if capacity == 0:
         sets = [s.labels for split in splits.values() for s in split]
         capacity = capacity_for(sets, h, strategy=ordering)
 
     text_vocab = None
-    if store is not None:
-        enc_cfg = dataclasses.replace(enc_cfg, d_model=store.d_model, max_len=store.max_len)
-    else:
+    if store is None:
         min_count = cfg.get("encoder", "word_min_count")
         max_size = cfg.get("encoder", "word_max_size")
         text_vocab = TextVocab.build((s.text for s in splits["train"]),
@@ -160,14 +185,6 @@ def _build_bundle(cfg, h, splits, store=None):
         if set(text_vocab.word_to_id) <= {TEXT_PAD, TEXT_UNK}:
             raise ConfigError(f"[encoder] word_min_count = {min_count} and word_max_size = "
                               f"{max_size} keep no word of the training texts")
-
-    label_init = None
-    if cfg.get("decoder", "use_label_init"):
-        label_init = cfg.get("decoder", "label_init")
-        if not label_init:
-            raise ConfigError("use_label_init requires [decoder] label_init = <path>")
-    dec_cfg = cfg.build("decoder", vocab_size=0, d_model=enc_cfg.d_model,
-                        max_positions=capacity)
     return ModelBundle.build(h, ordering, capacity, enc_cfg, dec_cfg,
                              seed=cfg.get("train", "seed"),
                              text_vocab=text_vocab, label_init=label_init)
@@ -280,15 +297,21 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _variant_config(values, variant):
+    from .config import RunConfig
+
+    cfg = RunConfig(values)
+    cfg.apply_overrides(ABLATION_VARIANTS[variant][1])
+    return cfg
+
+
 def _ablate_one(payload):
     """Train one (variant, seed) cell and score it on the test split."""
     cfg_values, data_dir, out_dir, variant, seed = payload
-    from .config import RunConfig
     from .corpus import load_jsonl
     from .trainer import load_checkpoint
 
-    cfg = RunConfig(cfg_values)
-    cfg.apply_overrides(ABLATION_VARIANTS[variant][1])
+    cfg = _variant_config(cfg_values, variant)
     cfg.set("train", "seed", seed)
     run_dir = Path(out_dir) / variant.replace("/", "_") / f"seed{seed}"
     bundle, result, h, store = _run_training(cfg, data_dir, run_dir)
@@ -301,6 +324,7 @@ def _ablate_one(payload):
 
 
 def cmd_ablate(args) -> int:
+    from .encoder import PrecomputedStates
     from .errors import ConfigError
 
     cfg = _load_config(args)
@@ -319,6 +343,15 @@ def cmd_ablate(args) -> int:
         if len(set(given)) < len(given):
             repeated = next(x for x in given if given.count(x) > 1)
             raise ConfigError(f"{flag} repeats {repeated}; each runs once")
+    store_dir = cfg.get("data", "precomputed_dir")
+    store = PrecomputedStates.open(store_dir) if store_dir else None
+    for v in variants:  # every variant's config is checked before any cell trains
+        try:
+            vcfg = _variant_config(cfg.values, v)
+            vcfg.build("train", loss=vcfg.build("loss"))
+            _model_config(vcfg, store)
+        except ConfigError as e:
+            raise ConfigError(f"variant {v!r}: {e}") from None
     jobs = [(cfg.values, args.data, args.out, v, s) for v in variants for s in seeds]
 
     workers = min(args.parallel, len(jobs))
@@ -381,7 +414,7 @@ def cmd_stats(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_global_flags(args)
+    _apply_global_flags(parser, args)
     from .errors import TaxseqError
     try:
         return args.func(args)

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCorpus, MalformedLine, MissingRawData, NotClosureConsistent
+from .errors import ConfigError, EmptyCorpus, MalformedLine, MissingRawData
 from .taxonomy import (ROOT, LabelHierarchy, dataset_stats, load_hierarchy, read_text_lines,
                        save_hierarchy)
 
@@ -62,13 +62,12 @@ def _names(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def load_jsonl(path, h: LabelHierarchy, strict: bool = False) -> list[Sample]:
+def load_jsonl(path, h: LabelHierarchy) -> list[Sample]:
     """Read one split, validating fields and labels against the hierarchy.
 
     ``text`` must be a string and ``labels`` a non-empty list of strings.
-    Non-closed label sets are closed automatically with a logged warning;
-    under ``strict`` they are rejected with the offending line number.
-    Unknown labels are always an error.
+    A label set that is not closed under ancestors is closed, with a logged
+    warning naming the line. An unknown label is an error.
     """
     path = Path(path)
     samples: list[Sample] = []
@@ -85,10 +84,6 @@ def load_jsonl(path, h: LabelHierarchy, strict: bool = False) -> list[Sample]:
         h.check_known(labels)
         closed = h.closure(labels)
         if closed != labels:
-            if strict:
-                raise NotClosureConsistent(
-                    f"{path}:{n}: sample {obj['id']!r} is missing ancestors "
-                    f"{sorted(closed - labels)}")
             log.warning("%s:%d: sample %s auto-closed (+%d ancestors)",
                         path, n, obj["id"], len(closed - labels))
         samples.append(Sample(str(obj["id"]), obj["text"], closed))
@@ -305,7 +300,7 @@ def adapt_dataset(fmt: str, raw_dir, out_dir):
     return stats
 
 
-def load_splits(data_dir, strict: bool = False):
+def load_splits(data_dir):
     """Read taxonomy.tsv plus the three split files from one directory."""
     data_dir = Path(data_dir)
     h = load_hierarchy(data_dir / "taxonomy.tsv")
@@ -313,7 +308,7 @@ def load_splits(data_dir, strict: bool = False):
     for name in SPLIT_NAMES:
         p = data_dir / f"{name}.jsonl"
         if p.exists():
-            splits[name] = load_jsonl(p, h, strict=strict)
+            splits[name] = load_jsonl(p, h)
     if not splits:
         raise EmptyCorpus(f"{data_dir}: no split files found")
     return h, splits

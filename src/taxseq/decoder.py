@@ -221,7 +221,8 @@ class DecodeCache:
     self-attention keys and values, whose first ``length`` positions are
     the consumed ones'; a call writes its positions in place, and later
     positions are stale and never read. ``cross_kv`` holds the keys and
-    values the first call projected from the encoder states, with
+    values the first call projected from the encoder states, as (B, T,
+    heads, d_h) rows that the step reads through head-split views, with
     ``cross_mask`` their additive key mask (None when no encoder column is
     padding). The first call also resolves each layer's parameters into
     ``layers``, so later calls (which must pass the same parameters) look
@@ -229,9 +230,8 @@ class DecodeCache:
 
     An encoder side of one row serves every row of the cache: ``select``
     leaves it at one row and attention broadcasts it, so beam search's
-    beams share one copy. A multi-row one is selected through its
-    projection's (B, T, heads, d_h) layout, so kept rows keep the strides
-    of the head split and compute the bits they compute decoded alone.
+    beams share one copy. Every other array is gathered by row, and kept
+    rows compute the bits they compute decoded alone.
     A cache nothing has been fed to has no rows: it truncates to 0 and
     selects no rows, and anything else raises ``ShapeMismatch``.
     """
@@ -240,7 +240,7 @@ class DecodeCache:
         self.length = 0
         self.layers: list[_StepLayer] = []
         self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        self.cross_kv: list[tuple[Tensor, Tensor]] = []
+        self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
         self.cross_mask: np.ndarray | None = None
         self._keys: np.ndarray | None = None  # (B, max_positions)
 
@@ -294,10 +294,8 @@ class DecodeCache:
             return
         self._keys = self._keys[rows]
         self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
-        if self.cross_kv and len(self.cross_kv[0][0].data) != 1:
-            # rows of the (B, T, heads, d_h) projection, seen head-split again
-            self.cross_kv = [tuple(ad.constant(x.data.swapaxes(1, 2)[rows].swapaxes(1, 2))
-                                   for x in kv) for kv in self.cross_kv]
+        if self.cross_kv and len(self.cross_kv[0][0]) != 1:
+            self.cross_kv = [(k[rows], v[rows]) for k, v in self.cross_kv]
             if self.cross_mask is not None:
                 self.cross_mask = self.cross_mask[rows]
 
@@ -405,8 +403,8 @@ def _cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg: DecoderConfig
     ``DecodeCache.select`` rounds as if alone. Query i reads exactly the
     first ``cache.length + i + 1`` self-attention keys, under their key
     mask when a consumed key is masked; one position is one ``_attention``
-    call. The (B, heads, T, d_h) cross keys and values and (B, 1, 1, T)
-    mask broadcast as they are.
+    call. The cross keys and values, read head-split as (B, heads, T, d_h),
+    and the (B, 1, 1, T) mask broadcast as they are.
     """
     heads, d = cfg.heads, cfg.d_model
     if not cache.layers:  # first call: resolve the layers, project the encoder side
@@ -414,8 +412,9 @@ def _cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg: DecoderConfig
         enc = enc.data
         resolved = [_layer_params(params, i) for i in range(cfg.layers)]
         cache.layers = [_step_layer(layer) for layer in resolved]
-        cache.cross_kv = [tuple(ad.constant(ad._split(ad._affine(enc, layer.cross[w].data,
-                                                                 layer.cross[b].data), heads))
+        shape = enc.shape[:2] + (heads, d // heads)
+        cache.cross_kv = [tuple(ad._affine(enc, layer.cross[w].data,
+                                           layer.cross[b].data).reshape(shape)
                                 for w, b in (("wk", "bk"), ("wv", "bv")))
                           for layer in resolved]
         dtype = params["word_embed"].data.dtype
@@ -439,7 +438,7 @@ def _cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg: DecoderConfig
         ctx = ctx[0][None] if n == 1 else np.stack(ctx)
         x = _add_norm(ad._affine(ad._merge(ctx), *layer.self_out), x, layer.norm_q)
         cq = ad._split(ad._affine(x, *layer.cross_q), heads)
-        ctx = ad._attention(cq, ck.data, cv.data, cache.cross_mask, None)[0]
+        ctx = ad._attention(cq, ck.swapaxes(1, 2), cv.swapaxes(1, 2), cache.cross_mask, None)[0]
         x = _add_norm(x, ad._affine(ad._merge(ctx), *layer.cross_out), layer.norm_c)
         x = _add_norm(x, ad._feed_forward(x, *layer.ff), layer.norm_f)
     logits = ad._affine(x, params["out.w"].data, params["out.b"].data)

@@ -121,10 +121,12 @@ class ModelBundle(ModelLayout):
         at least one, so the encoder and cross-attention pay for its
         longest text, not for ``max_len``. A store's mask may have holes,
         so the width is that last column, not a token count. Precomputed
-        splits carry their states; tokenized ones run through
-        ``encode_batch``.
+        splits gather the batch's store rows, then cut their columns;
+        tokenized ones run through ``encode_batch``.
         """
         precomputed = data.enc_hidden is not None
+        if precomputed:
+            idx = data.enc_rows[idx]
         mask = (data.enc_mask if precomputed else data.text_mask)[idx]
         used = np.flatnonzero(mask.any(axis=0))
         width = int(used[-1]) + 1 if used.size else 1

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import time
@@ -267,7 +268,9 @@ def grad_norm(params: dict[str, Parameter]) -> float:
 class PreparedData:
     """Tensorized split: tokenized text (or precomputed states) plus the
     encoded teacher-forcing label sequences. A split of bare texts, as
-    ``predict_texts`` builds, has no label fields."""
+    ``predict_texts`` builds, has no label fields. A stored-states split
+    holds the store's whole arrays, the states still memory-mapped, and
+    ``enc_rows``, each sample's row in them."""
 
     ids: list[str]
     seq_ids: np.ndarray | None = None
@@ -277,6 +280,7 @@ class PreparedData:
     text_mask: np.ndarray | None = None
     enc_hidden: np.ndarray | None = None
     enc_mask: np.ndarray | None = None
+    enc_rows: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -324,9 +328,8 @@ def prepare_data(
         if store.d_model != bundle.dec_cfg.d_model:
             raise ConfigError(
                 f"store d_model {store.d_model} != model {bundle.dec_cfg.d_model}")
-        rows = store.rows(ids)
-        return PreparedData(ids, seq_ids, seq_mask, gold,
-                            enc_hidden=store.hidden[rows], enc_mask=store.mask[rows])
+        return PreparedData(ids, seq_ids, seq_mask, gold, enc_hidden=store.hidden,
+                            enc_mask=store.mask, enc_rows=store.rows(ids))
     if store is not None:
         raise ConfigError("a states store was given for a model whose encoder "
                           "is trainable; only a model without a text vocabulary reads one")
@@ -458,13 +461,14 @@ def _write_checkpoint(out: Path, bundle: ModelBundle, train_state: dict | None,
         (out / "params" / f"{k}.bin").write_bytes(np.ascontiguousarray(p.data, "<f4"))
 
 
-def _read_manifest(ckpt_dir, resume: bool = False) -> tuple[Path, dict]:
+def _read_manifest(ckpt_dir, groups: list[str] | None = None) -> tuple[Path, dict]:
     """A checkpoint's manifest path and content: JSON of format 1 with every
     key that describes the model, else ``ConfigError`` names the file. An
     older version's ``enc_cfg.mode`` is dropped: ``text_vocab`` records it.
 
-    With ``resume``, the manifest must also hold every key of the training
-    state and optimizer groups that ``train`` reads back, else
+    With ``groups``, the names of a resumed optimizer's groups, the manifest
+    must also hold the training state and optimizer groups that ``train``
+    reads back, each key of its type (see ``_check_train_state``), else
     ``ConfigError`` names the file and the key.
     """
     mf = Path(ckpt_dir) / "manifest.json"
@@ -481,7 +485,7 @@ def _read_manifest(ckpt_dir, resume: bool = False) -> tuple[Path, dict]:
             raise ConfigError(f"{mf}: missing key {key!r}")
     if isinstance(manifest["enc_cfg"], dict):
         manifest["enc_cfg"].pop("mode", None)
-    if resume:
+    if groups is not None:
         if not manifest.get("train_state") or "optimizer" not in manifest:
             raise ConfigError(f"{ckpt_dir}: no training state to resume from; "
                               "resume from a run's last/ checkpoint")
@@ -495,7 +499,52 @@ def _read_manifest(ckpt_dir, resume: bool = False) -> tuple[Path, dict]:
             raise ConfigError(f"{mf}: 'optimizer' must be a list of groups")
         for i, group in enumerate(manifest["optimizer"]):
             _require_keys(mf, group, f"optimizer[{i}]", ("name", "lr", "frozen", "t"))
+        _check_train_state(mf, manifest, groups)
     return mf, manifest
+
+
+_COUNT, _NUMBER, _LR = "a non-negative integer", "a number", "a finite number"
+_KINDS = {
+    _COUNT: lambda v: type(v) is int and v >= 0,
+    _NUMBER: lambda v: type(v) in (int, float),
+    _LR: lambda v: type(v) in (int, float) and math.isfinite(v),
+    "true or false": lambda v: type(v) is bool,
+    "a list": lambda v: type(v) is list,
+}
+
+
+def _check_train_state(mf: Path, manifest: dict, groups: list[str]) -> None:
+    """Raise ``ConfigError`` naming ``mf`` and the key unless the optimizer
+    groups are ``groups``, once each and in order, every training record
+    has the type ``train`` reads it as (JSON's ``true`` is no number), and
+    the generator accepts ``rng_state``. Nothing is restored before this
+    passes."""
+    saved = manifest["optimizer"]
+    names = [g["name"] for g in saved]
+    if names != groups:
+        raise ConfigError(f"{mf}: 'optimizer' holds the groups {names}, "
+                          f"the model's are {groups}")
+    state = manifest["train_state"]
+    sched, best = state["scheduler"], state["best"]
+    checks = {"train_state.epoch": (state["epoch"], _COUNT),
+              "train_state.history": (state["history"], "a list"),
+              "train_state.scheduler.best_val": (sched["best_val"], _NUMBER),
+              "train_state.scheduler.bad": (sched["bad"], _COUNT),
+              "train_state.scheduler.stall": (sched["stall"], _COUNT),
+              "train_state.best.epoch": (best["epoch"], _COUNT),
+              "train_state.best.val": (best["val"], _NUMBER)}
+    for i, g in enumerate(saved):
+        checks.update({f"optimizer[{i}].lr": (g["lr"], _LR),
+                       f"optimizer[{i}].t": (g["t"], _COUNT),
+                       f"optimizer[{i}].frozen": (g["frozen"], "true or false")})
+    for where, (value, kind) in checks.items():
+        if not _KINDS[kind](value):
+            raise ConfigError(f"{mf}: '{where}' must be {kind}, got {value!r}")
+    try:
+        np.random.default_rng(0).bit_generator.state = state["rng_state"]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{mf}: 'train_state.rng_state' is not a generator state "
+                          f"({type(e).__name__}: {e})") from None
 
 
 def _require_keys(mf: Path, obj, where: str, keys) -> None:
@@ -750,7 +799,7 @@ def train(
     start_epoch = 1
 
     if resume is not None:
-        mf, manifest = _read_manifest(resume, resume=True)
+        mf, manifest = _read_manifest(resume, [g["name"] for g in opt.groups])
         _check_same_model(mf, manifest, bundle)
         # every blob is read before the caller's bundle takes the first array
         arrays = {k: _read_blob(mf.parent / "params" / f"{k}.bin", p.data.shape)

@@ -650,6 +650,20 @@ class TestAblateCommand:
         assert code == 2
         assert err.startswith("error:") and f"{no_test_data / 'test.jsonl'}: no samples" in err
 
+    def test_variant_config_checked_before_any_cell_trains(self, workdir, tmp_path,
+                                                          capsys):
+        """The default variants include label-init, which needs a
+        ``label_init`` path: without one the command exits 2 at once, naming
+        the variant, and trains no cell."""
+        out = tmp_path / "abl"
+        code = main(["ablate", "--config", str(workdir["ini"]),
+                     "--data", str(workdir["data"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: variant 'label-init':")
+        assert "use_label_init requires [decoder] label_init" in err
+        assert not out.exists()
+
     def test_variant_table_matches_display_names(self):
         # one table row a variant, each with a distinct name and overrides
         # that set config entries; "base" overrides nothing
@@ -707,6 +721,25 @@ class TestStatsAndGlobals:
         assert exit_info.value.code == 2
         assert "argument --threads" in capsys.readouterr().err
         assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    @pytest.mark.parametrize("threads", ["4", "2"])
+    def test_deterministic_with_other_thread_count_exits_2(self, workdir, monkeypatch,
+                                                           capsys, threads):
+        """``--deterministic`` runs one thread, so another ``--threads`` count
+        is refused, naming both flags, before any thread pool is pinned;
+        ``--threads 1`` agrees with it."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # restored after the test
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--deterministic", "--threads", threads, "stats",
+                  "--data", str(workdir["data"])])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "--deterministic" in err and f"--threads {threads}" in err
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert main(["--deterministic", "--threads", "1", "stats",
+                     "--data", str(workdir["data"])]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
     def test_cli_import_loads_no_numpy(self):
         out = run_python("import sys, taxseq.cli\nprint('numpy' in sys.modules)")

@@ -11,7 +11,7 @@ from taxseq.corpus import (Sample, SynthConfig, adapt_dataset,
                            generate_synthetic, load_jsonl, load_splits,
                            write_jsonl)
 from taxseq.errors import (ConfigError, EmptyCorpus, MalformedLine,
-                           MissingRawData, NotClosureConsistent, UnknownLabel)
+                           MissingRawData, UnknownLabel)
 from taxseq.taxonomy import load_hierarchy
 
 
@@ -37,12 +37,6 @@ class TestLoadJsonl:
             got = load_jsonl(path, tiny_tree)
         assert got[0].labels == {"A", "B", "D"}
         assert any("auto-closed" in r.message for r in caplog.records)
-
-    def test_strict_rejects_open_sets(self, tmp_path, tiny_tree):
-        path = tmp_path / "x.jsonl"
-        write_lines(path, [{"id": "s0", "text": "t", "labels": ["D"]}])
-        with pytest.raises(NotClosureConsistent, match=":1"):
-            load_jsonl(path, tiny_tree, strict=True)
 
     def test_unknown_label_always_fatal(self, tmp_path, tiny_tree):
         path = tmp_path / "x.jsonl"
@@ -255,7 +249,7 @@ class TestAdapters:
         raw = tmp_path / "raw"
         self.make_raw(raw)
         adapt_dataset("wos", raw, tmp_path / "out")
-        h, splits = load_splits(tmp_path / "out", strict=True)
+        h, splits = load_splits(tmp_path / "out")
         assert all(s.labels == h.closure(s.labels)
                    for split in splits.values() for s in split)
 

@@ -527,8 +527,8 @@ class TestCachedStep:
             bundle.decoder_logits(ids[:, :2], mask[:, :2], hidden, emask, cache=many)
             (k, v), cmask = many.cross_kv[0], many.cross_mask
             many.select([2, 0])
-            assert np.array_equal(many.cross_kv[0][0].data, k.data[[2, 0]])
-            assert np.array_equal(many.cross_kv[0][1].data, v.data[[2, 0]])
+            assert np.array_equal(many.cross_kv[0][0], k[[2, 0]])
+            assert np.array_equal(many.cross_kv[0][1], v[[2, 0]])
             assert np.array_equal(many.cross_mask, cmask[[2, 0]])
             full = bundle.decoder_logits(ids[:1, :3], mask[:1, :3], hidden[:1], emask[:1]).data
         np.testing.assert_allclose(step[:, 0], np.repeat(full[:, 2], 3, axis=0), atol=1e-5)
@@ -536,8 +536,8 @@ class TestCachedStep:
     def test_selected_rows_compute_batch_one_bits(self):
         """Rows kept by ``select`` from a multi-row encoder side give the bits
         each gives decoded alone, and an identity selection changes no bit:
-        the kept cross keys and values stay head-split views of their
-        (B, T, heads, d_h) rows, not contiguous copies."""
+        the kept cross keys and values stay (B, T, heads, d_h) rows, which
+        the step reads through head-split views, not contiguous copies."""
         bundle = golden_bundle()
         kept, every = [1, 4], np.arange(5)
         for seed in range(10):
@@ -557,8 +557,8 @@ class TestCachedStep:
                 cache = first_call(every)
                 cache.select(kept)
                 for x in cache.cross_kv[0]:
-                    assert not x.data.flags.c_contiguous
-                    assert x.data.swapaxes(1, 2).flags.c_contiguous
+                    assert x.flags.c_contiguous
+                    assert not x.swapaxes(1, 2).flags.c_contiguous
                 got = next_steps(kept, cache)
                 for j, row in enumerate(kept):
                     alone = next_steps([row], first_call([row]))

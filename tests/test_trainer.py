@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import asdict
 from pathlib import Path
@@ -287,14 +288,37 @@ class TestDataPreparation:
         store = PrecomputedStates.save(tmp_path / "st", ids, hidden,
                                        np.tile([1, 1, 1, 1, 0, 0], (9, 1)))
         data = prepare_data(bundle, SAMPLES, seed=0, store=store)
-        assert data.enc_hidden.shape == (8, 6, 16)
-        assert np.array_equal(data.enc_hidden, hidden[7::-1])
+        assert data.enc_rows.tolist() == [7, 6, 5, 4, 3, 2, 1, 0]
+        assert np.array_equal(data.enc_hidden[data.enc_rows], hidden[7::-1])
         assert data.text_ids is None
         hidden, mask = bundle.encoder_states(data, np.array([2, 5]))
         # the batch is cut after its last real column
         assert hidden.data.shape == (2, 4, 16) and mask.shape == (2, 4)
         assert np.array_equal(mask, np.ones((2, 4), np.int8))
-        assert np.array_equal(hidden.data, data.enc_hidden[[2, 5], :4])
+        assert np.array_equal(hidden.data, data.enc_hidden[data.enc_rows[[2, 5]], :4])
+
+    def test_store_split_stays_memory_mapped(self, tmp_path, rng):
+        """Preparing a stored-states split copies none of the states: the
+        split keeps the memory-mapped store and its row numbers, so its
+        peak allocation is a small share of the store's 4.1 MB."""
+        bundle = tiny_bundle(precomputed=True)
+        samples = [Sample(f"d{i}", s.text, s.labels)
+                   for i, s in enumerate(SAMPLES * 63)]
+        ids = [s.id for s in samples]
+        root = tmp_path / "st"
+        PrecomputedStates.save(root, ids[::-1],
+                               rng.standard_normal((len(ids), 128, 16)).astype(np.float32),
+                               np.ones((len(ids), 128), np.int8))
+        store = PrecomputedStates.open(root)
+        tracemalloc.start()
+        try:
+            data = prepare_data(bundle, samples, seed=0, store=store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < store.hidden.nbytes / 8, (peak, store.hidden.nbytes)
+        hidden, _ = bundle.encoder_states(data, np.array([0, 500]))
+        assert np.array_equal(hidden.data, store.hidden[[len(ids) - 1, len(ids) - 501]])
 
     def test_store_mask_hole_keeps_last_real_column(self, tmp_path, rng):
         bundle = tiny_bundle(precomputed=True)
@@ -306,7 +330,7 @@ class TestDataPreparation:
         data = prepare_data(bundle, SAMPLES, seed=0, store=store)
         hidden, mask = bundle.encoder_states(data, np.array([0, 1]))
         assert mask.tolist() == [[1, 0, 0, 1], [1, 1, 0, 0]]
-        assert np.array_equal(hidden.data, data.enc_hidden[:2, :4])
+        assert np.array_equal(hidden.data, data.enc_hidden[data.enc_rows[:2], :4])
 
     def test_encoder_states_encode_tokenized_rows(self):
         bundle = tiny_bundle()
@@ -760,6 +784,49 @@ print(json.dumps([[r["val_loss"] for r in result.history], digest.hexdigest()]))
                               1.540813486662456], observed
         assert digest == "8d906f57a44ee49c90e01ea0ebdad3fb8e3b6ffb13a7105c2e0bda34d50a33a3", observed
 
+    def test_stored_states_numerics_match_recorded_run(self):
+        """A seeded run on a states store (padded and reordered rows, dropout,
+        accumulation) keeps its recorded validation losses and parameter
+        digest while the split holds the store's arrays, the states still
+        memory-mapped, and gathers each batch's rows; one BLAS thread, as
+        in ``test_numerics_match_recorded_run``, whose numpy and OpenBLAS
+        builds recorded these values too."""
+        script = """
+import hashlib, json, tempfile
+import numpy as np
+from test_trainer import SAMPLES, quick_cfg, tiny_bundle
+from taxseq.encoder import PrecomputedStates
+from taxseq.trainer import prepare_data, train
+rng = np.random.default_rng(5)
+ids = [s.id for s in SAMPLES][::-1] + ["extra"]
+mask = (np.arange(6) < rng.integers(2, 7, size=(9, 1))).astype(np.int8)
+with tempfile.TemporaryDirectory() as root:
+    PrecomputedStates.save(root, ids, rng.standard_normal((9, 6, 16)).astype(np.float32), mask)
+    store = PrecomputedStates.open(root)
+    bundle = tiny_bundle(seed=11, dropout=0.1, layers=2, precomputed=True)
+    data = prepare_data(bundle, SAMPLES, seed=0, store=store)
+    dev = prepare_data(bundle, SAMPLES[:4], seed=1, store=store)
+    assert data.enc_hidden is store.hidden and isinstance(store.hidden, np.memmap)
+    cfg = quick_cfg(max_epochs=3, seed=6, micro_batch=2, accumulation_steps=2)
+    result = train(bundle, data, dev, cfg)
+digest = hashlib.sha256()
+for k, p in sorted(bundle.all_params().items()):
+    digest.update(k.encode() + b"\\0" + p.data.astype("<f4").tobytes())
+print(json.dumps([[r["val_loss"] for r in result.history], digest.hexdigest()]))
+"""
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = str(Path(tr.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                              capture_output=True, timeout=300, check=True,
+                              cwd=Path(__file__).parent)
+        val_losses, digest = json.loads(done.stdout)
+        observed = f"observed val_losses {val_losses!r}, digest {digest!r}"
+        assert val_losses == [1.5432250183780032, 1.5217536449186277,
+                              1.5014236143810131], observed
+        assert digest == "d8f2f0de2825e6fb9820a7013bc78064d051ee7f76e543d8293cace31fc5aeec", observed
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr_encoder=0.0)
@@ -1069,6 +1136,41 @@ class TestCheckpointing:
         with pytest.raises(ConfigError) as err:
             train(resumed, data, data, quick_cfg(max_epochs=2), resume=last)
         assert str(err.value) == f"{mf}: {named}"
+
+    @pytest.mark.parametrize("corrupt, key", [
+        (lambda m: m["optimizer"][0].update(name="encoder"), "optimizer"),
+        (lambda m: m["optimizer"].pop(1), "optimizer"),
+        (lambda m: m["optimizer"].__setitem__(1, dict(m["optimizer"][0])), "optimizer"),
+        (lambda m: m["optimizer"][0].update(t=1.5), "optimizer[0].t"),
+        (lambda m: m["optimizer"][0].update(frozen="no"), "optimizer[0].frozen"),
+        (lambda m: m["optimizer"][1].update(lr="fast"), "optimizer[1].lr"),
+        (lambda m: m["optimizer"][1].update(lr=float("nan")), "optimizer[1].lr"),
+        (lambda m: m["optimizer"][1].update(t="x"), "optimizer[1].t"),
+        (lambda m: m["train_state"].update(epoch="x"), "train_state.epoch"),
+        (lambda m: m["train_state"]["scheduler"].update(bad=-1), "train_state.scheduler.bad"),
+        (lambda m: m["train_state"].update(history=3), "train_state.history"),
+        (lambda m: m["train_state"].update(rng_state={"x": 1}), "train_state.rng_state"),
+        (lambda m: m["train_state"]["best"].update(val="x"), "train_state.best.val"),
+    ], ids=["group-renamed", "group-dropped", "group-twice", "t-fraction", "frozen-string",
+            "lr-string", "lr-nan", "t-string", "epoch-string", "bad-negative",
+            "history-number", "rng-state-foreign", "best-val-string"])
+    def test_resume_state_bad_value_rejected(self, tmp_path, one_epoch_last, corrupt, key):
+        """A training record of the wrong value raises ``ConfigError`` naming
+        the manifest and the key before any parameter or group changes."""
+        last = shutil.copytree(one_epoch_last, tmp_path / "last")
+        mf = last / "manifest.json"
+        manifest = json.loads(mf.read_text())
+        corrupt(manifest)
+        mf.write_text(json.dumps(manifest))
+        resumed = tiny_bundle(seed=2)
+        data = prepare_data(resumed, SAMPLES, seed=0)
+        before = {k: p.data.copy() for k, p in resumed.all_params().items()}
+        with pytest.raises(ConfigError) as err:
+            train(resumed, data, data, quick_cfg(max_epochs=2), resume=last)
+        assert str(err.value).startswith(f"{mf}: '{key}' ")
+        for k, p in resumed.all_params().items():
+            assert p.requires_grad, k
+            assert np.array_equal(p.data, before[k]), k
 
     @pytest.mark.parametrize("precomputed", [False, True], ids=["tokens", "store"])
     def test_load_draws_no_random_model(self, tmp_path, monkeypatch, precomputed):
