@@ -52,12 +52,15 @@ FF_BLOCK_FLOATS = 1 << 16
 # from 2 to 63 (at 7 keys 5.1 against 13.2 us); at 64 rows it ties at 17
 # keys, and at the 8 and 32 rows of a batch-1 greedy and beam-4 decode step
 # it loses at some; at 128 keys and more it loses from 64 rows on. A copy of
-# at most 256 KB leaves peak memory as it was; predict-desk's 2.4 MB
-# encoder scores (batch 128) gained nothing measurable and raised peak RSS
-# by 1.1 MB.
+# at most 1 MB takes in predict-desk's batch-128 encoder scores, (128, 4, 17,
+# 17) or 148 K floats: 170 against 560 us a layer, and predict-desk's peak
+# RSS stayed within its run-to-run spread (51.70 -> 51.74 MB, six pairs).
+# A 2.4 MB copy gained nothing measurable and raised peak RSS by 1.1 MB.
+# Every training score array is at most 64 K floats, so training keeps its
+# path.
 KEY_MAJOR_MIN_ROWS = 128
 KEY_MAJOR_MAX_KEYS = 64
-KEY_MAJOR_MAX_FLOATS = 1 << 16
+KEY_MAJOR_MAX_FLOATS = 1 << 18
 
 _state = threading.local()
 
@@ -509,7 +512,8 @@ def _row_max(p):
     is taken in, so the values are the same. The copy is taken only where
     it pays (see ``KEY_MAJOR_MIN_ROWS`` and the two limits after it): not
     for a batch-1 decode step's few rows, nor for long rows, nor for a
-    score array whose copy would add to peak memory.
+    score array past 1 MB, whose copy would add to peak memory (predict-desk's
+    0.6 MB batch-128 encoder scores take it, 3.3 times faster).
     """
     k = p.shape[-1]
     if k >= KEY_MAJOR_MAX_KEYS or not KEY_MAJOR_MIN_ROWS * k <= p.size <= KEY_MAJOR_MAX_FLOATS:

@@ -137,9 +137,11 @@ def _model_config(cfg, store=None):
     """The model settings a config fixes without data, each checked:
     encoder and decoder configs (a states ``store`` sets the width and
     length), ordering, capacity (0: sized from the data later) and the
-    label-init path (None when unused). A bad one raises ``ConfigError``."""
+    label-init path (None when unused, else a file that reads). A bad one
+    raises ``ConfigError``."""
     from .codec import Ordering
-    from .errors import ConfigError
+    from .decoder import read_label_embeddings
+    from .errors import ConfigError, InitDimensionMismatch
 
     enc_cfg = cfg.build("encoder")
     if store is not None:
@@ -157,6 +159,10 @@ def _model_config(cfg, store=None):
         label_init = cfg.get("decoder", "label_init")
         if not label_init:
             raise ConfigError("use_label_init requires [decoder] label_init = <path>")
+        try:
+            read_label_embeddings(label_init)
+        except InitDimensionMismatch as e:
+            raise ConfigError(f"[decoder] label_init {e}") from None
     # the layout raises max_positions to the capacity sized from the data
     dec_cfg = cfg.build("decoder", vocab_size=0, d_model=enc_cfg.d_model,
                         max_positions=max(capacity, 1))

@@ -19,9 +19,9 @@ call included, is ``_cached_step``: plain arrays through the same array
 kernels, no tape, position-major, (n, B, 1, d), so each product is the
 one-row product of a one-position step: n positions (a greedy draft to
 check) give the bits of n steps, and a row kept by ``DecodeCache.select``
-rounds as if alone. The cache holds each layer's self-attention keys and
-values in buffers of ``max_positions`` positions, written in place. A mask
-that masks nothing is None.
+rounds as if alone. Self-attention K/V live in ``max_positions``-wide
+buffers, written in place and read whole buffer, one mask, one call a
+layer. An encoder or cross mask that masks nothing is None.
 """
 
 from __future__ import annotations
@@ -90,21 +90,24 @@ def write_label_embeddings(path, d_model: int, vectors: dict[str, np.ndarray]) -
 
 
 def read_label_embeddings(path) -> tuple[int, dict[str, np.ndarray]]:
-    """Read a ``write_label_embeddings`` file; a corrupt one raises
-    ``InitDimensionMismatch`` naming the path."""
-    with Path(path).open("rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-            raise InitDimensionMismatch(f"{path}: header is not JSON ({e})") from None
-        if not isinstance(header, dict):
-            raise InitDimensionMismatch(f"{path}: header is not a JSON object")
-        d, labels = header.get("d_model"), header.get("labels")
-        if type(d) is not int or d < 1:
-            raise InitDimensionMismatch(f"{path}: d_model must be a positive integer, got {d!r}")
-        if not isinstance(labels, list) or not all(isinstance(n, str) for n in labels):
-            raise InitDimensionMismatch(f"{path}: labels must be a list of strings")
-        raw = np.frombuffer(fh.read(), dtype="<f4")
+    """Read a ``write_label_embeddings`` file; a missing, unreadable or
+    corrupt one raises ``InitDimensionMismatch`` naming the path."""
+    try:
+        head, _, body = Path(path).read_bytes().partition(b"\n")
+    except OSError as e:
+        raise InitDimensionMismatch(f"{path}: cannot read label vectors ({e.strerror})") from None
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise InitDimensionMismatch(f"{path}: header is not JSON ({e})") from None
+    if not isinstance(header, dict):
+        raise InitDimensionMismatch(f"{path}: header is not a JSON object")
+    d, labels = header.get("d_model"), header.get("labels")
+    if type(d) is not int or d < 1:
+        raise InitDimensionMismatch(f"{path}: d_model must be a positive integer, got {d!r}")
+    if not isinstance(labels, list) or not all(isinstance(n, str) for n in labels):
+        raise InitDimensionMismatch(f"{path}: labels must be a list of strings")
+    raw = np.frombuffer(body, dtype="<f4")
     if raw.size != d * len(labels):
         raise InitDimensionMismatch(
             f"{path}: expected {d * len(labels)} floats, found {raw.size}")
@@ -150,7 +153,7 @@ def seed_label_vectors(params: dict[str, Parameter], vocab: SymbolicVocab | None
         params["out.w"].data[:, tid] = vec
 
 
-_ALLOWED, _BLOCKED = np.float32(0.0), np.float32(ad.NEG_INF)
+_ALLOWED, _BLOCKED, _LATER = np.float32(0.0), np.float32(ad.NEG_INF), np.float32(-np.inf)
 
 
 def self_attention_mask(label_mask: np.ndarray) -> np.ndarray | None:
@@ -219,14 +222,14 @@ class DecodeCache:
     is their ``label_mask != 0``, (B, length). Per layer, ``self_kv`` holds
     two (B, heads, max_positions, d_h) buffers, the split-head
     self-attention keys and values, whose first ``length`` positions are
-    the consumed ones'; a call writes its positions in place, and later
-    positions are stale and never read. ``cross_kv`` holds the keys and
-    values the first call projected from the encoder states, as (B, T,
-    heads, d_h) rows that the step reads through head-split views, with
-    ``cross_mask`` their additive key mask (None when no encoder column is
-    padding). The first call also resolves each layer's parameters into
-    ``layers``, so later calls (which must pass the same parameters) look
-    up no names.
+    the consumed ones'; a call writes its positions in place. Later ones
+    are stale, read at weight 0, so kept finite (zero-filled). ``cross_kv``
+    holds the keys and values the first call projected from the encoder
+    states, as (B, T, heads, d_h) rows that the step reads through
+    head-split views, with ``cross_mask`` their additive key mask (None
+    when no encoder column is padding). The first call also resolves each
+    layer's parameters into ``layers``, so later calls (which must pass the
+    same parameters) look up no names.
 
     An encoder side of one row serves every row of the cache: ``select``
     leaves it at one row and attention broadcasts it, so beam search's
@@ -242,25 +245,28 @@ class DecodeCache:
         self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
         self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
         self.cross_mask: np.ndarray | None = None
-        self._keys: np.ndarray | None = None  # (B, max_positions)
+        self._keys: np.ndarray | None = None  # (B, max_positions), additive
+        self._later: np.ndarray | None = None  # (max_positions,) * 2, -inf past the diagonal
 
     @property
     def key_mask(self) -> np.ndarray | None:
-        return None if self._keys is None else self._keys[:, :self.length]
+        return None if self._keys is None else self._keys[:, :self.length] == 0
 
     def open(self, rows: int, positions: int, layers: int, heads: int, d_h: int,
              dtype) -> None:
         """Allocate the buffers of ``rows`` rows of up to ``positions``
         positions, for ``layers`` layers of ``heads`` heads of width ``d_h``."""
-        self._keys = np.zeros((rows, positions), dtype=bool)
-        self.self_kv = [tuple(np.empty((rows, heads, positions, d_h), dtype) for _ in "kv")
+        self._keys = np.full((rows, positions), _BLOCKED)
+        self._later = np.triu(np.full((positions, positions), _LATER), 1)
+        self.self_kv = [tuple(np.zeros((rows, heads, positions, d_h), dtype) for _ in "kv")
                         for _ in range(layers)]
 
     def feed(self, label_mask: np.ndarray) -> np.ndarray:
         """Consume (B, n) new positions, after the ``length`` ones before
-        them: record their ``label_mask != 0`` and return every consumed
-        key's mask. The caller writes their keys and values into the
-        buffers from the old ``length`` on."""
+        them, and return their (n, B, 1, 1, max_positions) self-attention
+        mask: query i reads the non-PAD keys up to its own position, PAD
+        ones weigh ``NEG_INF`` and later ones -inf, weight 0 whatever finite
+        value they hold. The caller writes their K/V from the old ``length``."""
         n = label_mask.shape[1]
         if self._keys is None or self.length + n > self._keys.shape[1]:
             raise ShapeMismatch(f"cannot feed {n} positions after {self.length} to a cache "
@@ -268,9 +274,9 @@ class DecodeCache:
         if len(label_mask) != len(self._keys):
             raise ShapeMismatch(f"cannot feed {len(label_mask)} label rows to a cache of "
                                 f"{len(self._keys)} rows")
-        np.not_equal(label_mask, 0, out=self._keys[:, self.length:self.length + n])
-        self.length += n
-        return self._keys[:, :self.length]
+        t, self.length = self.length, self.length + n
+        self._keys[:, t:t + n] = np.where(label_mask != 0, _ALLOWED, _BLOCKED)
+        return (self._later[t:t + n, None] + self._keys)[:, :, None, None]
 
     def truncate(self, length: int) -> None:
         """Keep the first ``length`` consumed positions of every row, as if
@@ -400,11 +406,11 @@ def _cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg: DecoderConfig
     Plain arrays through the tape's kernels, position-major, (n, B, 1, d):
     every product is the one-row product of a one-position call, so n
     positions give the bits of n one-position calls, and a row kept by
-    ``DecodeCache.select`` rounds as if alone. Query i reads exactly the
-    first ``cache.length + i + 1`` self-attention keys, under their key
-    mask when a consumed key is masked; one position is one ``_attention``
-    call. The cross keys and values, read head-split as (B, heads, T, d_h),
-    and the (B, 1, 1, T) mask broadcast as they are.
+    ``DecodeCache.select`` rounds as if alone. Self-attention reads the
+    whole buffer in one ``_attention`` call a layer, under the one mask
+    ``DecodeCache.feed`` returns, so each query row has the shape a
+    one-position call gives it. The cross side, read head-split as (B,
+    heads, T, d_h), broadcasts.
     """
     heads, d = cfg.heads, cfg.d_model
     if not cache.layers:  # first call: resolve the layers, project the encoder side
@@ -421,9 +427,7 @@ def _cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg: DecoderConfig
         cache.open(label_ids.shape[0], cfg.max_positions, cfg.layers, heads, d // heads,
                    dtype)
     t, n = cache.length, label_ids.shape[1]
-    keys = cache.feed(label_mask)
-    masks = (None if keys.all() else
-             [key_mask(keys[:, :t + i + 1]) for i in range(n)])
+    mask = cache.feed(label_mask)
     x = (params["word_embed"].data[label_ids.T[..., None]]
          + params["pos_embed"].data[np.arange(t, t + n)[:, None, None]])
     for layer, (k_buf, v_buf), (ck, cv) in zip(cache.layers, cache.self_kv, cache.cross_kv):
@@ -432,10 +436,7 @@ def _cached_step(label_ids, label_mask, enc_hidden, enc_mask, cfg: DecoderConfig
                    for j in range(3))
         k_buf[:, :, t:t + n] = k[:, :, :, 0].transpose(1, 2, 0, 3)
         v_buf[:, :, t:t + n] = v[:, :, :, 0].transpose(1, 2, 0, 3)
-        ctx = [ad._attention(q[i], k_buf[:, :, :t + i + 1], v_buf[:, :, :t + i + 1],
-                             None if masks is None else masks[i], None)[0]
-               for i in range(n)]
-        ctx = ctx[0][None] if n == 1 else np.stack(ctx)
+        ctx = ad._attention(q, k_buf, v_buf, mask, None)[0]
         x = _add_norm(ad._affine(ad._merge(ctx), *layer.self_out), x, layer.norm_q)
         cq = ad._split(ad._affine(x, *layer.cross_q), heads)
         ctx = ad._attention(cq, ck.swapaxes(1, 2), cv.swapaxes(1, 2), cache.cross_mask, None)[0]

@@ -5,7 +5,9 @@ which feeds each row's newest tokens to ``ModelBundle.decoder_logits`` with
 a ``DecodeCache``: the decoder's cached step, on plain arrays and off the
 tape. The first call (the BOS tokens) projects the encoder side once, and
 every call computes only the new positions, whose logits match a
-teacher-forced pass truncated there, to float32 rounding.
+teacher-forced pass truncated there, to float32 rounding. A call's
+self-attention reads the cache's whole key buffer under one mask, so a
+call of n positions costs one attention call a layer, not n.
 Batched greedy decoding stops per sample: a row that emits EOS leaves the
 batch, its cache rows with it. When one row is left and it has just
 emitted SEP, the hierarchy drafts the rest of its sequence and one call

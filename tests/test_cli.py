@@ -653,16 +653,21 @@ class TestAblateCommand:
     def test_variant_config_checked_before_any_cell_trains(self, workdir, tmp_path,
                                                           capsys):
         """The default variants include label-init, which needs a
-        ``label_init`` path: without one the command exits 2 at once, naming
-        the variant, and trains no cell."""
+        ``label_init`` path to a file that reads: without one, or with a
+        missing file, the command exits 2 at once, naming the variant, and
+        trains no cell."""
         out = tmp_path / "abl"
-        code = main(["ablate", "--config", str(workdir["ini"]),
-                     "--data", str(workdir["data"]), "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: variant 'label-init':")
-        assert "use_label_init requires [decoder] label_init" in err
-        assert not out.exists()
+        missing = tmp_path / "missing.bin"
+        for extra, named in (
+                ([], "use_label_init requires [decoder] label_init"),
+                (["--variants", "no-focal,label-init", "--set", f"decoder.label_init={missing}"],
+                 f"[decoder] label_init {missing}: cannot read label vectors")):
+            code = main(["ablate", "--config", str(workdir["ini"]),
+                         "--data", str(workdir["data"]), "--out", str(out), *extra])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(f"error: variant 'label-init': {named}")
+            assert not out.exists()
 
     def test_variant_table_matches_display_names(self):
         # one table row a variant, each with a distinct name and overrides
@@ -797,14 +802,18 @@ print(code, seen)
         ("train.encoder_freeze_threshold=-1",
          "[train] encoder_freeze_threshold must be >= 0, got -1.0"),
         ("decoder.use_label_init=true", "use_label_init requires [decoder] label_init"),
+        ("decoder.use_label_init=true decoder.label_init=missing.bin",
+         "[decoder] label_init missing.bin: cannot read label vectors"),
     ], ids=["decoder-layers", "encoder-mode", "encoder-heads", "codec-capacity",
             "decoder-heads", "train-max-epochs", "encoder-d-model", "encoder-dropout",
             "decoder-dropout", "decoder-ff-dim", "train-plateau-factor",
-            "train-improve-eps", "train-encoder-freeze-threshold", "use-label-init"])
-    def test_bad_setting_exits_2_naming_it(self, workdir, tmp_path, capsys,
+            "train-improve-eps", "train-encoder-freeze-threshold", "use-label-init",
+            "label-init-missing"])
+    def test_bad_setting_exits_2_naming_it(self, workdir, tmp_path, capsys, monkeypatch,
                                            override, named):
-        code = main(["train", "--data", str(workdir["data"]),
-                     "--out", str(tmp_path / "r"), "--set", override])
+        monkeypatch.chdir(tmp_path)  # where a relative path names no file
+        code = main(["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "r"),
+                     *(a for o in override.split() for a in ("--set", o))])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {named}")

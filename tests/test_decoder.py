@@ -317,3 +317,11 @@ class TestLabelInit:
         path.write_bytes(header + b"\n" + np.zeros(floats, dtype="<f4").tobytes())
         with pytest.raises(InitDimensionMismatch, match="v.bin"):
             read_label_embeddings(path)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_names_the_path(self, tmp_path, kind):
+        path = tmp_path / "v.bin"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(InitDimensionMismatch, match="v.bin: cannot read label vectors"):
+            read_label_embeddings(path)

@@ -587,9 +587,8 @@ class TestCachedStep:
         assert np.abs(full[0, 1:] - by_id[0, 1:]).max() > 1e-4
 
     def test_masks_that_mask_nothing_are_dropped(self, rng, monkeypatch):
-        """With no padded encoder column, cross-attention gets no mask; a
-        one-query step gets no self-attention mask until a masked key is
-        consumed. The logits are the bits an all-zero mask gives."""
+        """With no padded encoder column, cross-attention gets no mask, and
+        the logits are the bits an all-zero mask gives."""
         bundle = tiny_bundle(seed=5)
         ids, mask, hidden, emask = step_inputs(rng, bundle)  # row 1 has PAD at 2
         emask[:] = 1
@@ -612,14 +611,53 @@ class TestCachedStep:
 
         steps, masks, cache = run(fill=False)
         assert cache.cross_mask is None
-        layers = bundle.dec_cfg.layers
-        self_masks = [m for i, m in enumerate(masks) if i % 2 == 0]
         assert all(m is None for i, m in enumerate(masks) if i % 2 == 1)
-        assert all(m is None for m in self_masks[:2 * layers])
-        assert all(m is not None for m in self_masks[2 * layers:])
         filled, _, _ = run(fill=True)
         for a, b in zip(steps, filled):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 3, 9], ids=["one", "three", "remaining-width"])
+    def test_cached_call_makes_one_attention_call_per_sublayer(self, rng, monkeypatch, n):
+        """A cached call of n positions makes one self-attention call a
+        layer, over the whole key buffer, and one cross-attention call a
+        layer, over the encoder columns; n = 9 fills the 10 positions."""
+        bundle = golden_bundle()
+        ids, mask, hidden, emask = step_inputs(rng, bundle)
+        real, keys = ad._attention, []
+
+        def spy(q, k, v, m, capture):
+            keys.append(k.shape[-2])
+            return real(q, k, v, m, capture)
+
+        cache = DecodeCache()
+        with no_grad():
+            bundle.decoder_logits(ids[:, :1], mask[:, :1], hidden, emask, cache=cache)
+            monkeypatch.setattr(ad, "_attention", spy)
+            bundle.decoder_logits(ids[:, 1:1 + n], mask[:, 1:1 + n], hidden, emask,
+                                  cache=cache)
+        assert cache.length == 1 + n
+        dec = bundle.dec_cfg
+        assert keys == [dec.max_positions, hidden.shape[1]] * dec.layers
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stale_buffer_contents_never_reach_the_logits(self, rng, n):
+        """The keys and values a cached call finds at or after ``length`` are
+        read at weight 0: 1e30 written into every one of them changes no bit
+        of the next call's logits."""
+        bundle = golden_bundle()
+        ids, mask, hidden, emask = step_inputs(rng, bundle)
+        logits = []
+        for stale in (False, True):
+            cache = DecodeCache()
+            with no_grad():
+                one_position_logits(bundle, ids[:, :3], mask[:, :3], hidden, emask, cache)
+                if stale:
+                    for buffers in cache.self_kv:
+                        for x in buffers:
+                            x[:, :, cache.length:] = 1e30
+                logits.append(bundle.decoder_logits(ids[:, 3:3 + n], mask[:, 3:3 + n],
+                                                    hidden, emask, cache=cache).data)
+        assert np.array_equal(*logits)
 
     def test_cache_cannot_pass_max_positions(self, rng):
         bundle = tiny_bundle()
@@ -645,18 +683,20 @@ class TestCachedStep:
     @pytest.mark.parametrize("rows", [[0], [1], [0, 1, 2, 3, 4]],
                              ids=["padded-encoder", "pad-key", "batch-5"])
     def test_later_multi_position_call_equals_one_position_calls(self, rng, rows):
-        """A later call of n positions gives the bits of n one-position calls,
-        whatever the split: row 0 has a padded encoder side, row 1 a PAD
+        """A call of n positions gives the bits of n one-position calls,
+        whatever the split, from a first call of the full width to a last
+        call of one position: row 0 has a padded encoder side, row 1 a PAD
         key in its prefix."""
         bundle = golden_bundle()
         ids, mask, hidden, emask = step_inputs(rng, bundle, b=5)
         ids, mask, hidden, emask = ids[rows], mask[rows], hidden[rows], emask[rows]
         with no_grad():
             want = one_position_logits(bundle, ids, mask, hidden, emask, DecodeCache())
-            for split in range(1, ids.shape[1] - 1):
+            for split in range(ids.shape[1]):
                 cache = DecodeCache()
-                one_position_logits(bundle, ids[:, :split], mask[:, :split], hidden, emask,
-                                    cache)
+                if split:
+                    one_position_logits(bundle, ids[:, :split], mask[:, :split], hidden,
+                                        emask, cache)
                 got = bundle.decoder_logits(ids[:, split:], mask[:, split:], hidden, emask,
                                             cache=cache).data
                 assert np.array_equal(got, want[:, split:]), split
