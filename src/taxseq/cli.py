@@ -33,6 +33,8 @@ ABLATION_VARIANTS: dict[str, tuple[str, list[str]]] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .synth import SynthConfig  # loads no numpy
+
     parser = argparse.ArgumentParser(
         prog="taxseq",
         description="Hierarchical text classification via label-sequence decoding.")
@@ -84,12 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--branching", type=int, default=4)
-    p.add_argument("--vocab-size", type=int, default=2000)
-    p.add_argument("--docs-per-leaf", type=int, default=94)
-    p.add_argument("--noise-rate", type=float, default=0.3)
-    p.add_argument("--signal-strength", type=int, default=4)
+    for f in dataclasses.fields(SynthConfig):  # the global --seed sets seed
+        if f.name != "seed":
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                           default=f.default)
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("stats", help="summarize a data directory")
@@ -227,15 +227,23 @@ def _run_training(cfg, data_dir, out_dir):
 
 
 def _score_split(bundle, samples, store=None, all_labels=None):
+    """Score the model on ``samples``. Each gold sequence has its own length,
+    so a label set longer than the capacity, which the model cannot emit in
+    full, is scored too; the shuffled ordering draws as ``prepare_data``
+    with seed 0 does."""
+    import numpy as np
+
+    from .codec import _sequence
     from .inference import predict_prepared
     from .metrics import build_report, decode_summary
-    from .trainer import prepare_data
+    from .trainer import prepare_inputs
 
-    prep = prepare_data(bundle, samples, seed=0, store=store)
-    preds = predict_prepared(bundle, prep)
-    gold_seqs = [prep.seq_ids[i][prep.seq_mask[i] == 1].tolist()
-                 for i in range(prep.n)]
-    report = build_report([p.labels for p in preds], prep.gold, bundle.hierarchy,
+    preds = predict_prepared(bundle, prepare_inputs(bundle, samples, store))
+    golds = [set(s.labels) for s in samples]
+    rng = np.random.default_rng(0)
+    gold_seqs = [_sequence(g, bundle.hierarchy, bundle.vocab, bundle.ordering, rng)
+                 for g in golds]
+    report = build_report([p.labels for p in preds], golds, bundle.hierarchy,
                           all_labels, pred_sequences=[p.token_ids for p in preds],
                           gold_sequences=gold_seqs)
     report.extras.update(decode_summary(preds, bundle.hierarchy))
@@ -259,7 +267,7 @@ def cmd_evaluate(args) -> int:
 
     bundle, _ = load_checkpoint(args.checkpoint)
     store = None
-    if args.precomputed:  # prepare_data rejects it for a trainable encoder
+    if args.precomputed:  # prepare_inputs rejects it for a trainable encoder
         from .encoder import PrecomputedStates
         store = PrecomputedStates.open(args.precomputed)
     elif bundle.text_vocab is None:
@@ -392,10 +400,8 @@ def cmd_ablate(args) -> int:
 def cmd_gen_synth(args) -> int:
     from .corpus import SynthConfig, generate_synthetic
 
-    cfg = SynthConfig(depth=args.depth, branching=args.branching,
-                      vocab_size=args.vocab_size, docs_per_leaf=args.docs_per_leaf,
-                      noise_rate=args.noise_rate, signal_strength=args.signal_strength,
-                      seed=args.seed if args.seed is not None else 0)
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)}
+    cfg = SynthConfig(**{k: v for k, v in given.items() if v is not None})  # seed unset: 0
     result = generate_synthetic(cfg, args.out)
     sizes = ", ".join(f"{k}={v}" for k, v in result.split_sizes.items())
     print(f"wrote {result.n_labels} labels ({result.n_leaves} leaves) and "

@@ -17,7 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCorpus, MalformedLine, MissingRawData
+from .errors import EmptyCorpus, MalformedLine, MissingRawData, UnknownLabel
+from .synth import SynthConfig
 from .taxonomy import (ROOT, LabelHierarchy, dataset_stats, load_hierarchy, read_text_lines,
                        save_hierarchy)
 
@@ -62,12 +63,22 @@ def _names(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _known(labels: list[str], h: LabelHierarchy, where: str) -> set[str]:
+    """A line's labels as a set; one the taxonomy lacks raises
+    ``UnknownLabel`` naming ``where``, the line's ``path:line``."""
+    unknown = next((lb for lb in labels if lb not in h), None)
+    if unknown is not None:
+        raise UnknownLabel(f"{where}: unknown label {unknown!r}")
+    return set(labels)
+
+
 def load_jsonl(path, h: LabelHierarchy) -> list[Sample]:
     """Read one split, validating fields and labels against the hierarchy.
 
     ``text`` must be a string and ``labels`` a non-empty list of strings.
     A label set that is not closed under ancestors is closed, with a logged
-    warning naming the line. An unknown label is an error.
+    warning naming the line. An unknown label raises ``UnknownLabel`` naming
+    the line.
     """
     path = Path(path)
     samples: list[Sample] = []
@@ -78,10 +89,9 @@ def load_jsonl(path, h: LabelHierarchy) -> list[Sample]:
             raise MalformedLine(f"{path}:{n}: 'text' must be a string")
         if not _names(obj["labels"]):
             raise MalformedLine(f"{path}:{n}: 'labels' must be a list of label names")
-        labels = set(obj["labels"])
-        if not labels:
+        if not obj["labels"]:
             raise MalformedLine(f"{path}:{n}: empty label set")
-        h.check_known(labels)
+        labels = _known(obj["labels"], h, f"{path}:{n}")
         closed = h.closure(labels)
         if closed != labels:
             log.warning("%s:%d: sample %s auto-closed (+%d ancestors)",
@@ -102,27 +112,6 @@ def write_jsonl(path, samples) -> None:
 # ---------------------------------------------------------------------------
 # synthetic corpus
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SynthConfig:
-    depth: int = 3
-    branching: int = 4
-    vocab_size: int = 2000
-    docs_per_leaf: int = 94
-    noise_rate: float = 0.3
-    signal_strength: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.depth < 2 or self.branching < 2:
-            raise ConfigError("depth and branching must both be >= 2")
-        if not 0.0 <= self.noise_rate < 1.0:
-            raise ConfigError("noise_rate must lie in [0, 1)")
-        if self.signal_strength < 1 or self.docs_per_leaf < 1:
-            raise ConfigError("signal_strength and docs_per_leaf must be >= 1")
-        if self.vocab_size < 1:
-            raise ConfigError(f"vocab_size must be >= 1, got {self.vocab_size}")
 
 
 @dataclass
@@ -292,8 +281,7 @@ def adapt_dataset(fmt: str, raw_dir, out_dir):
                 raise MalformedLine(f"{where}: expected token/label or text/labels keys")
             if not _names(obj[key]):
                 raise MalformedLine(f"{where}: '{key}' must be a list of label names")
-            labels = set(obj[key])
-            h.check_known(labels)
+            labels = _known(obj[key], h, where)
             samples.append(Sample(f"{split}-{n}", text, h.closure(labels)))
         write_jsonl(out / f"{split}.jsonl", samples)
         stats[split] = dataset_stats(h, [s.labels for s in samples])

@@ -17,10 +17,11 @@ batch's decoder input stops just before its last EOS column, whose target
 not a cost: a batch pays for its longest label sequence less one column.
 
 Checkpoints are directories holding a JSON manifest (configs, taxonomy
-edges, token-id maps, vocab hash, rng state, metric history) plus one raw
-float32 little-endian blob per named parameter, and the optimizer moment
-vectors so a resumed run continues bit-identically. Resume restores into
-the bundle it is given, once the manifest describes that bundle's model.
+edges, token-id maps, vocab hash; in ``last``, the training state and
+optimizer groups whose keys ``_TRAIN_STATE`` and ``_OPT_GROUP`` list) plus
+one raw float32 little-endian blob per named parameter, and the optimizer
+moment vectors so a resumed run continues bit-identically. Resume restores
+into the bundle it is given, once the manifest describes that bundle's model.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .taxonomy import LabelHierarchy
 
 __all__ = [
     "TrainConfig", "TrainResult", "PreparedData", "AdamW",
-    "prepare_data", "make_targets", "train", "evaluate_epoch",
+    "prepare_inputs", "prepare_data", "make_targets", "train", "evaluate_epoch",
     "save_checkpoint", "load_checkpoint", "grad_norm",
 ]
 
@@ -267,10 +268,10 @@ def grad_norm(params: dict[str, Parameter]) -> float:
 @dataclass
 class PreparedData:
     """Tensorized split: tokenized text (or precomputed states) plus the
-    encoded teacher-forcing label sequences. A split of bare texts, as
-    ``predict_texts`` builds, has no label fields. A stored-states split
-    holds the store's whole arrays, the states still memory-mapped, and
-    ``enc_rows``, each sample's row in them."""
+    encoded teacher-forcing label sequences. A split of inputs only, as
+    ``prepare_inputs`` and ``predict_texts`` build, has no label fields. A
+    stored-states split holds the store's whole arrays, the states still
+    memory-mapped, and ``enc_rows``, each sample's row in them."""
 
     ids: list[str]
     seq_ids: np.ndarray | None = None
@@ -294,50 +295,57 @@ def make_targets(seq_ids: np.ndarray) -> np.ndarray:
     return targets
 
 
-def prepare_data(
+def prepare_inputs(
     bundle: ModelBundle,
     samples,
-    seed: int = 0,
     store: PrecomputedStates | None = None,
 ) -> PreparedData:
-    """Tokenize texts, or gather their rows of a states store, and encode
-    label sets for one split.
-
-    The shuffled ordering draws its per-sample permutations from a
-    generator seeded here, so preparation is reproducible.
-    """
-    rng = np.random.default_rng(seed)
-    n = len(samples)
-    if n == 0:
+    """A split's prediction inputs, with no label fields: its tokenized
+    texts, or its rows of a states store for a model without a text
+    vocabulary."""
+    if len(samples) == 0:
         raise EmptyCorpus("no samples to prepare")
-    cap = bundle.capacity
-    seq_ids = np.zeros((n, cap), dtype=np.int32)
-    seq_mask = np.zeros((n, cap), dtype=np.int8)
-    ids, gold = [], []
-    for i, s in enumerate(samples):
-        seq = encode(s.labels, bundle.hierarchy, bundle.vocab, bundle.ordering,
-                     cap, rng=rng)
-        seq_ids[i] = seq.ids
-        seq_mask[i] = seq.mask
-        ids.append(s.id)
-        gold.append(set(s.labels))
-
+    ids = [s.id for s in samples]
     if bundle.text_vocab is None:
         if store is None:
             raise ConfigError("a model without a text vocabulary needs a states store")
         if store.d_model != bundle.dec_cfg.d_model:
             raise ConfigError(
                 f"store d_model {store.d_model} != model {bundle.dec_cfg.d_model}")
-        return PreparedData(ids, seq_ids, seq_mask, gold, enc_hidden=store.hidden,
-                            enc_mask=store.mask, enc_rows=store.rows(ids))
+        return PreparedData(ids, enc_hidden=store.hidden, enc_mask=store.mask,
+                            enc_rows=store.rows(ids))
     if store is not None:
         raise ConfigError("a states store was given for a model whose encoder "
                           "is trainable; only a model without a text vocabulary reads one")
-
     text_ids, text_mask = tokenize_texts([s.text for s in samples], bundle.text_vocab,
                                          bundle.enc_cfg.max_len)
-    return PreparedData(ids, seq_ids, seq_mask, gold,
-                        text_ids=text_ids, text_mask=text_mask)
+    return PreparedData(ids, text_ids=text_ids, text_mask=text_mask)
+
+
+def prepare_data(
+    bundle: ModelBundle,
+    samples,
+    seed: int = 0,
+    store: PrecomputedStates | None = None,
+) -> PreparedData:
+    """``prepare_inputs`` plus each sample's gold set and its label sequence
+    encoded at the model's capacity, for teacher forcing.
+
+    The shuffled ordering draws its per-sample permutations from a
+    generator seeded here, so preparation is reproducible.
+    """
+    data = prepare_inputs(bundle, samples, store)
+    rng = np.random.default_rng(seed)
+    data.seq_ids = np.zeros((data.n, bundle.capacity), dtype=np.int32)
+    data.seq_mask = np.zeros((data.n, bundle.capacity), dtype=np.int8)
+    data.gold = []
+    for i, s in enumerate(samples):
+        seq = encode(s.labels, bundle.hierarchy, bundle.vocab, bundle.ordering,
+                     bundle.capacity, rng=rng)
+        data.seq_ids[i] = seq.ids
+        data.seq_mask[i] = seq.mask
+        data.gold.append(set(s.labels))
+    return data
 
 
 def _label_columns(data: PreparedData, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,8 +457,7 @@ def _write_checkpoint(out: Path, bundle: ModelBundle, train_state: dict | None,
     (out / "params").mkdir(parents=True)
     manifest = {"format": 1, **_describe_model(bundle), "train_state": train_state}
     if optimizer is not None:
-        manifest["optimizer"] = [{"name": g["name"], "lr": g["lr"], "frozen": g["frozen"],
-                                  "t": g["t"]} for g in optimizer.groups]
+        manifest["optimizer"] = [{k: g[k] for k in _OPT_GROUP} for g in optimizer.groups]
         (out / "moments").mkdir()
         for key, mv in optimizer.state.items():
             for which in ("m", "v"):
@@ -461,15 +468,51 @@ def _write_checkpoint(out: Path, bundle: ModelBundle, train_state: dict | None,
         (out / "params" / f"{k}.bin").write_bytes(np.ascontiguousarray(p.data, "<f4"))
 
 
+_COUNT, _NUMBER = "a non-negative integer", "a number"
+_KINDS = {
+    _COUNT: lambda v: type(v) is int and v >= 0,
+    _NUMBER: lambda v: type(v) in (int, float),
+    "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "true or false": lambda v: type(v) is bool,
+    "a list": lambda v: type(v) is list,
+    "a string": lambda v: type(v) is str,
+    "a JSON object": lambda v: type(v) is dict,
+}
+# What a resumable checkpoint holds beyond the model: each key of its
+# ``train_state`` and of every ``optimizer`` group record, with the kind
+# ``train`` reads it as; a nested table is a JSON object of its own keys.
+_TRAIN_STATE = {"rng_state": "a JSON object", "history": "a list",
+                "scheduler": {"best_val": _NUMBER, "bad": _COUNT, "stall": _COUNT},
+                "best": {"epoch": _COUNT, "val": _NUMBER}, "epoch": _COUNT}
+_OPT_GROUP = {"name": "a string", "lr": "a finite number", "frozen": "true or false",
+              "t": _COUNT}
+
+
+def _check_keys(mf: Path, obj, where: str, table: dict) -> None:
+    """Raise ``ConfigError`` naming ``mf`` unless ``obj``, the manifest's
+    ``where``, is a JSON object holding every key of ``table`` of its kind
+    (JSON's ``true`` is no number)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{mf}: {where!r} must be a JSON object")
+    for key, kind in table.items():
+        if key not in obj:
+            raise ConfigError(f"{mf}: missing key '{where}.{key}'")
+        if isinstance(kind, dict):
+            _check_keys(mf, obj[key], f"{where}.{key}", kind)
+        elif not _KINDS[kind](obj[key]):
+            raise ConfigError(f"{mf}: '{where}.{key}' must be {kind}, got {obj[key]!r}")
+
+
 def _read_manifest(ckpt_dir, groups: list[str] | None = None) -> tuple[Path, dict]:
     """A checkpoint's manifest path and content: JSON of format 1 with every
     key that describes the model, else ``ConfigError`` names the file. An
     older version's ``enc_cfg.mode`` is dropped: ``text_vocab`` records it.
 
     With ``groups``, the names of a resumed optimizer's groups, the manifest
-    must also hold the training state and optimizer groups that ``train``
-    reads back, each key of its type (see ``_check_train_state``), else
-    ``ConfigError`` names the file and the key.
+    must also hold what ``train`` reads back, as ``_TRAIN_STATE`` and
+    ``_OPT_GROUP`` describe it, with those groups in order and an
+    ``rng_state`` the generator accepts; else ``ConfigError`` names the file
+    and the key. Nothing is restored before this passes.
     """
     mf = Path(ckpt_dir) / "manifest.json"
     try:
@@ -485,76 +528,27 @@ def _read_manifest(ckpt_dir, groups: list[str] | None = None) -> tuple[Path, dic
             raise ConfigError(f"{mf}: missing key {key!r}")
     if isinstance(manifest["enc_cfg"], dict):
         manifest["enc_cfg"].pop("mode", None)
-    if groups is not None:
-        if not manifest.get("train_state") or "optimizer" not in manifest:
-            raise ConfigError(f"{ckpt_dir}: no training state to resume from; "
-                              "resume from a run's last/ checkpoint")
-        state = manifest["train_state"]
-        _require_keys(mf, state, "train_state",
-                      ("rng_state", "history", "scheduler", "best", "epoch"))
-        _require_keys(mf, state["scheduler"], "train_state.scheduler",
-                      ("best_val", "bad", "stall"))
-        _require_keys(mf, state["best"], "train_state.best", ("epoch", "val"))
-        if not isinstance(manifest["optimizer"], list):
-            raise ConfigError(f"{mf}: 'optimizer' must be a list of groups")
-        for i, group in enumerate(manifest["optimizer"]):
-            _require_keys(mf, group, f"optimizer[{i}]", ("name", "lr", "frozen", "t"))
-        _check_train_state(mf, manifest, groups)
-    return mf, manifest
-
-
-_COUNT, _NUMBER, _LR = "a non-negative integer", "a number", "a finite number"
-_KINDS = {
-    _COUNT: lambda v: type(v) is int and v >= 0,
-    _NUMBER: lambda v: type(v) in (int, float),
-    _LR: lambda v: type(v) in (int, float) and math.isfinite(v),
-    "true or false": lambda v: type(v) is bool,
-    "a list": lambda v: type(v) is list,
-}
-
-
-def _check_train_state(mf: Path, manifest: dict, groups: list[str]) -> None:
-    """Raise ``ConfigError`` naming ``mf`` and the key unless the optimizer
-    groups are ``groups``, once each and in order, every training record
-    has the type ``train`` reads it as (JSON's ``true`` is no number), and
-    the generator accepts ``rng_state``. Nothing is restored before this
-    passes."""
+    if groups is None:
+        return mf, manifest
+    if not manifest.get("train_state") or "optimizer" not in manifest:
+        raise ConfigError(f"{ckpt_dir}: no training state to resume from; "
+                          "resume from a run's last/ checkpoint")
+    _check_keys(mf, manifest["train_state"], "train_state", _TRAIN_STATE)
     saved = manifest["optimizer"]
+    if not isinstance(saved, list):
+        raise ConfigError(f"{mf}: 'optimizer' must be a list of groups")
+    for i, g in enumerate(saved):
+        _check_keys(mf, g, f"optimizer[{i}]", _OPT_GROUP)
     names = [g["name"] for g in saved]
     if names != groups:
         raise ConfigError(f"{mf}: 'optimizer' holds the groups {names}, "
                           f"the model's are {groups}")
-    state = manifest["train_state"]
-    sched, best = state["scheduler"], state["best"]
-    checks = {"train_state.epoch": (state["epoch"], _COUNT),
-              "train_state.history": (state["history"], "a list"),
-              "train_state.scheduler.best_val": (sched["best_val"], _NUMBER),
-              "train_state.scheduler.bad": (sched["bad"], _COUNT),
-              "train_state.scheduler.stall": (sched["stall"], _COUNT),
-              "train_state.best.epoch": (best["epoch"], _COUNT),
-              "train_state.best.val": (best["val"], _NUMBER)}
-    for i, g in enumerate(saved):
-        checks.update({f"optimizer[{i}].lr": (g["lr"], _LR),
-                       f"optimizer[{i}].t": (g["t"], _COUNT),
-                       f"optimizer[{i}].frozen": (g["frozen"], "true or false")})
-    for where, (value, kind) in checks.items():
-        if not _KINDS[kind](value):
-            raise ConfigError(f"{mf}: '{where}' must be {kind}, got {value!r}")
     try:
-        np.random.default_rng(0).bit_generator.state = state["rng_state"]
+        np.random.default_rng(0).bit_generator.state = manifest["train_state"]["rng_state"]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{mf}: 'train_state.rng_state' is not a generator state "
                           f"({type(e).__name__}: {e})") from None
-
-
-def _require_keys(mf: Path, obj, where: str, keys) -> None:
-    """Raise ``ConfigError`` naming ``mf`` unless ``obj``, the manifest's
-    ``where``, is a JSON object with every one of ``keys``."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{mf}: {where!r} must be a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ConfigError(f"{mf}: missing key '{where}.{key}'")
+    return mf, manifest
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelBundle, dict]:

@@ -447,6 +447,49 @@ class TestEvaluateCommand:
         pairs = dict(line.split("=", 1) for line in kv.read_text().splitlines())
         assert {k: float(pairs[k]) for k in want} == want
 
+    def test_label_set_longer_than_capacity_is_scored(self, workdir, tmp_path, capsys):
+        """A gold set whose sequence outgrows the capacity sized from train
+        and dev is scored; the model cannot emit it in full, so it counts
+        as shorter."""
+        ck = workdir["run"] / "best"
+        assert json.loads((ck / "manifest.json").read_text())["capacity"] == 6
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(workdir["data"] / "taxonomy.tsv", data)
+        (data / "test.jsonl").write_text(json.dumps(  # BOS c0_0 c1_1 SEP c0 c1 SEP EOS
+            {"id": "long", "text": "w_c0_0 w_c1_1", "labels": ["c0", "c0_0", "c1", "c1_1"]})
+            + "\n")
+        code = main(["evaluate", "--checkpoint", str(ck), "--data", str(data),
+                     "--out", str(tmp_path / "report")])
+        assert code == 0, capsys.readouterr().err
+        kv = dict(line.split("=", 1) for line in
+                  (tmp_path / "report.kv").read_text().splitlines())
+        assert kv["bucket.n"] == "1" and kv["bucket.shorter"] == "1"
+
+    def test_gold_sequences_are_prepare_datas(self, monkeypatch):
+        """Scoring takes each gold sequence at its own length, drawn as
+        ``prepare_data`` with seed 0 draws the shuffled ordering's."""
+        from test_trainer import SAMPLES, tiny_bundle
+
+        from taxseq import cli, metrics
+        from taxseq.codec import Ordering
+        from taxseq.trainer import prepare_data
+
+        seen = {}
+        real = metrics.build_report
+
+        def spy(*args, **kw):
+            seen.update(kw)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(metrics, "build_report", spy)
+        for ordering in (Ordering.SHUFFLED, Ordering.CHILD_TO_PARENT):
+            bundle = tiny_bundle(ordering=ordering)
+            cli._score_split(bundle, SAMPLES)
+            prep = prepare_data(bundle, SAMPLES, seed=0)
+            assert seen["gold_sequences"] == [
+                prep.seq_ids[i][prep.seq_mask[i] == 1].tolist() for i in range(prep.n)]
+
     def test_truncated_blob_exits_2(self, workdir, tmp_path, capsys):
         ck = tmp_path / "ck"
         shutil.copytree(workdir["run"] / "best", ck)
@@ -845,6 +888,31 @@ print(code, seen)
         stdout = capsys.readouterr().out
         assert code == 0
         assert "labels" in stdout and "train=" in stdout
+
+    def test_gen_synth_defaults_are_synth_configs(self, tmp_path, capsys):
+        from taxseq.corpus import SynthConfig, generate_synthetic
+
+        assert main(["gen-synth", "--out", str(tmp_path / "cli")]) == 0
+        generate_synthetic(SynthConfig(), tmp_path / "api")
+        names = ["taxonomy.tsv", "train.jsonl", "dev.jsonl", "test.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == sorted(names)
+        for name in names:
+            assert ((tmp_path / "cli" / name).read_bytes()
+                    == (tmp_path / "api" / name).read_bytes()), name
+
+    def test_unknown_label_names_file_line_and_label(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir["data"], data)
+        test = data / "test.jsonl"
+        lines = test.read_text().splitlines()
+        lines.insert(1, json.dumps({"id": "x", "text": "w", "labels": ["c0", "nope"]}))
+        test.write_text("\n".join(lines) + "\n")
+        for argv in (["stats", "--data", str(data)],
+                     ["evaluate", "--checkpoint", str(workdir["run"] / "best"),
+                      "--data", str(data), "--out", str(tmp_path / "report")]):
+            code = main(argv)
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {test}:2: unknown label 'nope'\n"
 
     def test_gen_synth_bad_depth_exits_2(self, tmp_path, capsys):
         code = main(["gen-synth", "--out", str(tmp_path / "d"), "--depth", "1"])

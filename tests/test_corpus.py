@@ -278,6 +278,15 @@ class TestAdapters:
         with pytest.raises(MalformedLine, match=f"wos_val.json:2: {message}"):
             adapt_dataset("wos", raw, tmp_path / "out")
 
+    def test_unknown_label_names_the_line(self, tmp_path):
+        raw = tmp_path / "raw"
+        self.make_raw(raw)
+        with (raw / "wos_val.json").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"token": ["alpha"], "label": ["CS", "Law"]}) + "\n")
+        with pytest.raises(UnknownLabel) as err:
+            adapt_dataset("wos", raw, tmp_path / "out")
+        assert str(err.value) == f"{raw / 'wos_val.json'}:2: unknown label 'Law'"
+
     def test_raw_taxonomy_malformed(self, tmp_path):
         raw = tmp_path / "raw"
         self.make_raw(raw)

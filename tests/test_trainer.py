@@ -62,6 +62,23 @@ def tiny_bundle(seed=0, dropout=0.0, ordering=Ordering.CHILD_TO_PARENT,
                              text_vocab=tv)
 
 
+def table_leaves(table, prefix):
+    """The path of every leaf key of a resume table, below ``prefix``."""
+    for key, kind in table.items():
+        if isinstance(kind, dict):
+            yield from table_leaves(kind, (*prefix, key))
+        else:
+            yield (*prefix, key)
+
+
+def assert_keys_are_table(record, table, where):
+    """``record`` holds exactly ``table``'s keys, nested tables included."""
+    assert sorted(record) == sorted(table), where
+    for key, kind in table.items():
+        if isinstance(kind, dict):
+            assert_keys_are_table(record[key], kind, f"{where}.{key}")
+
+
 def quick_cfg(**kw):
     base = dict(micro_batch=4, accumulation_steps=1, max_epochs=3, seed=1)
     base.update(kw)
@@ -1171,6 +1188,24 @@ class TestCheckpointing:
         for k, p in resumed.all_params().items():
             assert p.requires_grad, k
             assert np.array_equal(p.data, before[k]), k
+
+    @pytest.mark.parametrize("path", [
+        *table_leaves(tr._TRAIN_STATE, ("train_state",)),
+        *(leaf for i in (0, 1) for leaf in table_leaves(tr._OPT_GROUP, ("optimizer", i))),
+    ], ids=lambda path: "-".join(map(str, path)))
+    def test_resume_state_each_table_key_required(self, tmp_path, one_epoch_last, path):
+        """Deleting any leaf key the resume tables list, from either group
+        record, fails naming it before any parameter changes."""
+        self.test_resume_state_missing_key_rejected(tmp_path, one_epoch_last, path)
+
+    def test_last_manifest_holds_exactly_the_table_keys(self, one_epoch_last):
+        """A seeded run writes every key the resume tables list and no other,
+        in its training state and in each optimizer group record."""
+        manifest = json.loads((one_epoch_last / "manifest.json").read_text())
+        assert_keys_are_table(manifest["train_state"], tr._TRAIN_STATE, "train_state")
+        assert [g["name"] for g in manifest["optimizer"]] == ["enc", "dec"]
+        for i, group in enumerate(manifest["optimizer"]):
+            assert_keys_are_table(group, tr._OPT_GROUP, f"optimizer[{i}]")
 
     @pytest.mark.parametrize("precomputed", [False, True], ids=["tokens", "store"])
     def test_load_draws_no_random_model(self, tmp_path, monkeypatch, precomputed):
